@@ -8,13 +8,16 @@ sampling noise of the agreement rates propagates to the estimate through a
 first-order linearization. Workers with more than two peers get several
 disjoint triples whose estimates are combined with uniform or
 minimum-variance weights.
+
+Pairwise statistics are read by worker index from the arrays the dataset
+caches (`pair_overlap`, `pair_agreement`, `attempts`), so memory is O(m^2)
+in the number of workers m. The covariance of one worker's T triples is
+built from one matrix product over the attempt rows of its 2T partners.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,8 +38,6 @@ from .numerics import (
     optimal_weights,
     propagated_deviation,
 )
-
-THREADS_ENV_VAR = "CROWDGAUGE_THREADS"
 
 METHOD_THREE_WORKER = "three_worker"
 METHOD_M_WORKER_UNIFORM = "m_worker_uniform"
@@ -130,13 +131,14 @@ def f_derivatives(q_i_j1: float, q_i_j2: float, q_j1_j2: float
             math.sqrt(a * b / (8.0 * c ** 3)))
 
 
-def agreement_covariances(stats, triple: Sequence[str],
+def agreement_covariances(q: Sequence[float], c2: Sequence[int], c3: int,
                           p_hats: Sequence[float]) -> np.ndarray:
     """3x3 covariance of the agreement rates (Q_i_j1, Q_i_j2, Q_j1_j2).
 
-    `stats` provides q/c2/c3 lookups (AgreementStats or a dataset view),
-    `triple` is (i, j1, j2), and `p_hats` the error-rate plug-ins for
-    (i, j1, j2). Var(Q_ab) = q_ab (1 - q_ab) / c_ab; two agreement rates
+    For a triple (i, j1, j2), `q` holds the agreement rates and `c2` the
+    shared-task counts of the pairs (i, j1), (i, j2), (j1, j2), `c3` counts
+    the tasks all three attempted, and `p_hats` are the error-rate plug-ins
+    for (i, j1, j2). Var(Q_ab) = q_ab (1 - q_ab) / c_ab; two agreement rates
     sharing worker s covary through s's errors on the jointly attempted
     tasks:
 
@@ -144,17 +146,11 @@ def agreement_covariances(stats, triple: Sequence[str],
 
     With zero triple overlap the off-diagonal terms vanish.
     """
-    i, j1, j2 = triple
+    q_ij1, q_ij2, q_j1j2 = (float(x) for x in q)
+    c_ij1, c_ij2, c_j1j2 = c2
     p_i, p_j1, p_j2 = (float(p) for p in p_hats)
-    c_ij1 = stats.c2(i, j1)
-    c_ij2 = stats.c2(i, j2)
-    c_j1j2 = stats.c2(j1, j2)
     if min(c_ij1, c_ij2, c_j1j2) < 1:
-        raise InsufficientOverlapError(f"triple {tuple(triple)} has an empty pair")
-    q_ij1 = stats.q(i, j1)
-    q_ij2 = stats.q(i, j2)
-    q_j1j2 = stats.q(j1, j2)
-    c3 = stats.c3(i, j1, j2)
+        raise InsufficientOverlapError("a pair of the triple shares no tasks")
     cov = np.zeros((3, 3))
     cov[0, 0] = q_ij1 * (1.0 - q_ij1) / c_ij1
     cov[1, 1] = q_ij2 * (1.0 - q_ij2) / c_ij2
@@ -170,16 +166,13 @@ def _evaluate_triple_core(ds: ResponseDataset, triple: Sequence[str]) -> TripleE
     i, j1, j2 = triple
     if len({i, j1, j2}) != 3:
         raise ValueError(f"triple {tuple(triple)} repeats a worker")
-    view = ds.stats_view
-    c_ij1 = view.c2(i, j1)
-    c_ij2 = view.c2(i, j2)
-    c_j1j2 = view.c2(j1, j2)
-    if min(c_ij1, c_ij2, c_j1j2) < 1:
+    a, b, c = (ds.worker_index(w) for w in triple)
+    pairs = ((a, b), (a, c), (b, c))
+    c2 = tuple(int(ds.pair_overlap[x, y]) for x, y in pairs)
+    if min(c2) < 1:
         raise InsufficientOverlapError(f"triple {tuple(triple)} has an empty pair")
-    q_ij1 = view.q(i, j1)
-    q_ij2 = view.q(i, j2)
-    q_j1j2 = view.q(j1, j2)
-    qs = (q_ij1, q_ij2, q_j1j2)
+    qs = tuple(float(ds.pair_agreement[x, y]) for x, y in pairs)
+    q_ij1, q_ij2, q_j1j2 = qs
     key = (str(i), str(j1), str(j2))
     if min(qs) <= 0.5:
         return TripleEstimate(key, failed=True, reason=REASON_LOW_AGREEMENT)
@@ -188,7 +181,8 @@ def _evaluate_triple_core(ds: ResponseDataset, triple: Sequence[str]) -> TripleE
     p_j2 = error_rate_from_agreements(q_ij2, q_j1j2, q_ij1)
     radicand = (2 * q_ij1 - 1) * (2 * q_ij2 - 1) / (2 * q_j1j2 - 1)
     derivs = f_derivatives(q_ij1, q_ij2, q_j1j2)
-    cov = agreement_covariances(view, triple, (p_i, p_j1, p_j2))
+    cov = agreement_covariances(qs, c2, ds.triple_overlap_by_index(a, b, c),
+                                (p_i, p_j1, p_j2))
     try:
         dev = propagated_deviation(derivs, cov)
     except EstimationFailure as exc:
@@ -231,7 +225,7 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
     i = ds.worker_index(worker)
-    overlap = ds._pair_overlap
+    overlap = ds.pair_overlap
     order = sorted((j for j in range(ds.num_workers) if j != i),
                    key=lambda j: (-overlap[i, j], j))
     pairs: list[tuple[str, str]] = []
@@ -257,20 +251,25 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
     return pairs
 
 
-def cross_triple_covariances(triples: Sequence[TripleEstimate], stats,
-                             p_i_hat: float) -> np.ndarray:
+def cross_triple_covariances(triples: Sequence[TripleEstimate], p_i_hat: float,
+                             c2: np.ndarray, q: np.ndarray, c3: np.ndarray
+                             ) -> np.ndarray:
     """Covariance matrix of one worker's triple estimates.
 
-    All triples must share the evaluated worker i and be non-failed.
-    Diagonal entries are the squared per-triple deviations. Two triples
-    (i, a1, b1), (i, a2, b2) covary through worker i's errors on tasks it
-    shares with one member of each pair:
+    All T triples must share the evaluated worker i and be non-failed. The
+    arrays are indexed by the 2T partners x in triple order (j1, j2 of the
+    first triple, then of the second, ...): `c2[x]` = c_ix, `q[x, y]` =
+    q_xy and `c3[x, y]` = c_ixy. Diagonal entries are the squared
+    per-triple deviations. Two triples (i, a1, b1), (i, a2, b2) covary
+    through worker i's errors on tasks it shares with one member of each
+    pair:
 
         sum over x in {a1, b1}, y in {a2, b2} of
             d_x d_y * c_ixy * p_i (1 - p_i) (2 q_xy - 1) / (c_ix c_iy)
 
     where d_x is the derivative of triple 1's estimate with respect to
-    q_i_x, and similarly d_y for triple 2.
+    q_i_x, and similarly d_y for triple 2. Terms with c_ixy = 0 vanish
+    whatever q_xy holds.
     """
     if not triples:
         raise ValueError("at least one triple estimate is required")
@@ -282,25 +281,29 @@ def cross_triple_covariances(triples: Sequence[TripleEstimate], stats,
             raise ValueError("triple estimates must share the evaluated worker")
     count = len(triples)
     pp = float(p_i_hat) * (1.0 - float(p_i_hat))
-    cov = np.zeros((count, count))
-    for a in range(count):
-        cov[a, a] = triples[a].dev ** 2
-    for a in range(count):
-        ta = triples[a]
-        members_a = ((ta.triple[1], ta.d_i_j1), (ta.triple[2], ta.d_i_j2))
-        for b in range(a + 1, count):
-            tb = triples[b]
-            members_b = ((tb.triple[1], tb.d_i_j1), (tb.triple[2], tb.d_i_j2))
-            total = 0.0
-            for x, dx in members_a:
-                for y, dy in members_b:
-                    c3 = stats.c3(i, x, y)
-                    if c3 == 0:
-                        continue
-                    total += (dx * dy * c3 * pp * (2.0 * stats.q(x, y) - 1.0)
-                              / (stats.c2(i, x) * stats.c2(i, y)))
-            cov[a, b] = cov[b, a] = total
+    scaled = np.array([(t.d_i_j1, t.d_i_j2) for t in triples]).ravel() / c2
+    terms = pp * np.outer(scaled, scaled) * np.where(c3 > 0, c3 * (2.0 * q - 1.0), 0.0)
+    blocks = terms.reshape(count, 2, count, 2).sum(axis=(1, 3))
+    # The two sums of a mirrored block pair differ in the last bit; their
+    # mean makes the matrix exactly symmetric.
+    cov = 0.5 * (blocks + blocks.T)
+    np.fill_diagonal(cov, [t.dev ** 2 for t in triples])
     return cov
+
+
+def _partner_statistics(ds: ResponseDataset, worker: str,
+                        triples: Sequence[TripleEstimate]
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c_iP, Q_PP, C3) for the partners P of worker i's triples.
+
+    C3 = (A_P o A_i) A_P^T in float64, exact for counts, from the
+    attempt rows A of the partners and of worker i.
+    """
+    i = ds.worker_index(worker)
+    partners = np.array([ds.worker_index(w) for t in triples for w in t.triple[1:]])
+    rows = ds.attempts[partners].astype(float)
+    return (ds.pair_overlap[i, partners], ds.pair_agreement[partners][:, partners],
+            (rows * ds.attempts[i]) @ rows.T)
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,8 @@ def build_worker_system(ds: ResponseDataset, worker: str,
         return _WorkerSystem(worker, (), None, failures,
                              failure_reason=REASON_NO_USABLE_TRIPLES)
     p_bar = float(np.mean([t.p_hat for t in estimates]))
-    cov = cross_triple_covariances(estimates, ds.stats_view, p_bar)
+    cov = cross_triple_covariances(estimates, p_bar,
+                                   *_partner_statistics(ds, worker, estimates))
     return _WorkerSystem(worker, tuple(estimates), cov, failures)
 
 
@@ -412,24 +416,9 @@ def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
 def evaluate_all(ds: ResponseDataset, confidence: float,
                  weighting: str = "optimal", min_overlap: int = 1
                  ) -> list[WorkerReport]:
-    """Evaluate every worker; per-worker failures become failed reports.
-
-    The CROWDGAUGE_THREADS environment variable caps worker-level
-    parallelism (default 1, sequential).
-    """
+    """Evaluate every worker; per-worker failures become failed reports."""
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
-    try:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    except ValueError:
-        threads = 1
-    if threads > 1:
-        # Warm the shared caches once so the threads only read them.
-        _ = ds._pair_overlap, ds._pair_agreement, ds.stats_view
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda w: evaluate_worker(ds, w, confidence, weighting, min_overlap),
-                ds.workers))
     return [evaluate_worker(ds, w, confidence, weighting, min_overlap)
             for w in ds.workers]

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 from typing import Callable
@@ -76,10 +77,23 @@ def _round9(x: float) -> float:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write via a temp file of its own in the target directory, then rename.
+
+    Concurrent writers of one path each rename a complete file; a failed
+    write removes its temp file.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_input(path_str: str) -> tuple[str, str]:
@@ -294,9 +308,9 @@ def cmd_evaluate_kary(args) -> int:
     elif args.auto_triples is not None:
         if args.auto_triples < 1:
             raise UsageError("--auto-triples needs a threshold of at least 1")
-        view = ds.stats_view
-        triples = [t for t in combinations(ds.workers, 3)
-                   if view.c3(*t) >= args.auto_triples]
+        triples = [tuple(ds.workers[x] for x in abc)
+                   for abc in combinations(range(ds.num_workers), 3)
+                   if ds.triple_overlap_by_index(*abc) >= args.auto_triples]
         if not triples:
             raise InsufficientConnectivityError(
                 f"no worker triple shares {args.auto_triples} or more tasks")

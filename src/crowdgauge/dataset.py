@@ -4,6 +4,12 @@ and majority-vote spammer pruning.
 A dataset is a partial map (worker, task) -> label in 1..arity, stored as a
 dense integer matrix with 0 marking "not attempted". Workers and tasks keep
 their first-appearance order from the source.
+
+Pairwise statistics live on the dataset as worker-indexed arrays, computed
+once on first use: `attempts`, `pair_overlap` and `pair_agreement` (m x m,
+so memory is O(m^2) in the number of workers m), plus
+`triple_overlap_by_index` for one triple at a time. `AgreementStats` is a
+name-keyed copy of them for a worker subset.
 """
 
 from __future__ import annotations
@@ -169,82 +175,40 @@ class ResponseDataset:
     # -- cached pairwise statistics ----------------------------------------
 
     @cached_property
-    def _attempts(self) -> np.ndarray:
+    def attempts(self) -> np.ndarray:
+        """Boolean worker-by-task matrix of attempted tasks."""
         return self.matrix > 0
 
     @cached_property
-    def _pair_overlap(self) -> np.ndarray:
-        a = self._attempts.astype(np.int64)
+    def pair_overlap(self) -> np.ndarray:
+        """Worker-by-worker counts of shared tasks, c_ab (int64)."""
+        a = self.attempts.astype(np.int64)
         return a @ a.T
 
     @cached_property
-    def _pair_agreement(self) -> np.ndarray:
+    def pair_agreement(self) -> np.ndarray:
+        """Worker-by-worker agreement rates q_ab on shared tasks (NaN for
+        pairs that share none)."""
         agree = np.zeros((self.num_workers, self.num_workers), dtype=np.int64)
         for label in range(1, self.arity + 1):
             hits = (self.matrix == label).astype(np.int64)
             agree += hits @ hits.T
-        return agree
-
-    @cached_property
-    def _triple_overlap_cache(self) -> dict[tuple[int, int, int], int]:
-        return {}
-
-    def overlap_by_index(self, a: int, b: int) -> int:
-        return int(self._pair_overlap[a, b])
-
-    def agreement_count_by_index(self, a: int, b: int) -> int:
-        return int(self._pair_agreement[a, b])
-
-    def agreement_rate_by_index(self, a: int, b: int) -> float:
-        overlap = self.overlap_by_index(a, b)
-        if overlap == 0:
-            raise InsufficientOverlapError(
-                f"workers {self.workers[a]!r} and {self.workers[b]!r} share no tasks")
-        return self.agreement_count_by_index(a, b) / overlap
+        overlap = self.pair_overlap
+        return np.divide(agree, overlap, out=np.full(overlap.shape, np.nan), where=overlap > 0)
 
     def triple_overlap_by_index(self, a: int, b: int, c: int) -> int:
-        key = tuple(sorted((a, b, c)))
-        cache = self._triple_overlap_cache
-        count = cache.get(key)
-        if count is None:
-            att = self._attempts
-            count = int(np.count_nonzero(att[key[0]] & att[key[1]] & att[key[2]]))
-            cache[key] = count
-        return count
-
-    @cached_property
-    def stats_view(self) -> "_DatasetStatsView":
-        return _DatasetStatsView(self)
-
-
-class _DatasetStatsView:
-    """Duck-typed agreement-statistics accessor backed by dataset caches.
-
-    Provides the same q/c2/c3 interface as AgreementStats without building
-    dictionaries, for the estimator hot paths.
-    """
-
-    def __init__(self, ds: ResponseDataset):
-        self._ds = ds
-
-    def c2(self, a: str, b: str) -> int:
-        ds = self._ds
-        return ds.overlap_by_index(ds.worker_index(a), ds.worker_index(b))
-
-    def c3(self, a: str, b: str, c: str) -> int:
-        ds = self._ds
-        return ds.triple_overlap_by_index(
-            ds.worker_index(a), ds.worker_index(b), ds.worker_index(c))
-
-    def q(self, a: str, b: str) -> float:
-        ds = self._ds
-        return ds.agreement_rate_by_index(ds.worker_index(a), ds.worker_index(b))
+        """Number of tasks attempted by all three workers, c_abc."""
+        att = self.attempts
+        return int(np.count_nonzero(att[a] & att[b] & att[c]))
 
 
 @dataclass(frozen=True)
 class AgreementStats:
     """Pairwise agreement rates and pair/triple overlap counts for a worker
     subset. Keys are canonicalized by sorting ids, so lookups are order-free.
+
+    Built by `agreement_rates` and `overlap_counts` from the dataset's
+    arrays; the estimators read those arrays directly.
     """
 
     pair_agreement: Mapping[tuple[str, str], float]
@@ -437,7 +401,7 @@ def overlap_counts(ds: ResponseDataset, workers: Sequence[str]) -> AgreementStat
     pair_overlap = {}
     for a, b in combinations(range(len(idx)), 2):
         key = tuple(sorted((workers[a], workers[b])))
-        pair_overlap[key] = ds.overlap_by_index(idx[a], idx[b])
+        pair_overlap[key] = int(ds.pair_overlap[idx[a], idx[b]])
     triple_overlap = {}
     for a, b, c in combinations(range(len(idx)), 3):
         key = tuple(sorted((workers[a], workers[b], workers[c])))
@@ -462,7 +426,7 @@ def agreement_rates(ds: ResponseDataset, workers: Sequence[str],
                 raise InsufficientOverlapError(
                     f"workers {a!r} and {b!r} share no tasks")
             continue
-        pair_agreement[(a, b)] = ds.agreement_count_by_index(idx[a], idx[b]) / overlap
+        pair_agreement[(a, b)] = float(ds.pair_agreement[idx[a], idx[b]])
     return AgreementStats(pair_agreement, counts.pair_overlap, counts.triple_overlap)
 
 
@@ -525,7 +489,7 @@ def prune_spammers(ds: ResponseDataset, threshold: float = 0.4
     ones = (mat == 1).sum(axis=0)
     twos = (mat == 2).sum(axis=0)
     majority = np.where(ones >= twos, 1, 2)
-    attempted = ds._attempts
+    attempted = ds.attempts
     disagree = (attempted & (mat != majority[None, :])).sum(axis=1)
     attempts = attempted.sum(axis=1)
     with np.errstate(invalid="ignore"):

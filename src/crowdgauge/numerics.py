@@ -289,10 +289,10 @@ class WeightSolution(NamedTuple):
 def optimal_weights(covariance: Matrix) -> WeightSolution:
     """Weights minimizing w^T C w subject to sum(w) = 1.
 
-    Solves C^-1 1 and renormalizes to unit sum. A singular C gets one
+    Solves C^-1 1 and normalizes it to unit sum. A singular C gets one
     ridge-regularized retry (RIDGE_SCALE * mean diagonal); if that also
-    fails, or the solution degenerates, falls back to uniform weights with
-    the fallback flag set.
+    fails, or the entries of C^-1 1 cancel (|sum| <= 1e-12 * sum of
+    magnitudes), falls back to uniform weights with the fallback flag set.
     """
     c = np.asarray(covariance, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -310,11 +310,7 @@ def optimal_weights(covariance: Matrix) -> WeightSolution:
             return uniform
     if not np.isfinite(base).all():
         return uniform
-    norm = float(np.abs(base).sum())
-    if norm <= 0.0:
+    total = float(base.sum())
+    if abs(total) <= 1e-12 * float(np.abs(base).sum()):
         return uniform
-    weights = base / norm
-    total = float(weights.sum())
-    if abs(total) < 1e-12:
-        return uniform
-    return WeightSolution(weights / total, False)
+    return WeightSolution(base / total, False)

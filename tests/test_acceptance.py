@@ -270,7 +270,10 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
         (errors[:, 1] == errors[:, 2]).mean(axis=1),
     ], axis=1)
     empirical = np.cov(q_hat, rowvar=False)
-    formula = agreement_covariances(_TrueStats(rates, n), ("a", "b", "c"), rates)
+    truth = _TrueStats(rates, n)
+    formula = agreement_covariances(
+        (truth.q("a", "b"), truth.q("a", "c"), truth.q("b", "c")),
+        (n, n, n), n, rates)
     for r in range(3):
         for c in range(3):
             se = math.sqrt((formula[r, r] * formula[c, c]

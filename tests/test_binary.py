@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from crowdgauge.binary import (
     f_derivatives,
     greedy_pairs,
 )
-from crowdgauge.dataset import AgreementStats, ResponseDataset
+from crowdgauge.dataset import AgreementStats, ResponseDataset, agreement_rates
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientConnectivityError,
@@ -157,19 +159,8 @@ def test_derivatives_reject_low_agreement():
 # -- agreement covariances (single triple) -----------------------------------
 
 
-def triple_stats(qs, c2, c3):
-    q12, q13, q23 = qs
-    return AgreementStats(
-        pair_agreement={("i", "j1"): q12, ("i", "j2"): q13, ("j1", "j2"): q23},
-        pair_overlap={("i", "j1"): c2[0], ("i", "j2"): c2[1],
-                      ("j1", "j2"): c2[2]},
-        triple_overlap={("i", "j1", "j2"): c3},
-    )
-
-
 def test_agreement_covariances_diagonal_value():
-    stats = triple_stats((0.82, 0.82, 0.82), (50, 50, 50), 30)
-    cov = agreement_covariances(stats, ("i", "j1", "j2"), (0.1, 0.1, 0.1))
+    cov = agreement_covariances((0.82, 0.82, 0.82), (50, 50, 50), 30, (0.1, 0.1, 0.1))
     assert cov[0, 0] == pytest.approx(0.002952, abs=1e-15)
     assert cov[1, 1] == pytest.approx(0.002952, abs=1e-15)
     assert cov[2, 2] == pytest.approx(0.002952, abs=1e-15)
@@ -179,8 +170,7 @@ def test_agreement_covariances_diagonal_value():
 
 
 def test_agreement_covariances_zero_triple_overlap():
-    stats = triple_stats((0.8, 0.8, 0.8), (40, 40, 40), 0)
-    cov = agreement_covariances(stats, ("i", "j1", "j2"), (0.1, 0.2, 0.3))
+    cov = agreement_covariances((0.8, 0.8, 0.8), (40, 40, 40), 0, (0.1, 0.2, 0.3))
     assert np.count_nonzero(cov - np.diag(np.diag(cov))) == 0
 
 
@@ -188,18 +178,16 @@ def test_agreement_covariances_regular_reduction():
     # full overlap: every c2 = n and c3 = n, so the shared-worker terms
     # lose the count ratio and become p(1-p)(2q-1)/n
     n = 80
-    stats = triple_stats((0.78, 0.74, 0.7), (n, n, n), n)
     p = (0.1, 0.2, 0.3)
-    cov = agreement_covariances(stats, ("i", "j1", "j2"), p)
+    cov = agreement_covariances((0.78, 0.74, 0.7), (n, n, n), n, p)
     assert cov[0, 1] == pytest.approx(0.1 * 0.9 * (2 * 0.7 - 1) / n, abs=1e-15)
     assert cov[0, 2] == pytest.approx(0.2 * 0.8 * (2 * 0.74 - 1) / n, abs=1e-15)
     assert cov[1, 2] == pytest.approx(0.3 * 0.7 * (2 * 0.78 - 1) / n, abs=1e-15)
 
 
 def test_agreement_covariances_empty_pair():
-    stats = triple_stats((0.8, 0.8, 0.8), (40, 0, 40), 0)
     with pytest.raises(InsufficientOverlapError):
-        agreement_covariances(stats, ("i", "j1", "j2"), (0.1, 0.1, 0.1))
+        agreement_covariances((0.8, 0.8, 0.8), (40, 0, 40), 0, (0.1, 0.1, 0.1))
 
 
 def test_agreement_covariances_match_simulation():
@@ -219,8 +207,7 @@ def test_agreement_covariances_match_simulation():
     c3 = int(masks.all(axis=0).sum())
     assert c2 == (180, 180, 180) and c3 == 120
     qs = tuple(true_agreement(p[a], p[b]) for a, b in pairs)
-    stats = triple_stats(qs, c2, c3)
-    formula = agreement_covariances(stats, ("i", "j1", "j2"), p)
+    formula = agreement_covariances(qs, c2, c3, p)
 
     reps = 10_000
     rng = np.random.default_rng(2024)
@@ -380,10 +367,24 @@ def exact_triple_estimate(stats, triple, rates_by_name):
     qs = (stats.q(i, j1), stats.q(i, j2), stats.q(j1, j2))
     p_hats = (rates_by_name[i], rates_by_name[j1], rates_by_name[j2])
     derivs = f_derivatives(*qs)
-    dev = propagated_deviation(derivs, agreement_covariances(stats, triple, p_hats))
+    c2 = (stats.c2(i, j1), stats.c2(i, j2), stats.c2(j1, j2))
+    cov = agreement_covariances(qs, c2, stats.c3(i, j1, j2), p_hats)
+    dev = propagated_deviation(derivs, cov)
     return TripleEstimate(tuple(triple), p_hat=rates_by_name[i], dev=dev,
                           d_i_j1=derivs[0], d_i_j2=derivs[1],
                           d_j1_j2=derivs[2], q=qs)
+
+
+def partner_arrays(stats, triples):
+    """(c_iP, Q_PP, C3) over the 2T partners of `triples`, by scalar
+    lookups; the diagonal, which the covariance overwrites, stays 0."""
+    i = triples[0].triple[0]
+    partners = [w for t in triples for w in t.triple[1:]]
+    pairs = [[(x, y) for y in partners] for x in partners]
+    c2 = np.array([stats.c2(i, x) for x in partners])
+    q = np.array([[stats.q(x, y) if x != y else 0.0 for x, y in row] for row in pairs])
+    c3 = np.array([[stats.c3(i, x, y) if x != y else 0 for x, y in row] for row in pairs])
+    return c2, q, c3
 
 
 def test_cross_triple_diagonal_is_squared_dev():
@@ -393,7 +394,7 @@ def test_cross_triple_diagonal_is_squared_dev():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    cov = cross_triple_covariances((t1, t2), stats, 0.1)
+    cov = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
     assert cov[0, 0] == pytest.approx(t1.dev ** 2, abs=1e-15)
     assert cov[1, 1] == pytest.approx(t2.dev ** 2, abs=1e-15)
     assert cov[0, 1] == cov[1, 0]
@@ -409,7 +410,7 @@ def test_cross_triple_disjoint_supports_give_zero():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    cov = cross_triple_covariances((t1, t2), zeroed, 0.1)
+    cov = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(zeroed, (t1, t2)))
     assert cov[0, 1] == 0.0
 
 
@@ -421,7 +422,7 @@ def test_cross_triple_rejects_mixed_workers():
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w2", "w4", "w5"), by_name)
     with pytest.raises(ValueError):
-        cross_triple_covariances((t1, t2), stats, 0.1)
+        cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
 
 
 def test_cross_triple_covariances_match_simulation():
@@ -436,7 +437,7 @@ def test_cross_triple_covariances_match_simulation():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    formula = cross_triple_covariances((t1, t2), stats, 0.1)
+    formula = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
 
     def invert(qa, qb, qc):
         return 0.5 - 0.5 * np.sqrt((2 * qa - 1) * (2 * qb - 1) / (2 * qc - 1))
@@ -570,18 +571,68 @@ def test_evaluate_all_m20_runtime_budget():
     assert sum(1 for r in reports if r.failed) == 0
 
 
-def test_evaluate_all_threaded_matches_sequential(monkeypatch):
+def scalar_cross_triple_covariances(triples, stats, p_i_hat):
+    """Reference: the cross-triple covariance as a double loop over
+    triple pairs, one scalar c3 lookup per partner pair."""
+    i = triples[0].triple[0]
+    count = len(triples)
+    pp = p_i_hat * (1.0 - p_i_hat)
+    cov = np.zeros((count, count))
+    for a in range(count):
+        cov[a, a] = triples[a].dev ** 2
+    for a in range(count):
+        ta = triples[a]
+        members_a = ((ta.triple[1], ta.d_i_j1), (ta.triple[2], ta.d_i_j2))
+        for b in range(a + 1, count):
+            tb = triples[b]
+            members_b = ((tb.triple[1], tb.d_i_j1), (tb.triple[2], tb.d_i_j2))
+            total = 0.0
+            for x, dx in members_a:
+                for y, dy in members_b:
+                    c3 = stats.c3(i, x, y)
+                    if c3 == 0:
+                        continue
+                    total += (dx * dy * c3 * pp * (2.0 * stats.q(x, y) - 1.0)
+                              / (stats.c2(i, x) * stats.c2(i, y)))
+            cov[a, b] = cov[b, a] = total
+    return cov
+
+
+def test_cross_triple_matches_scalar_loop_at_partial_density():
+    # w1 sees every task; w2..w5 and w6..w7 work in two blocks, so some
+    # partner pairs share no task (no agreement rate) and their triple
+    # overlaps with w1 are zero, while w8 and w9 straddle both blocks.
+    rng = np.random.default_rng(19)
+    n = 900
+    masks = np.zeros((9, n), dtype=bool)
+    masks[0] = True
+    masks[1:5, :450] = rng.random((4, 450)) < 0.9
+    masks[5:7, 450:] = rng.random((2, 450)) < 0.9
+    masks[7:] = rng.random((2, n)) < 0.6
+    ds = simulate_binary(np.linspace(0.05, 0.25, 9), n, rng, masks)
+    system = build_worker_system(ds, "w1")
+    assert not system.failed and len(system.triples) == 4
+    stats = agreement_rates(ds, ds.workers, require_overlap=False)
+    partners = [w for t in system.triples for w in t.triple[1:]]
+    c3s = [stats.c3("w1", x, y) for x in partners for y in partners if x != y]
+    assert 0 in c3s
+    assert any(stats.c2(x, y) == 0 for x in partners for y in partners if x != y)
+    p_bar = float(np.mean([t.p_hat for t in system.triples]))
+    expected = scalar_cross_triple_covariances(system.triples, stats, p_bar)
+    assert np.count_nonzero(expected) > len(system.triples)
+    np.testing.assert_allclose(system.covariance, expected, rtol=1e-12, atol=0.0)
+
+
+def test_evaluate_worker_leaves_no_reference_cycle():
+    # The dataset must be freed as soon as its last reference goes, not at
+    # the next cyclic collection: simulations build thousands of them.
     rng = np.random.default_rng(18)
-    masks = rng.random((8, 400)) < 0.7
-    ds = simulate_binary(np.linspace(0.05, 0.3, 8), 400, rng, masks)
-    monkeypatch.delenv("CROWDGAUGE_THREADS", raising=False)
-    sequential = evaluate_all(ds, 0.9)
-    monkeypatch.setenv("CROWDGAUGE_THREADS", "4")
-    threaded = evaluate_all(ds, 0.9)
-    assert len(sequential) == len(threaded)
-    for a, b in zip(sequential, threaded):
-        assert a.worker == b.worker
-        assert a.failed == b.failed
-        if not a.failed:
-            assert a.interval.estimate == b.interval.estimate
-            assert a.interval.half_width == b.interval.half_width
+    ds = simulate_binary(np.linspace(0.05, 0.3, 7), 400, rng)
+    assert not evaluate_worker(ds, "w1", 0.9).failed
+    ref = weakref.ref(ds)
+    gc.disable()
+    try:
+        del ds
+        assert ref() is None
+    finally:
+        gc.enable()

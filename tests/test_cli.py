@@ -1,12 +1,15 @@
 """End-to-end tests for the crowdgauge command line."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from crowdgauge import cli
 from crowdgauge.cli import main, parse_label_map
 from crowdgauge.dataset import ResponseDataset, load_responses, write_responses_csv
 from crowdgauge.errors import LabelDomainError
@@ -317,6 +320,36 @@ def test_prune_output_feeds_evaluate(tmp_path):
     assert run_cli("evaluate", "--input", pruned, "--output", out) == 0
     records = json.loads(out.read_text())
     assert all(r["failed"] is False for r in records)
+
+
+# -- output writing ----------------------------------------------------------
+
+
+def test_atomic_write_concurrent_writers_do_not_clobber(tmp_path, monkeypatch):
+    # A second write of the same path lands between the first write's temp
+    # file and its rename; each writer must rename its own complete file.
+    target = tmp_path / "out.json"
+    real_replace = os.replace
+
+    def interleaved_replace(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        cli._atomic_write(target, "second")
+        assert target.read_text() == "second"
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved_replace)
+    cli._atomic_write(target, "first")
+    assert target.read_text() == "first"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_write_failure_removes_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(tmp_path / "out.json", "lone surrogate \udc80")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- console entry point -----------------------------------------------------

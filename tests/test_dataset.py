@@ -185,14 +185,14 @@ def test_overlap_and_agreement_counts():
     assert stats.q("w2", "w1") == stats.q("w1", "w2")  # order-free lookup
 
 
-def test_stats_view_matches_agreement_rates():
+def test_pair_arrays_match_agreement_rates():
     ds = hand_dataset()
     stats = agreement_rates(ds, ("w1", "w2", "w3"))
-    view = ds.stats_view
-    for pair in (("w1", "w2"), ("w1", "w3"), ("w2", "w3")):
-        assert view.c2(*pair) == stats.c2(*pair)
-        assert view.q(*pair) == pytest.approx(stats.q(*pair))
-    assert view.c3("w1", "w2", "w3") == 2
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        pair = (ds.workers[a], ds.workers[b])
+        assert ds.pair_overlap[a, b] == ds.pair_overlap[b, a] == stats.c2(*pair)
+        assert ds.pair_agreement[a, b] == pytest.approx(stats.q(*pair))
+    assert ds.triple_overlap_by_index(0, 1, 2) == 2
 
 
 def test_overlap_counts_without_rates():
@@ -211,6 +211,7 @@ def test_agreement_requires_overlap():
     stats = agreement_rates(ds, ("a", "b"), require_overlap=False)
     assert ("a", "b") not in stats.pair_agreement
     assert stats.c2("a", "b") == 0
+    assert np.isnan(ds.pair_agreement[0, 1])
 
 
 def test_agreement_rate_estimates_true_rate():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdgauge.binary import error_rate_from_agreements
-from crowdgauge.dataset import ResponseDataset
+from crowdgauge.dataset import ResponseDataset, agreement_rates
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientOverlapError,
@@ -358,10 +358,10 @@ def test_binary_consistency_with_agreement_inversion():
     ds = ResponseDataset.from_matrix(np.stack(rows))
     counts = build_counts(ds, ("w1", "w2", "w3"))
     est = prob_estimate(counts)
-    view = ds.stats_view
-    q12 = view.q("w1", "w2")
-    q13 = view.q("w1", "w3")
-    q23 = view.q("w2", "w3")
+    stats = agreement_rates(ds, ("w1", "w2", "w3"))
+    q12 = stats.q("w1", "w2")
+    q13 = stats.q("w1", "w3")
+    q23 = stats.q("w2", "w3")
     eq_based = (
         error_rate_from_agreements(q12, q13, q23),
         error_rate_from_agreements(q12, q23, q13),

@@ -245,3 +245,10 @@ def test_optimal_weights_uniform_fallback():
     solution = optimal_weights(np.zeros((3, 3)))
     assert solution.fallback
     assert np.allclose(solution.weights, np.full(3, 1.0 / 3.0))
+
+
+def test_optimal_weights_cancelling_solution_falls_back():
+    # C^-1 1 = (-1, 1) sums to zero, so it cannot be scaled to unit sum.
+    solution = optimal_weights(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert solution.fallback
+    assert np.allclose(solution.weights, [0.5, 0.5])
