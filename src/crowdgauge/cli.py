@@ -13,6 +13,7 @@ import argparse
 import ast
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -41,7 +42,6 @@ from .errors import (
     LabelDomainError,
     ResponseConflictError,
     ResponseParseError,
-    SingularMatrixError,
     UnknownWorkerError,
 )
 from .kary import build_counts, kary_confidence_intervals, JACOBIAN_EPS_DEFAULT
@@ -60,7 +60,7 @@ from .simulate import (
 _PARSE_ERRORS = (ResponseParseError, ResponseConflictError, EmptyDatasetError,
                  LabelDomainError, GoldLabelError, UnknownWorkerError)
 _ESTIMATOR_ERRORS = (InsufficientConnectivityError, InsufficientOverlapError,
-                     EstimationFailure, SingularMatrixError, ConvergenceError)
+                     EstimationFailure, ConvergenceError)
 
 
 class UsageError(Exception):
@@ -123,7 +123,9 @@ def _check_confidence(value: float) -> float:
 
 # -- label-map expressions ---------------------------------------------------
 
-_ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod}
+_ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                   ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+                   ast.Mod: operator.mod}
 _ALLOWED_CALLS = {"floor": math.floor, "ceil": math.ceil, "round": round,
                   "abs": abs, "min": min, "max": max}
 _VARIADIC_CALLS = {"min", "max"}
@@ -152,65 +154,45 @@ def parse_label_map(expr: str) -> Callable[[int], int]:
     except SyntaxError as exc:
         raise UsageError(f"invalid label-map expression: {exc}") from exc
 
-    def validate(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            validate(node.body)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
-                and not isinstance(node.value, bool):
-            pass
-        elif isinstance(node, ast.Name):
-            if node.id != var:
-                raise UsageError(f"unknown name {node.id!r} in label map")
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            validate(node.operand)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            validate(node.left)
-            validate(node.right)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _ALLOWED_CALLS \
-                and _call_arity_ok(node.func.id, len(node.args)) \
-                and not node.keywords:
-            for arg in node.args:
-                validate(arg)
-        else:
-            raise UsageError(
-                f"unsupported construct in label map: {ast.dump(node)}")
-
-    validate(tree)
-
-    def evaluate(node: ast.AST, value: int):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, value)
+    def compile_node(node: ast.AST) -> Callable[[int], int | float]:
+        # Validates node and its children now, so a bad expression fails at
+        # parse time, and returns the function that evaluates it.
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
                 and not isinstance(node.value, bool):
-            return node.value
+            constant = node.value
+            return lambda value: constant
         if isinstance(node, ast.Name):
             if node.id != var:
                 raise UsageError(f"unknown name {node.id!r} in label map")
-            return value
+            return lambda value: value
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            operand = evaluate(node.operand, value)
-            return -operand if isinstance(node.op, ast.USub) else operand
+            operand = compile_node(node.operand)
+            if isinstance(node.op, ast.USub):
+                return lambda value: -operand(value)
+            return operand
         if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            left = evaluate(node.left, value)
-            right = evaluate(node.right, value)
-            ops = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-                   ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-                   ast.FloorDiv: lambda a, b: a // b, ast.Mod: lambda a, b: a % b}
-            try:
-                return ops[type(node.op)](left, right)
-            except ZeroDivisionError:
-                raise UsageError("label map divides by zero") from None
+            op = _ALLOWED_BINOPS[type(node.op)]
+            left, right = compile_node(node.left), compile_node(node.right)
+
+            def binop(value):
+                try:
+                    return op(left(value), right(value))
+                except ZeroDivisionError:
+                    raise UsageError("label map divides by zero") from None
+            return binop
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in _ALLOWED_CALLS \
                 and _call_arity_ok(node.func.id, len(node.args)) \
                 and not node.keywords:
-            return _ALLOWED_CALLS[node.func.id](
-                *(evaluate(arg, value) for arg in node.args))
+            fn = _ALLOWED_CALLS[node.func.id]
+            args = [compile_node(arg) for arg in node.args]
+            return lambda value: fn(*(arg(value) for arg in args))
         raise UsageError(f"unsupported construct in label map: {ast.dump(node)}")
 
+    evaluate = compile_node(tree.body)
+
     def mapper(label: int) -> int:
-        result = evaluate(tree, label)
+        result = evaluate(label)
         if isinstance(result, float):
             if not result.is_integer():
                 raise LabelDomainError(

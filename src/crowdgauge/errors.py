@@ -45,10 +45,6 @@ class InsufficientConnectivityError(CrowdGaugeError):
     """Too few workers, or no disjoint worker pairs can be formed."""
 
 
-class SingularMatrixError(CrowdGaugeError):
-    """Matrix inversion met a pivot smaller than the tolerance."""
-
-
 class ConvergenceError(CrowdGaugeError):
     """An iterative numeric routine failed to converge."""
 

@@ -35,6 +35,7 @@ from .errors import (
     REASON_SINGULAR_ESTIMATE,
 )
 from .numerics import (
+    COND_LIMIT,
     ConfidenceInterval,
     eigendecompose_many,
     invert_matrices,
@@ -48,9 +49,12 @@ NEGATIVE_EIG_TOL_SCALE = 1e-8
 # A conditional slice is dropped when its eigensystem's largest imaginary
 # magnitude exceeds this fraction of the slice matrix's largest entry.
 IMAG_TOL_SCALE = 1e-6
-# A slice whose eigenvalues nearly coincide pins down no eigenbasis for the
-# repeated block, so it is dropped too. The tolerance is far below any gap
-# sampling noise can produce, so only exactly-degenerate inputs trip it.
+# A slice whose smallest eigengap is below this fraction of its largest
+# |eigenvalue| pins down no eigenbasis for the repeated block, so it is
+# dropped. Only exact or near-exact ties trip it: where two population
+# eigenvalues coincide, sampling noise opens a gap far wider than this, the
+# slice passes, and the arbitrary eigenvectors of that block are averaged
+# into V1 (ROADMAP.md open item 1 weights the slices by their eigengap).
 EIGENGAP_TOL_SCALE = 1e-7
 # Central-difference step applied to each differentiated count cell.
 JACOBIAN_EPS_DEFAULT = 0.01
@@ -274,12 +278,14 @@ def _recover_many(counts: np.ndarray, k: int) -> _Recovery:
         evecs, evals, _ = eigendecompose_many(finite(gram, ok))
         scale = np.maximum(np.abs(gram).max(axis=(1, 2)), 1e-300)
         fail(evals.min(axis=1) < -NEGATIVE_EIG_TOL_SCALE * scale, REASON_NEGATIVE_SPECTRUM)
-        evals = np.clip(evals, 0.0, None)
-        evecs_inv, singular_evecs = invert_matrices(evecs)
-        u1 = evecs @ (np.sqrt(evals)[:, :, None] * np.eye(k)) @ evecs_inv
-        u1t_inv, singular_u1 = invert_matrices(u1.transpose(0, 2, 1))
+        # The Gram matrix is exactly symmetric, so evecs is orthonormal and
+        # U1 = E sqrt(D) E^T is symmetric with inverse E D^-1/2 E^T.
+        roots = np.sqrt(np.clip(evals, 0.0, None))
+        u1 = (evecs * roots[:, None, :]) @ evecs.transpose(0, 2, 1)
+        u1t_inv = (evecs / roots[:, None, :]) @ evecs.transpose(0, 2, 1)
         u2_inv, singular_u2 = invert_matrices(u1t_inv @ r12)
-        fail(singular_evecs | singular_u1 | singular_u2, REASON_SINGULAR_ESTIMATE)
+        singular_u1 = ~(roots[:, -1] * COND_LIMIT > roots[:, 0])
+        fail(singular_u1 | singular_u2, REASON_SINGULAR_ESTIMATE)
 
         alive = ok.copy()
         v1_sum = np.zeros((count, k, k))

@@ -8,34 +8,28 @@ reference them directly.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    EstimationFailure,
-    REASON_NEGATIVE_VARIANCE,
-    SingularMatrixError,
-)
+from .errors import ConvergenceError, EstimationFailure, REASON_NEGATIVE_VARIANCE
 
 Matrix = np.ndarray
 
-# Absolute accuracy of normal_quantile on the z scale inside the refined region.
-QUANTILE_ABS_TOL = 1e-9
-# Pivots below this are treated as exact zeros during Gauss-Jordan elimination.
-PIVOT_TOL = 1e-12
+# A matrix counts as singular when its 1-norm condition number
+# ||A||_1 ||A^-1||_1 reaches this; the rule is relative, so it does not
+# depend on the scale of the entries.
+COND_LIMIT = 1e12
 # Quadratic forms more negative than this fail; values in [-tol, 0) clamp to 0.
 VARIANCE_CLAMP_TOL = 1e-12
 # A matrix counts as symmetric when max|M - M^T| < tol * max|M|.
 SYMMETRY_DETECTION_TOL = 1e-12
 # Diagonal ridge added (once) to a singular covariance before giving up.
 RIDGE_SCALE = 1e-10
-# Refinement of the quantile is skipped where the normal density underflows.
-_QUANTILE_REFINE_LIMIT = 37.0
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -93,26 +87,6 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# Rational approximation coefficients for the standard normal quantile
-# (relative error below 1.2e-9 across the full domain), then one Halley
-# step against erfc pushes the absolute error below 1e-9.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_T_LOW = 0.02425
-_T_HIGH = 1.0 - _T_LOW
-
-
 def normal_quantile(t: float) -> float:
     """Return z with P(Z <= z) = t for a standard normal Z.
 
@@ -121,25 +95,7 @@ def normal_quantile(t: float) -> float:
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {t}")
-    if t < _T_LOW:
-        u = math.sqrt(-2.0 * math.log(t))
-        x = ((((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5])
-             / ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0))
-    elif t <= _T_HIGH:
-        u = t - 0.5
-        r = u * u
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * u
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - t))
-        x = -((((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5])
-              / ((((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1.0))
-    if abs(x) < _QUANTILE_REFINE_LIMIT:
-        # One Halley step: e is the CDF error, u = e / density(x).
-        e = _normal_cdf(x) - t
-        u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(t)
 
 
 def propagated_deviation(gradient: Sequence[float] | np.ndarray,
@@ -183,56 +139,39 @@ def delta_method_ci(estimate: float,
 
 
 def invert_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a stack of square matrices by Gauss-Jordan elimination.
+    """Invert each matrix of a (B, n, n) stack.
 
-    Partial pivoting runs per matrix. Returns (inverses, singular): a matrix
-    whose best available pivot falls below PIVOT_TOL is flagged singular
-    and its inverse slot holds garbage. Inputs are assumed finite.
+    Returns (inverses, singular). An item is singular when it has a
+    non-finite entry, a zero determinant, or a 1-norm condition number of
+    at least COND_LIMIT; its inverse slot then holds garbage. A singular
+    item never stops the others from being inverted.
     """
-    aug = np.array(stack, dtype=float)
-    count, n = aug.shape[0], aug.shape[-1]
-    aug = np.concatenate([aug, np.broadcast_to(np.eye(n), aug.shape)], axis=2)
-    items = np.arange(count)
-    singular = np.zeros(count, dtype=bool)
+    a = np.array(stack, dtype=float)
+    eye = np.eye(a.shape[-1])
+    singular = ~np.isfinite(a).all(axis=(1, 2))
+    a[singular] = eye
     with np.errstate(all="ignore"):
-        for col in range(n):
-            pivot_row = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
-            top = aug[items, col].copy()
-            aug[items, col] = aug[items, pivot_row]
-            aug[items, pivot_row] = top
-            pivot = aug[:, col, col].copy()
-            singular |= np.abs(pivot) < PIVOT_TOL
-            aug[:, col] /= np.where(singular, 1.0, pivot)[:, None]
-            others = np.arange(n) != col
-            aug[:, others] -= aug[:, others, col][:, :, None] * aug[:, col][:, None, :]
-    return aug[:, :, n:], singular
-
-
-def invert_matrix(matrix: Matrix) -> Matrix:
-    """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
-
-    Raises SingularMatrixError when the best available pivot falls below
-    PIVOT_TOL.
-    """
-    m = np.array(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    inverse, singular = invert_matrices(m[None])
-    if singular[0]:
-        raise SingularMatrixError(f"a pivot fell below {PIVOT_TOL:g}")
-    return inverse[0]
+        # slogdet, not det: det underflows to 0 for large well-conditioned
+        # matrices with small entries, such as covariances. Extreme finite
+        # inputs make slogdet warn; the condition test below flags them.
+        sign, _ = np.linalg.slogdet(a)
+        singular |= sign == 0
+        a[singular] = eye
+        inverses = np.linalg.inv(a)
+        cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
+    singular |= ~(cond < COND_LIMIT)
+    return inverses, singular
 
 
 def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose each matrix of a stack of finite real square matrices.
+    """Eigendecompose each matrix of a (B, n, n) stack of finite real matrices.
 
-    Per matrix, the same contract as eigendecompose: returns (E, D,
-    max_imag) stacks, with eigenvector columns and eigenvalues sorted by
-    descending real part (ties by descending imaginary part), imaginary
-    parts dropped, and symmetric matrices taking the symmetric path with
-    max_imag 0.
+    Returns (E, D, max_imag) stacks: eigenvector columns E and eigenvalues D
+    sorted by descending real part (ties by descending imaginary part), both
+    with imaginary parts dropped, plus per item the largest imaginary
+    magnitude seen so callers can enforce realness. Symmetric items
+    (detected via SYMMETRY_DETECTION_TOL) take the symmetric path, get
+    orthonormal eigenvectors and report max_imag 0.
     """
     m = np.array(stack, dtype=float)
     count, n = m.shape[0], m.shape[-1]
@@ -263,24 +202,6 @@ def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return vectors, values, max_imag
 
 
-def eigendecompose(matrix: Matrix) -> tuple[Matrix, np.ndarray, float]:
-    """Eigendecompose a real square matrix.
-
-    Returns (E, D, max_imag): eigenvector columns E and eigenvalues D sorted
-    by descending real part (ties by descending imaginary part), both with
-    imaginary parts dropped, plus the largest imaginary magnitude seen so
-    callers can enforce realness. Symmetric input (detected via
-    SYMMETRY_DETECTION_TOL) takes the symmetric path and reports max_imag 0.
-    """
-    m = np.array(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    vectors, values, max_imag = eigendecompose_many(m[None])
-    return vectors[0], values[0], float(max_imag[0])
-
-
 class WeightSolution(NamedTuple):
     weights: np.ndarray
     fallback: bool
@@ -289,27 +210,28 @@ class WeightSolution(NamedTuple):
 def optimal_weights(covariance: Matrix) -> WeightSolution:
     """Weights minimizing w^T C w subject to sum(w) = 1.
 
-    Solves C^-1 1 and normalizes it to unit sum. A singular C gets one
-    ridge-regularized retry (RIDGE_SCALE * mean diagonal); if that also
-    fails, or the entries of C^-1 1 cancel (|sum| <= 1e-12 * sum of
-    magnitudes), falls back to uniform weights with the fallback flag set.
+    Solves C^-1 1 and normalizes it to unit sum. A singular C (see
+    invert_matrices) gets one ridge-regularized retry (RIDGE_SCALE * mean
+    diagonal); if that also fails, or the entries of C^-1 1 cancel
+    (|sum| <= 1e-12 * sum of magnitudes), falls back to uniform weights
+    with the fallback flag set. Raises ValueError for a non-square or
+    non-finite C.
     """
     c = np.asarray(covariance, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"covariance must be square, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("covariance entries must be finite")
     size = c.shape[0]
     ones = np.ones(size)
     uniform = WeightSolution(ones / size, True)
-    try:
-        base = invert_matrix(c) @ ones
-    except SingularMatrixError:
+    inverse, singular = invert_matrices(c[None])
+    if singular[0]:
         ridge = RIDGE_SCALE * float(np.trace(c)) / size
-        try:
-            base = invert_matrix(c + ridge * np.eye(size)) @ ones
-        except SingularMatrixError:
+        inverse, singular = invert_matrices((c + ridge * np.eye(size))[None])
+        if singular[0]:
             return uniform
-    if not np.isfinite(base).all():
-        return uniform
+    base = inverse[0] @ ones
     total = float(base.sum())
     if abs(total) <= 1e-12 * float(np.abs(base).sum()):
         return uniform

@@ -28,7 +28,6 @@ from crowdgauge.kary import (
     recover_selectivity,
     response_frequency_matrices,
 )
-from crowdgauge.numerics import invert_matrix
 from crowdgauge.simulate import WORKER_MATRIX_FIXTURES
 
 ARITY2 = WORKER_MATRIX_FIXTURES["arity2"]
@@ -208,7 +207,7 @@ def test_gram_matrix_identity_on_noiseless_input():
     counts = expected_counts(ARITY3, sel)
     freq = response_frequency_matrices(counts)
     v1_true = scaled_truth(ARITY3, sel)[0]
-    gram = freq.r12 @ invert_matrix(freq.r32) @ freq.r31
+    gram = freq.r12 @ np.linalg.inv(freq.r32) @ freq.r31
     assert np.abs(gram - v1_true.T @ v1_true).max() < 1e-10
 
 

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from crowdgauge.errors import EstimationFailure, SingularMatrixError
+from crowdgauge.errors import EstimationFailure
 from crowdgauge.numerics import (
     ConfidenceInterval,
     delta_method_ci,
-    eigendecompose,
     eigendecompose_many,
     invert_matrices,
-    invert_matrix,
     normal_quantile,
     optimal_weights,
     propagated_deviation,
@@ -124,8 +122,19 @@ def test_confidence_interval_validation():
     assert failure.lower is None and failure.upper is None
 
 
+def invert_one(matrix):
+    inverses, singular = invert_matrices(np.asarray(matrix, dtype=float)[None])
+    assert not singular[0]
+    return inverses[0]
+
+
+def eigendecompose_one(matrix):
+    vectors, values, max_imag = eigendecompose_many(np.asarray(matrix, dtype=float)[None])
+    return vectors[0], values[0], float(max_imag[0])
+
+
 def test_invert_matrix_diagonal():
-    inv = invert_matrix(np.diag([2.0, 4.0]))
+    inv = invert_one(np.diag([2.0, 4.0]))
     assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-15)
 
 
@@ -134,30 +143,40 @@ def test_invert_matrix_random_round_trip():
     for _ in range(50):
         size = int(rng.integers(1, 7))
         m = rng.normal(size=(size, size)) + np.eye(size) * 3.0
-        inv = invert_matrix(m)
+        inv = invert_one(m)
         assert np.allclose(m @ inv, np.eye(size), atol=1e-10)
         assert np.allclose(inv @ m, np.eye(size), atol=1e-10)
 
 
 def test_invert_matrix_needs_pivoting():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(invert_matrix(m), m, atol=1e-15)
-
-
-def test_invert_matrix_singular():
-    with pytest.raises(SingularMatrixError):
-        invert_matrix(np.ones((3, 3)))
+    assert np.allclose(invert_one(m), m, atol=1e-15)
 
 
 def test_invert_matrices_flags_only_singular_items():
     rng = np.random.default_rng(8)
     stack = np.stack([rng.normal(size=(3, 3)) + np.eye(3) * 3.0,
                       np.ones((3, 3)),
-                      np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])])
+                      np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+                      np.full((3, 3), np.nan)])
     inverses, singular = invert_matrices(stack)
-    assert singular.tolist() == [False, True, False]
+    assert singular.tolist() == [False, True, False, True]
     for item in (0, 2):
-        assert np.array_equal(inverses[item], invert_matrix(stack[item]))
+        assert np.array_equal(inverses[item], invert_one(stack[item]))
+
+
+def test_invert_matrices_singularity_is_relative():
+    # The rule reads the condition number, not the size of the pivots: a
+    # well-conditioned matrix inverts at any scale, and an ill-conditioned
+    # one is flagged even when its entries are far from zero.
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(3, 3)) + np.eye(3) * 3.0
+    stack = np.stack([m, 1e-14 * m, np.diag([1e6, 1e6, 1e-7])])
+    inverses, singular = invert_matrices(stack)
+    assert singular.tolist() == [False, False, True]
+    assert np.allclose(1e-14 * inverses[1], inverses[0], rtol=1e-12, atol=0)
+    _, singular = invert_matrices(np.diag([1.0, 1e-13])[None])
+    assert singular.tolist() == [True]
 
 
 def test_eigendecompose_many_matches_single_calls():
@@ -167,7 +186,7 @@ def test_eigendecompose_many_matches_single_calls():
                       np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])])
     vectors, values, max_imag = eigendecompose_many(stack)
     for item in range(len(stack)):
-        e, d, imag = eigendecompose(stack[item])
+        e, d, imag = eigendecompose_one(stack[item])
         assert np.array_equal(vectors[item], e)
         assert np.array_equal(values[item], d)
         assert max_imag[item] == imag
@@ -176,7 +195,7 @@ def test_eigendecompose_many_matches_single_calls():
 
 def test_eigendecompose_symmetric():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    vectors, values, max_imag = eigendecompose(m)
+    vectors, values, max_imag = eigendecompose_one(m)
     assert max_imag == 0.0
     assert np.allclose(values, [3.0, 1.0], atol=1e-12)  # descending
     recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
@@ -189,7 +208,7 @@ def test_eigendecompose_general_reconstruction():
         size = int(rng.integers(2, 6))
         m = rng.normal(size=(size, size))
         m = m @ m.T + np.eye(size) * 0.5  # SPD, well separated with prob 1
-        vectors, values, max_imag = eigendecompose(m)
+        vectors, values, max_imag = eigendecompose_one(m)
         assert max_imag <= 1e-9
         recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
         assert np.allclose(recon, m, atol=1e-7)
@@ -198,7 +217,7 @@ def test_eigendecompose_general_reconstruction():
 
 def test_eigendecompose_reports_complex_pairs():
     m = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation, eigenvalues +-i
-    _, _, max_imag = eigendecompose(m)
+    _, _, max_imag = eigendecompose_one(m)
     assert max_imag == pytest.approx(1.0, abs=1e-12)
 
 
@@ -237,14 +256,20 @@ def test_optimal_weights_scale_invariant():
     root = rng.normal(size=(4, 4))
     cov = root @ root.T + np.eye(4)
     w1 = optimal_weights(cov).weights
-    w2 = optimal_weights(1e-6 * cov).weights
-    assert np.allclose(w1, w2, atol=1e-9)
+    for scale in (1e-6, 1e-14):
+        w2 = optimal_weights(scale * cov).weights
+        assert np.allclose(w1, w2, atol=1e-9)
 
 
 def test_optimal_weights_uniform_fallback():
     solution = optimal_weights(np.zeros((3, 3)))
     assert solution.fallback
     assert np.allclose(solution.weights, np.full(3, 1.0 / 3.0))
+
+
+def test_optimal_weights_rejects_non_finite_covariance():
+    with pytest.raises(ValueError):
+        optimal_weights(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_optimal_weights_cancelling_solution_falls_back():
