@@ -153,6 +153,11 @@ def test_invert_matrix_needs_pivoting():
     assert np.allclose(invert_one(m), m, atol=1e-15)
 
 
+def test_invert_matrix_singular():
+    _, singular = invert_matrices(np.ones((3, 3))[None])
+    assert singular.tolist() == [True]
+
+
 def test_invert_matrices_flags_only_singular_items():
     rng = np.random.default_rng(8)
     stack = np.stack([rng.normal(size=(3, 3)) + np.eye(3) * 3.0,
