@@ -21,6 +21,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .binary import evaluate_all
 from .dataset import (
     GoldLabels,
@@ -206,19 +208,15 @@ def parse_label_map(expr: str) -> Callable[[int], int]:
 # -- evaluate ----------------------------------------------------------------
 
 
-def _proxy_error_rate(ds: ResponseDataset, worker: str, gold: GoldLabels
-                      ) -> float | None:
-    w = ds.worker_index(worker)
-    disagreements = 0
-    graded = 0
-    for task, label in gold.labels.items():
-        response = ds.matrix[w, ds.task_index(task)]
-        if response:
-            graded += 1
-            disagreements += int(response != label)
-    if graded == 0:
-        return None
-    return disagreements / graded
+def _proxy_error_rates(ds: ResponseDataset, gold: GoldLabels) -> dict[str, float | None]:
+    """Each worker's share of wrong answers on the gold tasks it attempted;
+    None for a worker who attempted none of them."""
+    gold_row = np.zeros(ds.num_tasks, dtype=ds.matrix.dtype)
+    gold_row[[ds.task_index(t) for t in gold.labels]] = list(gold.labels.values())
+    graded = ds.attempts & (gold_row > 0)
+    wrong = graded & (ds.matrix != gold_row)
+    return {worker: (w / g if g else None) for worker, w, g in
+            zip(ds.workers, wrong.sum(axis=1).tolist(), graded.sum(axis=1).tolist())}
 
 
 def cmd_evaluate(args) -> int:
@@ -228,10 +226,11 @@ def cmd_evaluate(args) -> int:
             f"evaluate expects binary responses, got arity {ds.arity}; "
             "collapse labels first with --map")
     confidence = _check_confidence(args.confidence)
-    gold = None
+    proxies = None
     if args.gold:
         gold = load_gold(_read_input(args.gold)[0])
         gold.validate_for(ds)
+        proxies = _proxy_error_rates(ds, gold)
     reports = evaluate_all(ds, confidence, args.weighting, args.min_overlap)
     records = []
     for report in reports:
@@ -254,8 +253,8 @@ def cmd_evaluate(args) -> int:
                 record["clamped"] = True
             if report.weight_fallback:
                 record["weight_fallback"] = True
-        if gold is not None:
-            proxy = _proxy_error_rate(ds, report.worker, gold)
+        if proxies is not None:
+            proxy = proxies[report.worker]
             record["proxy_error_rate"] = None if proxy is None else _round9(proxy)
             record["covered"] = (None if proxy is None or report.failed
                                  else report.interval.covers(proxy))

@@ -5,6 +5,12 @@ A dataset is a partial map (worker, task) -> label in 1..arity, stored as a
 dense integer matrix with 0 marking "not attempted". Workers and tasks keep
 their first-appearance order from the source.
 
+CSV loading is one `csv.reader` pass that checks each row in file order and
+keeps three integers per response in `array` columns: a task code and a
+worker code (first-appearance indices) and the label. JSON input and
+`from_records` encode to the same columns. One vectorised step then drops
+identical duplicates, rejects conflicting ones and fills the matrix.
+
 Pairwise statistics live on the dataset as worker-indexed arrays, computed
 once on first use: `attempts`, `pair_overlap` and `pair_agreement` (m x m,
 so memory is O(m^2) in the number of workers m), plus
@@ -18,6 +24,7 @@ import csv
 import io
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -84,36 +91,56 @@ class ResponseDataset:
         conflicting duplicate raises ResponseConflictError. The arity is the
         largest label seen unless declared explicitly.
         """
-        seen: dict[tuple[str, str], int] = {}
-        workers: dict[str, int] = {}
         tasks: dict[str, int] = {}
+        workers: dict[str, int] = {}
+        task_codes, worker_codes, labels = array("q"), array("q"), array("q")
         for task, worker, label in records:
-            label = int(label)
-            if label < 1:
-                raise LabelDomainError(
-                    f"label {label} for task {task!r}, worker {worker!r} is below 1")
-            key = (task, worker)
-            if key in seen:
-                if seen[key] != label:
-                    raise ResponseConflictError(
-                        f"task {task!r}, worker {worker!r} has conflicting labels "
-                        f"{seen[key]} and {label}")
-                continue
-            seen[key] = label
-            workers.setdefault(worker, len(workers))
-            tasks.setdefault(task, len(tasks))
-        if not seen:
+            task_codes.append(tasks.setdefault(task, len(tasks)))
+            worker_codes.append(workers.setdefault(worker, len(workers)))
+            labels.append(int(label))
+        if not labels:
             raise EmptyDatasetError("no responses provided")
-        max_label = max(seen.values())
+        return ResponseDataset._from_codes(tuple(tasks), tuple(workers), task_codes,
+                                           worker_codes, labels, arity)
+
+    @staticmethod
+    def _from_codes(tasks: tuple, workers: tuple, task_codes: array,
+                    worker_codes: array, labels: array,
+                    arity: int | None) -> "ResponseDataset":
+        """Build a dataset from per-response integer columns.
+
+        Response i gave `labels[i]` for task `tasks[task_codes[i]]` by worker
+        `workers[worker_codes[i]]`. The first response in input order that
+        has a label below 1, or a label other than the first one given for
+        its (task, worker) key, raises; identical duplicates collapse.
+        """
+        task_code = np.frombuffer(task_codes, dtype=np.int64)
+        worker_code = np.frombuffer(worker_codes, dtype=np.int64)
+        label = np.frombuffer(labels, dtype=np.int64)
+        _, first, key = np.unique(task_code * len(workers) + worker_code,
+                                  return_index=True, return_inverse=True)
+        first_label = label[first]
+        faults = np.flatnonzero((label < 1) | (label != first_label[key]))
+        if faults.size:
+            i = int(faults[0])
+            task, worker, value = tasks[task_code[i]], workers[worker_code[i]], int(label[i])
+            if value < 1:
+                raise LabelDomainError(
+                    f"label {value} for task {task!r}, worker {worker!r} is below 1")
+            raise ResponseConflictError(
+                f"task {task!r}, worker {worker!r} has conflicting labels "
+                f"{int(first_label[key[i]])} and {value}")
+        max_label = int(label.max())
         if arity is None:
             arity = max(max_label, 2)
         elif max_label > arity:
             raise LabelDomainError(
                 f"label {max_label} exceeds declared arity {arity}")
+        if max_label > np.iinfo(np.int32).max:
+            raise LabelDomainError(f"label {max_label} is too large")
         matrix = np.zeros((len(workers), len(tasks)), dtype=np.int32)
-        for (task, worker), label in seen.items():
-            matrix[workers[worker], tasks[task]] = label
-        return ResponseDataset(tuple(workers), tuple(tasks), int(arity), matrix)
+        matrix[worker_code[first], task_code[first]] = first_label
+        return ResponseDataset(workers, tasks, int(arity), matrix)
 
     @staticmethod
     def from_matrix(matrix: np.ndarray,
@@ -279,9 +306,10 @@ def _load_csv(text: str) -> ResponseDataset:
     reader = csv.reader(io.StringIO(text))
     declared_arity: int | None = None
     header_seen = False
-    records: list[tuple[str, str, int]] = []
+    tasks: dict[str, int] = {}
+    workers: dict[str, int] = {}
+    task_codes, worker_codes, labels = array("q"), array("q"), array("q")
     for row in reader:
-        line = reader.line_num
         if not row:
             continue
         if row[0].lstrip().startswith("#"):
@@ -289,31 +317,36 @@ def _load_csv(text: str) -> ResponseDataset:
             if match:
                 declared_arity = int(match.group(1))
             continue
-        fields = [f.strip() for f in row]
         if not header_seen:
+            fields = [f.strip() for f in row]
             if fields != _CSV_HEADER:
                 raise ResponseParseError(
                     f"expected header {','.join(_CSV_HEADER)!r}, got {','.join(fields)!r}",
-                    line)
+                    reader.line_num)
             header_seen = True
             continue
-        if len(fields) != 3:
-            raise ResponseParseError(f"expected 3 fields, got {len(fields)}", line)
-        task, worker, raw = fields
+        if len(row) != 3:
+            raise ResponseParseError(f"expected 3 fields, got {len(row)}", reader.line_num)
+        task, worker, raw = row
+        task, worker, raw = task.strip(), worker.strip(), raw.strip()
         if not task or not worker:
-            raise ResponseParseError("empty task or worker id", line)
+            raise ResponseParseError("empty task or worker id", reader.line_num)
         try:
             label = int(raw)
         except ValueError:
-            raise ResponseParseError(f"response {raw!r} is not an integer", line) from None
+            raise ResponseParseError(f"response {raw!r} is not an integer",
+                                     reader.line_num) from None
         if label < 1:
-            raise LabelDomainError(f"line {line}: label {label} is below 1")
-        records.append((task, worker, label))
+            raise LabelDomainError(f"line {reader.line_num}: label {label} is below 1")
+        task_codes.append(tasks.setdefault(task, len(tasks)))
+        worker_codes.append(workers.setdefault(worker, len(workers)))
+        labels.append(label)
     if not header_seen:
         raise ResponseParseError("missing header row")
-    if not records:
+    if not labels:
         raise EmptyDatasetError("no response rows found")
-    return ResponseDataset.from_records(records, arity=declared_arity)
+    return ResponseDataset._from_codes(tuple(tasks), tuple(workers), task_codes,
+                                       worker_codes, labels, declared_arity)
 
 
 def _load_json(text: str) -> ResponseDataset:
@@ -438,16 +471,20 @@ def reduce_arity(ds: ResponseDataset,
     """Collapse labels through a map and relabel the image to 1..k'.
 
     `mapping` is a dict or callable defined on 1..arity. Any label actually
-    observed must be mapped, or LabelDomainError is raised. The image is
-    renumbered in ascending order; workers, tasks, and attempt sets are
-    preserved.
+    observed must be mapped, or LabelDomainError is raised; an exception a
+    callable raises on an observed label propagates, while one raised on an
+    unobserved label leaves that label unmapped. The image is renumbered in
+    ascending order; workers, tasks, and attempt sets are preserved.
     """
+    observed = set(np.unique(ds.matrix).tolist()) - {0}
     image: dict[int, int] = {}
     for label in range(1, ds.arity + 1):
         if callable(mapping):
             try:
                 value = mapping(label)
             except Exception:
+                if label in observed:
+                    raise
                 continue
         else:
             if label not in mapping:
@@ -458,7 +495,6 @@ def reduce_arity(ds: ResponseDataset,
                 raise LabelDomainError(f"label {label} maps to non-integer {value}")
             value = int(value)
         image[label] = int(value)
-    observed = set(np.unique(ds.matrix)) - {0}
     unmapped = sorted(lbl for lbl in observed if lbl not in image)
     if unmapped:
         raise LabelDomainError(f"observed labels {unmapped} are not mapped")

@@ -11,7 +11,8 @@ import pytest
 
 from crowdgauge import cli
 from crowdgauge.cli import main, parse_label_map
-from crowdgauge.dataset import ResponseDataset, load_responses, write_responses_csv
+from crowdgauge.dataset import (
+    GoldLabels, ResponseDataset, load_responses, write_responses_csv)
 from crowdgauge.errors import LabelDomainError
 from crowdgauge.simulate import gen_binary_responses, gen_kary_responses
 
@@ -67,6 +68,28 @@ def test_evaluate_gold_proxy_fields(tmp_path):
     for record, rate in zip(records, (0.1, 0.2, 0.3)):
         assert abs(record["proxy_error_rate"] - rate) < 0.03
         assert isinstance(record["covered"], bool)
+
+
+def test_evaluate_gold_proxy_counts_partial_gold(tmp_path):
+    ds, truth = gen_binary_responses((0.1, 0.2, 0.3, 0.2), 600, 0.7, rng=8)
+    matrix = ds.matrix.copy()
+    matrix[3, :150] = 0  # the fourth worker attempts no gold task
+    gold = {t: truth.labels[t] for j, t in enumerate(ds.tasks[:150]) if matrix[:, j].any()}
+    ds = ResponseDataset.from_matrix(matrix, ds.workers, ds.tasks, 2)
+    src = tmp_path / "responses.csv"
+    src.write_text(write_responses_csv(ds))
+    gpath = gold_csv(tmp_path, GoldLabels(gold))
+    out = tmp_path / "reports.json"
+    assert run_cli("evaluate", "--input", src, "--output", out, "--gold", gpath) == 0
+    records = {r["worker"]: r for r in json.loads(out.read_text())}
+    for worker in ds.workers[:3]:
+        answers = [(ds.response(worker, t), g) for t, g in gold.items()
+                   if ds.response(worker, t) is not None]
+        wrong = sum(1 for label, g in answers if label != g)
+        assert records[worker]["proxy_error_rate"] == float(format(wrong / len(answers), ".9g"))
+        assert isinstance(records[worker]["covered"], bool)
+    assert records[ds.workers[3]]["proxy_error_rate"] is None
+    assert records[ds.workers[3]]["covered"] is None
 
 
 def test_evaluate_uniform_weighting_flag(tmp_path):
@@ -192,6 +215,16 @@ def test_evaluate_kary_worker_selection_errors(tmp_path):
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--workers", "w1,w2,ghost") == 2
     assert run_cli("evaluate-kary", "--input", src, "--output", out) == 1
+
+
+def test_label_map_error_on_observed_label_is_a_usage_error(tmp_path, capsys):
+    world = gen_kary_responses("arity3", 300, 1.0, rng=6)
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(world.dataset))
+    out = tmp_path / "o.json"
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--auto-triples", "1", "--map", "g->1/(g-2)+1") == 1
+    assert "label map divides by zero" in capsys.readouterr().err
 
 
 def test_evaluate_kary_auto_triples(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ def test_load_csv_label_below_one():
         load_responses("task_id,worker_id,response\nt1,w1,0\n")
 
 
+def test_load_csv_label_beyond_matrix_dtype():
+    with pytest.raises(LabelDomainError):
+        load_responses("task_id,worker_id,response\nt1,w1,3000000000\n")
+
+
 def test_load_csv_empty():
     with pytest.raises(EmptyDatasetError):
         load_responses("task_id,worker_id,response\n")
@@ -157,6 +163,134 @@ def test_unknown_worker_and_task():
         ds.worker_index("nobody")
     with pytest.raises(KeyError):
         ds.task_index("t99")
+
+
+# -- loader semantics: order, duplicates, and which fault is reported ------
+
+
+def test_load_csv_first_appearance_order_with_interleaved_duplicates():
+    ds = load_responses("task_id,worker_id,response\n"
+                        "t2,w3,1\nt1,w1,2\nt2,w3,1\nt3,w2,1\nt1,w1,2\nt1,w3,2\n")
+    assert ds.workers == ("w3", "w1", "w2")
+    assert ds.tasks == ("t2", "t1", "t3")
+    assert ds.matrix.tolist() == [[1, 2, 0], [0, 2, 0], [0, 0, 1]]
+
+
+def test_load_csv_conflict_names_first_conflicting_pair():
+    text = ("task_id,worker_id,response\n"
+            "t1,w1,1\nt2,w1,2\nt1,w2,1\nt1,w1,1\nt2,w1,1\nt1,w2,2\n")
+    with pytest.raises(ResponseConflictError) as info:
+        load_responses(text)
+    assert str(info.value) == "task 't2', worker 'w1' has conflicting labels 2 and 1"
+
+
+def test_load_csv_first_fault_in_file_order_wins():
+    with pytest.raises(ResponseParseError) as info:
+        load_responses("task_id,worker_id,response\nt1,w1,1\nt2,w2\nt3,w1,2\nt4,w1,x\n")
+    assert str(info.value) == "line 3: expected 3 fields, got 2"
+    with pytest.raises(LabelDomainError) as info:
+        load_responses("task_id,worker_id,response\nt1,w1,1\nt2,w1,0\nt1,w1,2\n")
+    assert str(info.value) == "line 3: label 0 is below 1"
+
+
+def test_from_records_first_fault_in_record_order_wins():
+    with pytest.raises(ResponseConflictError):
+        ResponseDataset.from_records([("t1", "w1", 1), ("t1", "w1", 2), ("t2", "w1", 0)])
+    with pytest.raises(LabelDomainError) as info:
+        ResponseDataset.from_records([("t1", "w1", 1), ("t2", "w1", 0), ("t1", "w1", 2)])
+    assert str(info.value) == "label 0 for task 't2', worker 'w1' is below 1"
+
+
+def test_load_csv_quoted_field_with_comma():
+    ds = load_responses('task_id,worker_id,response\n"t,1",w1,2\nt2,"w,""1""",1\n')
+    assert ds.tasks == ("t,1", "t2")
+    assert ds.workers == ("w1", 'w,"1"')
+    assert ds.response("w1", "t,1") == 2
+
+
+def test_load_csv_whitespace_padded_fields():
+    ds = load_responses(" task_id , worker_id ,response\n t1 ,\tw1, 2 \nt1,w1,2\n")
+    assert ds.tasks == ("t1",) and ds.workers == ("w1",)
+    assert ds.response("w1", "t1") == 2
+    with pytest.raises(ResponseParseError) as info:
+        load_responses("task_id,worker_id,response\n t1 , , 2\n")
+    assert str(info.value) == "line 2: empty task or worker id"
+    with pytest.raises(ResponseParseError) as info:
+        load_responses("task_id,worker_id,response\nt1,w1, 2x \n")
+    assert str(info.value) == "line 2: response '2x' is not an integer"
+
+
+def test_load_csv_arity_comment_after_header_and_blank_lines():
+    text = "\ntask_id,worker_id,response\n\nt1,w1,1\n# arity=5\n\nt2,w1,2\n\n"
+    ds = load_responses(text)
+    assert ds.arity == 5
+    assert ds.tasks == ("t1", "t2")
+    with pytest.raises(ResponseParseError) as info:
+        load_responses(text + "t3,w1\n")
+    assert str(info.value) == "line 9: expected 3 fields, got 2"
+
+
+def test_load_json_deduplicates_and_rejects_conflicts():
+    rows = [{"task": "t1", "worker": "w1", "response": 2},
+            {"task": "t2", "worker": "w2", "response": 1},
+            {"task": "t1", "worker": "w1", "response": 2}]
+    ds = load_responses(json.dumps(rows), fmt="json")
+    assert ds.workers == ("w1", "w2") and ds.tasks == ("t1", "t2")
+    assert ds.matrix.tolist() == [[2, 0], [0, 1]]
+    rows.append({"task": "t2", "worker": "w2", "response": 3})
+    with pytest.raises(ResponseConflictError) as info:
+        load_responses(json.dumps(rows), fmt="json")
+    assert str(info.value) == "task 't2', worker 'w2' has conflicting labels 1 and 3"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_csv_round_trip_shuffled_with_duplicates(seed):
+    rng = np.random.default_rng(seed)
+    arity = int(rng.integers(2, 5))
+    m, n = int(rng.integers(3, 9)), int(rng.integers(5, 40))
+    matrix = rng.integers(1, arity + 1, size=(m, n))
+    matrix[rng.random((m, n)) >= 0.6] = 0
+    workers = [f"w{i}" if i % 3 else f'w,"{i}"' for i in range(m)]
+    tasks = [f"task {j}" for j in range(n)]
+    ds = ResponseDataset.from_matrix(matrix, workers, tasks, arity)
+    lines = write_responses_csv(ds).splitlines()
+    responses = list(ds.iter_responses())
+    order = rng.permutation(len(responses)).tolist()
+    order += rng.choice(len(responses), size=len(responses) // 3).tolist()
+    text = "\n".join(lines[:2] + [lines[2 + i] for i in order]) + "\n"
+    rows = [responses[i] for i in order]
+
+    want_workers = list(dict.fromkeys(w for _, w, _ in rows))
+    want_tasks = list(dict.fromkeys(t for t, _, _ in rows))
+    want = np.zeros((len(want_workers), len(want_tasks)), dtype=int)
+    for task, worker, label in rows:
+        want[want_workers.index(worker), want_tasks.index(task)] = label
+    got = load_responses(text)
+    assert got.workers == tuple(want_workers)
+    assert got.tasks == tuple(want_tasks)
+    assert got.arity == arity
+    assert np.array_equal(got.matrix, want)
+
+
+def test_load_csv_peak_memory_is_bounded_by_text_length():
+    # About 130k responses, the size of an 81-worker, 2000-task crowd at
+    # density 0.8. The loader keeps three integers per response, so its
+    # peak allocation is a small multiple of the text (measured: 10.5x).
+    rng = np.random.default_rng(0)
+    attempted = rng.random((2000, 81)) < 0.8
+    labels = rng.integers(1, 3, size=attempted.shape)
+    tasks, workers = np.nonzero(attempted)
+    text = "task_id,worker_id,response\n" + "".join(
+        f"t{t:05d},w{w:03d},{v}\n"
+        for t, w, v in zip(tasks.tolist(), workers.tolist(), labels[tasks, workers].tolist()))
+    tracemalloc.start()
+    try:
+        ds = load_responses(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(ds.attempts.sum()) == len(tasks)
+    assert peak <= 16 * len(text)
 
 
 # three workers, hand-checkable overlap/agreement:
@@ -294,8 +428,19 @@ def test_reduce_arity_eleven_to_two():
 
 def test_reduce_arity_unmapped_observed_label():
     ds = ResponseDataset.from_records([("t1", "w1", 2)], arity=2)
-    with pytest.raises(LabelDomainError):
+    with pytest.raises(LabelDomainError) as info:
         reduce_arity(ds, {1: 1})
+    assert str(info.value) == "observed labels [2] are not mapped"
+
+
+def test_reduce_arity_map_error_on_observed_label_propagates():
+    ds = ResponseDataset.from_records([("t1", "w1", 1), ("t2", "w1", 2)], arity=3)
+    with pytest.raises(ZeroDivisionError):
+        reduce_arity(ds, lambda g: 1 // (g - 2))
+    # An error on label 3, which nobody gave, leaves 3 unmapped.
+    reduced = reduce_arity(ds, lambda g: 1 // (3 - g))
+    assert reduced.arity == 2
+    assert reduced.matrix.tolist() == [[1, 2]]
 
 
 def test_reduce_arity_collapse_to_single_label_keeps_arity_two():
