@@ -339,12 +339,12 @@ _EXPERIMENTS = ("coverage", "size-vs-density", "weight-comparison",
                 "kary-coverage", "kary-size")
 
 _EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
-    "coverage": {"n": 100, "m": 7, "d": 0.8, "reps": 500, "arity": 2},
-    "size-vs-density": {"n": 300, "m": 7, "d": 0.8, "reps": 500, "arity": 2,
+    "coverage": {"n": 100, "m": 7, "d": 0.8, "reps": 500},
+    "size-vs-density": {"n": 300, "m": 7, "d": 0.8, "reps": 500,
                         "confidence": 0.8},
-    "weight-comparison": {"n": 100, "m": 7, "d": "ramp", "reps": 500, "arity": 2},
-    "kary-coverage": {"n": 1000, "m": 3, "d": 1.0, "reps": 500, "arity": 2},
-    "kary-size": {"n": 500, "m": 3, "d": 0.8, "reps": 150, "arity": 3,
+    "weight-comparison": {"n": 100, "m": 7, "d": "ramp", "reps": 500},
+    "kary-coverage": {"n": 1000, "m": 3, "d": 1.0, "reps": 500, "fixture": "arity2"},
+    "kary-size": {"n": 500, "m": 3, "d": 0.8, "reps": 150, "fixture": "arity3",
                   "confidence": 0.8},
 }
 
@@ -369,17 +369,18 @@ def cmd_simulate(args) -> int:
         reps = 100
     else:
         reps = defaults["reps"]
-    arity = args.arity if args.arity is not None else defaults["arity"]
+    fixture = defaults.get("fixture")
+    if args.arity is not None:
+        if args.experiment != "kary-coverage":
+            raise UsageError(f"--arity applies only to kary-coverage, not {args.experiment}")
+        fixture = f"arity{args.arity}"
     confidence = args.confidence if args.confidence is not None \
         else defaults.get("confidence")
     if confidence is not None:
         _check_confidence(confidence)
-    kary = args.experiment.startswith("kary")
-    fixture = f"arity{arity}" if kary else None
     grid = (confidence,) if confidence is not None else CONFIDENCE_GRID
     try:
-        cfg = SimConfig(n=int(n), m=int(m), arity=int(arity),
-                        confidence_grid=grid, density=density,
+        cfg = SimConfig(n=int(n), m=int(m), confidence_grid=grid, density=density,
                         replications=int(reps), seed=int(args.seed),
                         weighting=args.weighting, fixture=fixture)
         if args.experiment in ("coverage", "kary-coverage"):
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--confidence", type=float,
                        help="single confidence level (size experiments)")
-    p_sim.add_argument("--arity", type=int, help="task arity (k-ary experiments)")
+    p_sim.add_argument("--arity", type=int, help="task arity (kary-coverage only)")
     p_sim.add_argument("--weighting", choices=("uniform", "optimal"),
                        default="optimal")
     p_sim.add_argument("--fast", action="store_true",

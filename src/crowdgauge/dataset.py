@@ -14,8 +14,8 @@ identical duplicates, rejects conflicting ones and fills the matrix.
 Pairwise statistics live on the dataset as worker-indexed arrays, computed
 once on first use: `attempts`, `pair_overlap` and `pair_agreement` (m x m,
 so memory is O(m^2) in the number of workers m), plus
-`triple_overlap_by_index` for one triple at a time. `AgreementStats` is a
-name-keyed copy of them for a worker subset.
+`triple_overlap_by_index` for one triple at a time. The estimators index
+them by worker position.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import (
     EmptyDatasetError,
     GoldLabelError,
-    InsufficientOverlapError,
     LabelDomainError,
     ResponseConflictError,
     ResponseParseError,
@@ -230,29 +228,6 @@ class ResponseDataset:
 
 
 @dataclass(frozen=True)
-class AgreementStats:
-    """Pairwise agreement rates and pair/triple overlap counts for a worker
-    subset. Keys are canonicalized by sorting ids, so lookups are order-free.
-
-    Built by `agreement_rates` and `overlap_counts` from the dataset's
-    arrays; the estimators read those arrays directly.
-    """
-
-    pair_agreement: Mapping[tuple[str, str], float]
-    pair_overlap: Mapping[tuple[str, str], int]
-    triple_overlap: Mapping[tuple[str, str, str], int]
-
-    def q(self, a: str, b: str) -> float:
-        return self.pair_agreement[tuple(sorted((a, b)))]
-
-    def c2(self, a: str, b: str) -> int:
-        return self.pair_overlap[tuple(sorted((a, b)))]
-
-    def c3(self, a: str, b: str, c: str) -> int:
-        return self.triple_overlap[tuple(sorted((a, b, c)))]
-
-
-@dataclass(frozen=True)
 class GoldLabels:
     """Reference labels keyed by task id."""
 
@@ -417,50 +392,6 @@ def write_responses_csv(ds: ResponseDataset) -> str:
     for task, worker, label in ds.iter_responses():
         writer.writerow([task, worker, label])
     return out.getvalue()
-
-
-# -- statistics ------------------------------------------------------------
-
-
-def _resolve_workers(ds: ResponseDataset, workers: Sequence[str]) -> list[int]:
-    if len(set(workers)) != len(workers):
-        raise ValueError("worker subset contains duplicates")
-    return [ds.worker_index(w) for w in workers]
-
-
-def overlap_counts(ds: ResponseDataset, workers: Sequence[str]) -> AgreementStats:
-    """Pair and triple shared-task counts for a worker subset (no rates)."""
-    idx = _resolve_workers(ds, workers)
-    pair_overlap = {}
-    for a, b in combinations(range(len(idx)), 2):
-        key = tuple(sorted((workers[a], workers[b])))
-        pair_overlap[key] = int(ds.pair_overlap[idx[a], idx[b]])
-    triple_overlap = {}
-    for a, b, c in combinations(range(len(idx)), 3):
-        key = tuple(sorted((workers[a], workers[b], workers[c])))
-        triple_overlap[key] = ds.triple_overlap_by_index(idx[a], idx[b], idx[c])
-    return AgreementStats({}, pair_overlap, triple_overlap)
-
-
-def agreement_rates(ds: ResponseDataset, workers: Sequence[str],
-                    require_overlap: bool = True) -> AgreementStats:
-    """Agreement rates plus overlap counts for a worker subset.
-
-    With require_overlap (default), a pair sharing no tasks raises
-    InsufficientOverlapError naming the pair; otherwise such pairs simply
-    have no agreement entry.
-    """
-    counts = overlap_counts(ds, workers)
-    pair_agreement = {}
-    idx = {w: ds.worker_index(w) for w in workers}
-    for (a, b), overlap in counts.pair_overlap.items():
-        if overlap == 0:
-            if require_overlap:
-                raise InsufficientOverlapError(
-                    f"workers {a!r} and {b!r} share no tasks")
-            continue
-        pair_agreement[(a, b)] = float(ds.pair_agreement[idx[a], idx[b]])
-    return AgreementStats(pair_agreement, counts.pair_overlap, counts.triple_overlap)
 
 
 # -- transforms ------------------------------------------------------------

@@ -3,6 +3,12 @@
 Every experiment is driven by a frozen SimConfig; replication r of a run
 with seed s uses the deterministic substream seeded by (s, r), so identical
 configs give bit-identical results.
+
+One loop, `_grid_rows`, runs the replications of every experiment. In
+binary worlds it aggregates each worker's triple system once per requested
+weighting: coverage and the size sweeps request the configured one, and
+the weighting comparison requests both on the same systems. k-ary configs
+(those with a `fixture`) simulate three workers.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ class SimConfig:
 
     n: int
     m: int = 3
-    arity: int = 2
     confidence_grid: tuple[float, ...] = CONFIDENCE_GRID
     density: float | str | tuple[float, ...] = 0.8
     replications: int = 500
@@ -77,7 +82,6 @@ class SimConfig:
     weighting: str = "optimal"
     rates: tuple[float, ...] = DEFAULT_BINARY_RATES
     fixture: str | None = None
-    min_overlap: int = 1
 
     def __post_init__(self):
         if self.n < 1:
@@ -100,7 +104,16 @@ class SimConfig:
             raise ValueError(
                 f"unknown fixture {self.fixture!r}; "
                 f"choose from {sorted(WORKER_MATRIX_FIXTURES)}")
+        if self.fixture is not None and self.m != 3:
+            raise ValueError(f"k-ary worlds have 3 workers, got m={self.m}")
         _density_vector(self)  # validates
+
+    @property
+    def arity(self) -> int:
+        """Task arity: the fixture's k, or 2 for binary configs."""
+        if self.fixture is None:
+            return 2
+        return WORKER_MATRIX_FIXTURES[self.fixture][0].shape[0]
 
 
 def ramp_densities(m: int) -> np.ndarray:
@@ -110,19 +123,18 @@ def ramp_densities(m: int) -> np.ndarray:
 
 
 def _density_vector(cfg: SimConfig) -> np.ndarray:
-    workers = 3 if cfg.fixture is not None else cfg.m
     if isinstance(cfg.density, str):
         if cfg.density != "ramp":
             raise ValueError(f"density must be a number, 'ramp', or a tuple, "
                              f"got {cfg.density!r}")
-        return ramp_densities(workers)
+        return ramp_densities(cfg.m)
     if isinstance(cfg.density, (tuple, list)):
         dens = np.asarray(cfg.density, dtype=float)
-        if dens.shape != (workers,):
-            raise ValueError(f"need one density per worker ({workers}), "
+        if dens.shape != (cfg.m,):
+            raise ValueError(f"need one density per worker ({cfg.m}), "
                              f"got {dens.shape}")
     else:
-        dens = np.full(workers, float(cfg.density))
+        dens = np.full(cfg.m, float(cfg.density))
     if (dens <= 0).any() or (dens > 1).any():
         raise ValueError("densities must lie in (0, 1]")
     return dens
@@ -259,23 +271,29 @@ def _metadata(cfg: SimConfig, **extra: object) -> tuple[tuple[str, str], ...]:
 # -- per-replication estimation --------------------------------------------
 
 
-def _binary_rep(cfg: SimConfig, rep: int):
-    """One binary world: (true rates, estimates, deviations, ok mask)."""
+def _binary_rep(cfg: SimConfig, rep: int, weightings: Sequence[str]):
+    """One binary world: (true rates, estimates, deviations, ok mask).
+
+    Estimates and deviations hold one row per weighting, each aggregating
+    the same worker systems. A worker is ok only when every weighting
+    succeeds.
+    """
     rng = substream(cfg.seed, rep)
     rates = gen_binary_workers(cfg.m, rng, cfg.rates)
     ds, _ = gen_binary_responses(rates, cfg.n, _density_vector(cfg), rng)
-    est = np.full(cfg.m, np.nan)
-    dev = np.full(cfg.m, np.nan)
+    est = np.full((len(weightings), cfg.m), np.nan)
+    dev = np.full((len(weightings), cfg.m), np.nan)
     ok = np.zeros(cfg.m, dtype=bool)
     for w, worker in enumerate(ds.workers):
-        system = build_worker_system(ds, worker, cfg.min_overlap)
+        system = build_worker_system(ds, worker)
         if system.failed:
             continue
         try:
-            estimate, deviation, _, _, _ = aggregate_system(system, cfg.weighting)
+            for i, weighting in enumerate(weightings):
+                est[i, w], dev[i, w], _, _, _ = aggregate_system(system, weighting)
         except EstimationFailure:
             continue
-        est[w], dev[w], ok[w] = estimate, deviation, True
+        ok[w] = True
     return rates, est, dev, ok
 
 
@@ -291,22 +309,25 @@ def _kary_rep(cfg: SimConfig, rep: int):
     return np.stack(world.matrices), devs.midpoints, devs.deviations
 
 
-def _grid_rows(cfg: SimConfig, grid: Sequence[float]):
+def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str]):
     """Coverage/size aggregates per confidence level over all replications.
 
     Interval size is the half-width: the distance from the point estimate
     to either interval end. Binary error-rate intervals report z * deviation
-    directly. Response-probability intervals are first intersected with
-    [0, 1] (every estimand is a probability, so truncation never loses the
-    target); that keeps the average finite when a noisy replication yields
-    a near-singular linearization with an enormous deviation. Each
-    replication's estimates and deviations are computed once and reused
-    across the whole grid (only the quantile multiplier changes). Returns
-    rows of (confidence, accuracy, mean_size, failures, evaluations).
+    directly, once per weighting in `weightings`, all on the same worlds.
+    Response-probability intervals (configs with a fixture, which take a
+    single weighting) are first intersected with [0, 1] (every estimand is
+    a probability, so truncation never loses the target); that keeps the
+    average finite when a noisy replication yields a near-singular
+    linearization with an enormous deviation. Each replication's estimates
+    and deviations are computed once and reused across the whole grid (only
+    the quantile multiplier changes). Returns rows of (confidence,
+    accuracy per weighting..., mean_size per weighting..., failures,
+    evaluations); with no evaluation the accuracies and sizes are NaN.
     """
     z = np.array([abs(normal_quantile((1.0 - c) / 2.0)) for c in grid])
-    covered = np.zeros(len(grid))
-    size_sum = np.zeros(len(grid))
+    covered = np.zeros((len(weightings), len(grid)))
+    size_sum = np.zeros((len(weightings), len(grid)))
     total = 0
     failures = 0
     kary = cfg.fixture is not None
@@ -326,22 +347,26 @@ def _grid_rows(cfg: SimConfig, grid: Sequence[float]):
             size_sum += 0.5 * (hi - lo).sum(axis=1)
             total += err.size
         else:
-            rates, est, dev, ok = _binary_rep(cfg, rep)
+            rates, est, dev, ok = _binary_rep(cfg, rep, weightings)
             failures += int((~ok).sum())
             if not ok.any():
                 continue
-            err = np.abs(est[ok] - rates[ok])
-            dev_ok = dev[ok]
-            covered += (err[None, :] <= z[:, None] * dev_ok[None, :]).sum(axis=1)
+            err = np.abs(est[:, ok] - rates[ok])
+            dev_ok = dev[:, ok]
+            covered += (err[:, None, :] <= z[None, :, None] * dev_ok[:, None, :]).sum(axis=2)
             total += int(ok.sum())
-            size_sum += z * float(dev_ok.sum())
+            size_sum += z[None, :] * dev_ok.sum(axis=1)[:, None]
     rows = []
     for idx, c in enumerate(grid):
-        accuracy = covered[idx] / total if total else float("nan")
-        mean_size = size_sum[idx] / total if total else float("nan")
-        rows.append((float(c), float(accuracy), float(mean_size),
-                     float(failures), float(total)))
+        if total:
+            stats = (*(covered[:, idx] / total), *(size_sum[:, idx] / total))
+        else:
+            stats = (float("nan"),) * (2 * len(weightings))
+        rows.append((float(c), *(float(x) for x in stats), float(failures), float(total)))
     return rows
+
+
+_GRID_COLUMNS = ("confidence", "accuracy", "mean_size", "failures", "evaluations")
 
 
 def run_coverage_experiment(cfg: SimConfig) -> ExperimentResult:
@@ -351,11 +376,9 @@ def run_coverage_experiment(cfg: SimConfig) -> ExperimentResult:
     cover every response-probability entry of the three workers. Failed
     estimates are counted and excluded from the coverage denominator.
     """
-    rows = _grid_rows(cfg, cfg.confidence_grid)
+    rows = _grid_rows(cfg, cfg.confidence_grid, (cfg.weighting,))
     name = "kary-coverage" if cfg.fixture is not None else "coverage"
-    return ExperimentResult(name, ("confidence", "accuracy", "mean_size",
-                                   "failures", "evaluations"),
-                            tuple(rows), _metadata(cfg))
+    return ExperimentResult(name, _GRID_COLUMNS, tuple(rows), _metadata(cfg))
 
 
 def run_size_experiment(cfg: SimConfig,
@@ -372,47 +395,30 @@ def run_size_experiment(cfg: SimConfig,
     if confidences is not None:
         if densities is not None or arities is not None:
             raise ValueError("choose one sweep axis")
-        rows = _grid_rows(cfg, tuple(confidences))
-        return ExperimentResult("size-vs-confidence",
-                                ("confidence", "accuracy", "mean_size",
-                                 "failures", "evaluations"),
+        rows = _grid_rows(cfg, tuple(confidences), (cfg.weighting,))
+        return ExperimentResult("size-vs-confidence", _GRID_COLUMNS,
                                 tuple(rows), _metadata(cfg))
     if arities is not None:
-        sweep_densities = tuple(densities) if densities is not None else DENSITY_GRID
-        if len(cfg.confidence_grid) != 1:
-            raise ValueError("arity sweep expects a single confidence level")
-        level = cfg.confidence_grid[0]
-        rows = []
-        for k in arities:
-            fixture = f"arity{k}"
-            if fixture not in WORKER_MATRIX_FIXTURES:
-                raise ValueError(f"no fixture for arity {k}")
-            for d in sweep_densities:
-                sub = replace(cfg, arity=int(k), fixture=fixture, density=float(d))
-                (_, accuracy, mean_size, failures, evaluations), = _grid_rows(sub, (level,))[:1]
-                rows.append((float(k), float(d), float(level), accuracy,
-                             mean_size, failures, evaluations))
-        return ExperimentResult("kary-size",
-                                ("arity", "density", "confidence", "accuracy",
-                                 "mean_size", "failures", "evaluations"),
-                                tuple(rows),
-                                _metadata(cfg, arities=tuple(int(k) for k in arities),
-                                          densities=sweep_densities))
-    if densities is None:
+        densities = tuple(densities) if densities is not None else DENSITY_GRID
+        name, keys = "kary-size", ("arity", "density")
+        sweep = [((float(k), float(d)), replace(cfg, fixture=f"arity{k}", density=float(d)))
+                 for k in arities for d in densities]
+        metadata = _metadata(cfg, arities=tuple(int(k) for k in arities),
+                             densities=densities)
+    elif densities is not None:
+        name, keys = "size-vs-density", ("density",)
+        sweep = [((float(d),), replace(cfg, density=float(d))) for d in densities]
+        metadata = _metadata(cfg, densities=tuple(densities))
+    else:
         raise ValueError("choose a sweep axis: densities, confidences, or arities")
     if len(cfg.confidence_grid) != 1:
-        raise ValueError("density sweep expects a single confidence level")
+        raise ValueError(f"{name} sweep expects a single confidence level")
     level = cfg.confidence_grid[0]
     rows = []
-    for d in densities:
-        sub = replace(cfg, density=float(d))
-        (_, accuracy, mean_size, failures, evaluations), = _grid_rows(sub, (level,))[:1]
-        rows.append((float(d), float(level), accuracy, mean_size,
-                     failures, evaluations))
-    return ExperimentResult("size-vs-density",
-                            ("density", "confidence", "accuracy", "mean_size",
-                             "failures", "evaluations"),
-                            tuple(rows), _metadata(cfg, densities=tuple(densities)))
+    for key, sub in sweep:
+        (_, *stats), = _grid_rows(sub, (level,), (sub.weighting,))
+        rows.append((*key, float(level), *stats))
+    return ExperimentResult(name, keys + _GRID_COLUMNS, tuple(rows), metadata)
 
 
 def compare_weighting(cfg: SimConfig) -> ExperimentResult:
@@ -420,47 +426,11 @@ def compare_weighting(cfg: SimConfig) -> ExperimentResult:
 
     Requires m >= 5 (at least two triples per worker); each replication is
     generated once and both weightings aggregate the same triple estimates.
+    A worker counts as evaluated only when both weightings succeed.
     """
     if cfg.m < 5:
         raise ValueError(f"weighting comparison needs m >= 5, got {cfg.m}")
-    grid = cfg.confidence_grid
-    z = np.array([abs(normal_quantile((1.0 - c) / 2.0)) for c in grid])
-    covered = {"uniform": np.zeros(len(grid)), "optimal": np.zeros(len(grid))}
-    dev_sum = {"uniform": 0.0, "optimal": 0.0}
-    total = 0
-    failures = 0
-    for rep in range(cfg.replications):
-        rng = substream(cfg.seed, rep)
-        rates = gen_binary_workers(cfg.m, rng, cfg.rates)
-        ds, _ = gen_binary_responses(rates, cfg.n, _density_vector(cfg), rng)
-        for w, worker in enumerate(ds.workers):
-            system = build_worker_system(ds, worker, cfg.min_overlap)
-            if system.failed:
-                failures += 1
-                continue
-            try:
-                est_u, dev_u, _, _, _ = aggregate_system(system, "uniform")
-                est_o, dev_o, _, _, _ = aggregate_system(system, "optimal")
-            except EstimationFailure:
-                failures += 1
-                continue
-            total += 1
-            covered["uniform"] += np.abs(est_u - rates[w]) <= z * dev_u
-            covered["optimal"] += np.abs(est_o - rates[w]) <= z * dev_o
-            dev_sum["uniform"] += dev_u
-            dev_sum["optimal"] += dev_o
-    rows = []
-    for idx, c in enumerate(grid):
-        if total:
-            rows.append((float(c),
-                         float(covered["uniform"][idx] / total),
-                         float(covered["optimal"][idx] / total),
-                         float(z[idx] * dev_sum["uniform"] / total),
-                         float(z[idx] * dev_sum["optimal"] / total),
-                         float(failures), float(total)))
-        else:
-            rows.append((float(c), float("nan"), float("nan"), float("nan"),
-                         float("nan"), float(failures), 0.0))
+    rows = _grid_rows(cfg, cfg.confidence_grid, ("uniform", "optimal"))
     return ExperimentResult("weight-comparison",
                             ("confidence", "accuracy_uniform", "accuracy_optimal",
                              "mean_size_uniform", "mean_size_optimal",

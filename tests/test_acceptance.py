@@ -123,7 +123,7 @@ def test_criterion_05_kary_coverage():
     levels up to 0.8.
     """
     for arity in (2, 3):
-        cfg = SimConfig(n=1000, m=3, arity=arity, fixture=f"arity{arity}",
+        cfg = SimConfig(n=1000, m=3, fixture=f"arity{arity}",
                         density=1.0, replications=500, seed=0,
                         confidence_grid=GRID_9)
         result = run_coverage_experiment(cfg)
@@ -132,7 +132,7 @@ def test_criterion_05_kary_coverage():
         assert worst <= 0.05, (
             f"arity {arity}, n=1000: max |accuracy - confidence| = {worst:.4f} > 0.05")
     for arity in (3, 4):
-        cfg = SimConfig(n=100, m=3, arity=arity, fixture=f"arity{arity}",
+        cfg = SimConfig(n=100, m=3, fixture=f"arity{arity}",
                         density=1.0, replications=500, seed=0,
                         confidence_grid=GRID_8)
         result = run_coverage_experiment(cfg)
@@ -152,7 +152,7 @@ def test_kary_coverage_at_partial_density():
     """
     for arity in (2, 3):
         for density in (0.6, 0.8):
-            cfg = SimConfig(n=1000, m=3, arity=arity, fixture=f"arity{arity}",
+            cfg = SimConfig(n=1000, m=3, fixture=f"arity{arity}",
                             density=density, replications=200, seed=0,
                             confidence_grid=GRID_8)
             result = run_coverage_experiment(cfg)

@@ -2,6 +2,7 @@ import gc
 import math
 import time
 import weakref
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from crowdgauge.binary import (
     f_derivatives,
     greedy_pairs,
 )
-from crowdgauge.dataset import AgreementStats, ResponseDataset, agreement_rates
+from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientConnectivityError,
@@ -348,27 +349,44 @@ def test_greedy_pairs_needs_three_workers():
 # -- cross-triple covariances ------------------------------------------------
 
 
+# Scalar statistics for the reference computations below: a tuple of plain
+# dicts (q, c2, c3) of agreement rates, pair overlaps and triple overlaps,
+# keyed by the frozenset of worker names.
+
+
 def full_overlap_stats(rates, names, n):
-    pair_agreement = {}
-    pair_overlap = {}
-    triple_overlap = {}
-    from itertools import combinations
-    for a, b in combinations(range(len(names)), 2):
-        key = tuple(sorted((names[a], names[b])))
-        pair_agreement[key] = true_agreement(rates[a], rates[b])
-        pair_overlap[key] = n
-    for a, b, c in combinations(range(len(names)), 3):
-        triple_overlap[tuple(sorted((names[a], names[b], names[c])))] = n
-    return AgreementStats(pair_agreement, pair_overlap, triple_overlap)
+    """Exact agreement rates, with every pair and triple sharing n tasks."""
+    by_name = dict(zip(names, rates))
+    q = {frozenset((a, b)): true_agreement(by_name[a], by_name[b])
+         for a, b in combinations(names, 2)}
+    c3 = {frozenset(triple): n for triple in combinations(names, 3)}
+    return q, dict.fromkeys(q, n), c3
+
+
+def dataset_stats(ds):
+    """The dataset's pair and triple statistics, read from its arrays; a
+    pair that shares no task has no agreement rate."""
+    names = ds.workers
+    q, c2, c3 = {}, {}, {}
+    for a, b in combinations(range(ds.num_workers), 2):
+        key = frozenset((names[a], names[b]))
+        c2[key] = int(ds.pair_overlap[a, b])
+        if c2[key]:
+            q[key] = float(ds.pair_agreement[a, b])
+    for triple in combinations(range(ds.num_workers), 3):
+        c3[frozenset(names[w] for w in triple)] = ds.triple_overlap_by_index(*triple)
+    return q, c2, c3
 
 
 def exact_triple_estimate(stats, triple, rates_by_name):
+    q, c2, c3 = stats
     i, j1, j2 = triple
-    qs = (stats.q(i, j1), stats.q(i, j2), stats.q(j1, j2))
+    pairs = (frozenset((i, j1)), frozenset((i, j2)), frozenset((j1, j2)))
+    qs = tuple(q[pair] for pair in pairs)
     p_hats = (rates_by_name[i], rates_by_name[j1], rates_by_name[j2])
     derivs = f_derivatives(*qs)
-    c2 = (stats.c2(i, j1), stats.c2(i, j2), stats.c2(j1, j2))
-    cov = agreement_covariances(qs, c2, stats.c3(i, j1, j2), p_hats)
+    cov = agreement_covariances(qs, tuple(c2[pair] for pair in pairs),
+                                c3[frozenset(triple)], p_hats)
     dev = propagated_deviation(derivs, cov)
     return TripleEstimate(tuple(triple), p_hat=rates_by_name[i], dev=dev,
                           d_i_j1=derivs[0], d_i_j2=derivs[1],
@@ -378,13 +396,14 @@ def exact_triple_estimate(stats, triple, rates_by_name):
 def partner_arrays(stats, triples):
     """(c_iP, Q_PP, C3) over the 2T partners of `triples`, by scalar
     lookups; the diagonal, which the covariance overwrites, stays 0."""
+    q, c2, c3 = stats
     i = triples[0].triple[0]
     partners = [w for t in triples for w in t.triple[1:]]
-    pairs = [[(x, y) for y in partners] for x in partners]
-    c2 = np.array([stats.c2(i, x) for x in partners])
-    q = np.array([[stats.q(x, y) if x != y else 0.0 for x, y in row] for row in pairs])
-    c3 = np.array([[stats.c3(i, x, y) if x != y else 0 for x, y in row] for row in pairs])
-    return c2, q, c3
+    return (np.array([c2[frozenset((i, x))] for x in partners]),
+            np.array([[q[frozenset((x, y))] if x != y else 0.0 for y in partners]
+                      for x in partners]),
+            np.array([[c3[frozenset((i, x, y))] if x != y else 0 for y in partners]
+                      for x in partners]))
 
 
 def test_cross_triple_diagonal_is_squared_dev():
@@ -405,8 +424,8 @@ def test_cross_triple_disjoint_supports_give_zero():
     names = ("w1", "w2", "w3", "w4", "w5")
     rates = (0.1, 0.15, 0.2, 0.25, 0.3)
     stats = full_overlap_stats(rates, names, 1000)
-    zeroed = AgreementStats(stats.pair_agreement, stats.pair_overlap,
-                            {k: 0 for k in stats.triple_overlap})
+    q, c2, c3 = stats
+    zeroed = (q, c2, dict.fromkeys(c3, 0))
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
@@ -574,6 +593,7 @@ def test_evaluate_all_m20_runtime_budget():
 def scalar_cross_triple_covariances(triples, stats, p_i_hat):
     """Reference: the cross-triple covariance as a double loop over
     triple pairs, one scalar c3 lookup per partner pair."""
+    q, c2, c3 = stats
     i = triples[0].triple[0]
     count = len(triples)
     pp = p_i_hat * (1.0 - p_i_hat)
@@ -589,11 +609,11 @@ def scalar_cross_triple_covariances(triples, stats, p_i_hat):
             total = 0.0
             for x, dx in members_a:
                 for y, dy in members_b:
-                    c3 = stats.c3(i, x, y)
-                    if c3 == 0:
+                    shared = c3[frozenset((i, x, y))]
+                    if shared == 0:
                         continue
-                    total += (dx * dy * c3 * pp * (2.0 * stats.q(x, y) - 1.0)
-                              / (stats.c2(i, x) * stats.c2(i, y)))
+                    total += (dx * dy * shared * pp * (2.0 * q[frozenset((x, y))] - 1.0)
+                              / (c2[frozenset((i, x))] * c2[frozenset((i, y))]))
             cov[a, b] = cov[b, a] = total
     return cov
 
@@ -612,11 +632,12 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     ds = simulate_binary(np.linspace(0.05, 0.25, 9), n, rng, masks)
     system = build_worker_system(ds, "w1")
     assert not system.failed and len(system.triples) == 4
-    stats = agreement_rates(ds, ds.workers, require_overlap=False)
+    stats = dataset_stats(ds)
+    _, c2, c3 = stats
     partners = [w for t in system.triples for w in t.triple[1:]]
-    c3s = [stats.c3("w1", x, y) for x in partners for y in partners if x != y]
+    c3s = [c3[frozenset(("w1", x, y))] for x in partners for y in partners if x != y]
     assert 0 in c3s
-    assert any(stats.c2(x, y) == 0 for x in partners for y in partners if x != y)
+    assert any(c2[frozenset((x, y))] == 0 for x in partners for y in partners if x != y)
     p_bar = float(np.mean([t.p_hat for t in system.triples]))
     expected = scalar_cross_triple_covariances(system.triples, stats, p_bar)
     assert np.count_nonzero(expected) > len(system.triples)

@@ -292,6 +292,22 @@ def test_simulate_usage_errors(tmp_path):
                    "--output", tmp_path / "o.csv") == 1
 
 
+def test_simulate_arity_and_workers_must_match_the_run(tmp_path):
+    # --arity selects the kary-coverage fixture and nothing else (kary-size
+    # sweeps 2, 3 and 4), and k-ary worlds always have three workers.
+    out = tmp_path / "o.csv"
+    for experiment in ("coverage", "size-vs-density", "weight-comparison", "kary-size"):
+        assert run_cli("simulate", experiment, "--arity", "3", "--reps", "1",
+                       "--output", out) == 1
+    assert run_cli("simulate", "kary-coverage", "--m", "9", "--reps", "1",
+                   "--output", out) == 1
+    assert not out.exists()
+    assert run_cli("simulate", "kary-coverage", "--arity", "3", "--n", "200",
+                   "--reps", "1", "--confidence", "0.8", "--output", out) == 0
+    meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert "# arity=3" in meta and "# m=3" in meta
+
+
 def test_simulate_weight_comparison_columns(tmp_path):
     out = tmp_path / "w.csv"
     rc = run_cli("simulate", "weight-comparison", "--n", "80", "--reps", "4",
@@ -391,9 +407,13 @@ def test_atomic_write_failure_removes_temp_file(tmp_path):
 def test_console_script_runs(tmp_path):
     src, _, _ = binary_csv(tmp_path, n=300, seed=9)
     out = tmp_path / "o.json"
+    # the child imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "crowdgauge.cli", "evaluate",
          "--input", str(src), "--output", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -8,10 +8,8 @@ import pytest
 from crowdgauge.dataset import (
     GoldLabels,
     ResponseDataset,
-    agreement_rates,
     load_gold,
     load_responses,
-    overlap_counts,
     prune_spammers,
     reduce_arity,
     write_responses_csv,
@@ -19,7 +17,6 @@ from crowdgauge.dataset import (
 from crowdgauge.errors import (
     EmptyDatasetError,
     GoldLabelError,
-    InsufficientOverlapError,
     LabelDomainError,
     ResponseConflictError,
     ResponseParseError,
@@ -308,43 +305,32 @@ def hand_dataset():
 
 def test_overlap_and_agreement_counts():
     ds = hand_dataset()
-    stats = agreement_rates(ds, ("w1", "w2", "w3"))
-    assert stats.c2("w1", "w2") == 3
-    assert stats.c2("w1", "w3") == 2
-    assert stats.c2("w2", "w3") == 3
-    assert stats.c3("w1", "w2", "w3") == 2
-    assert stats.q("w1", "w2") == pytest.approx(2 / 3)
-    assert stats.q("w1", "w3") == pytest.approx(1.0)
-    assert stats.q("w2", "w3") == pytest.approx(1 / 3)
-    assert stats.q("w2", "w1") == stats.q("w1", "w2")  # order-free lookup
+    assert ds.pair_overlap[0, 1] == 3
+    assert ds.pair_overlap[0, 2] == 2
+    assert ds.pair_overlap[1, 2] == 3
+    assert ds.triple_overlap_by_index(0, 1, 2) == 2
+    assert ds.pair_agreement[0, 1] == pytest.approx(2 / 3)
+    assert ds.pair_agreement[0, 2] == pytest.approx(1.0)
+    assert ds.pair_agreement[1, 2] == pytest.approx(1 / 3)
 
 
 def test_pair_arrays_match_agreement_rates():
+    # every off-diagonal cell, both orders, against a count over tasks
     ds = hand_dataset()
-    stats = agreement_rates(ds, ("w1", "w2", "w3"))
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        pair = (ds.workers[a], ds.workers[b])
-        assert ds.pair_overlap[a, b] == ds.pair_overlap[b, a] == stats.c2(*pair)
-        assert ds.pair_agreement[a, b] == pytest.approx(stats.q(*pair))
-    assert ds.triple_overlap_by_index(0, 1, 2) == 2
-
-
-def test_overlap_counts_without_rates():
-    ds = hand_dataset()
-    stats = overlap_counts(ds, ("w1", "w3"))
-    assert stats.c2("w1", "w3") == 2
-    assert stats.pair_agreement == {}
+    for a in range(3):
+        for b in range(3):
+            if a == b:
+                continue
+            shared = [t for t in range(4) if HAND_MATRIX[a, t] and HAND_MATRIX[b, t]]
+            agree = sum(HAND_MATRIX[a, t] == HAND_MATRIX[b, t] for t in shared)
+            assert ds.pair_overlap[a, b] == len(shared)
+            assert ds.pair_agreement[a, b] == agree / len(shared)
 
 
 def test_agreement_requires_overlap():
     ds = ResponseDataset.from_matrix(np.array([[1, 0], [0, 1]]),
                                      workers=("a", "b"))
-    with pytest.raises(InsufficientOverlapError) as info:
-        agreement_rates(ds, ("a", "b"))
-    assert "'a'" in str(info.value) and "'b'" in str(info.value)
-    stats = agreement_rates(ds, ("a", "b"), require_overlap=False)
-    assert ("a", "b") not in stats.pair_agreement
-    assert stats.c2("a", "b") == 0
+    assert ds.pair_overlap[0, 1] == 0
     assert np.isnan(ds.pair_agreement[0, 1])
 
 
@@ -357,8 +343,7 @@ def test_agreement_rate_estimates_true_rate():
     r1 = np.where(rng.random(n) < 0.1, 3 - truth, truth)
     r2 = np.where(rng.random(n) < 0.2, 3 - truth, truth)
     ds = ResponseDataset.from_matrix(np.stack([r1, r2]))
-    stats = agreement_rates(ds, ("w1", "w2"))
-    assert stats.q("w1", "w2") == pytest.approx(0.74, abs=3 * 0.007)
+    assert ds.pair_agreement[0, 1] == pytest.approx(0.74, abs=3 * 0.007)
 
 
 def test_iter_responses_is_task_major():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdgauge.binary import error_rate_from_agreements
-from crowdgauge.dataset import ResponseDataset, agreement_rates
+from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientOverlapError,
@@ -357,10 +357,9 @@ def test_binary_consistency_with_agreement_inversion():
     ds = ResponseDataset.from_matrix(np.stack(rows))
     counts = build_counts(ds, ("w1", "w2", "w3"))
     est = prob_estimate(counts)
-    stats = agreement_rates(ds, ("w1", "w2", "w3"))
-    q12 = stats.q("w1", "w2")
-    q13 = stats.q("w1", "w3")
-    q23 = stats.q("w2", "w3")
+    q12 = ds.pair_agreement[0, 1]
+    q13 = ds.pair_agreement[0, 2]
+    q23 = ds.pair_agreement[1, 2]
     eq_based = (
         error_rate_from_agreements(q12, q13, q23),
         error_rate_from_agreements(q12, q23, q13),

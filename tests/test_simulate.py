@@ -1,5 +1,6 @@
 """Tests for the synthetic crowds and experiment runners."""
 
+import dataclasses
 import json
 import math
 
@@ -69,6 +70,21 @@ def test_simconfig_rejects_bad_values():
         SimConfig(n=10, density="steep")
     with pytest.raises(ValueError):
         SimConfig(n=10, m=4, density=(0.5, 0.5))
+
+
+def test_config_arity_follows_the_fixture():
+    # Arity is read from the fixture, never set on its own, so the metadata
+    # cannot name an arity the run did not simulate; k-ary worlds always
+    # have three workers, so a fixture with another m is rejected.
+    assert "arity" not in {f.name for f in dataclasses.fields(SimConfig)}
+    assert SimConfig(n=10, m=7).arity == 2
+    for k in (2, 3, 4):
+        cfg = SimConfig(n=10, fixture=f"arity{k}")
+        assert cfg.arity == k
+        assert dict(run_coverage_experiment(
+            dataclasses.replace(cfg, replications=1)).metadata)["arity"] == str(k)
+    with pytest.raises(ValueError, match="3 workers"):
+        SimConfig(n=10, m=9, fixture="arity3")
 
 
 def test_ramp_densities_endpoints_and_slope():
@@ -272,7 +288,7 @@ def test_coverage_failures_are_rare_on_easy_worlds():
 
 
 def test_kary_coverage_experiment_named_and_shaped():
-    cfg = SimConfig(n=300, m=3, arity=2, fixture="arity2", density=1.0,
+    cfg = SimConfig(n=300, m=3, fixture="arity2", density=1.0,
                     replications=10, seed=5, confidence_grid=(0.5, 0.9))
     result = run_coverage_experiment(cfg)
     assert result.experiment == "kary-coverage"
@@ -291,7 +307,7 @@ def test_kary_mean_size_measures_intervals_clipped_to_unit_range():
     # however wild a replication's linearization gets.
     from crowdgauge.simulate import _kary_rep
 
-    cfg = SimConfig(n=300, m=3, arity=3, fixture="arity3", density=0.7,
+    cfg = SimConfig(n=300, m=3, fixture="arity3", density=0.7,
                     replications=6, seed=9, confidence_grid=(0.5, 0.99))
     result = run_coverage_experiment(cfg)
     z = {c: abs(normal_quantile((1 - c) / 2)) for c in cfg.confidence_grid}
@@ -397,6 +413,21 @@ def test_compare_weighting_optimal_never_wider():
     for name in ("accuracy_uniform", "accuracy_optimal"):
         for acc in result.column(name):
             assert 0.0 <= acc <= 1.0
+
+
+def test_compare_weighting_matches_single_weighting_coverage():
+    # With no failed worker, the paired comparison evaluates exactly the
+    # workers each coverage run does, on the same worlds.
+    cfg = SimConfig(n=200, m=5, density=1.0, replications=10, seed=13,
+                    confidence_grid=(0.3, 0.8, 0.95))
+    paired = compare_weighting(cfg)
+    for weighting in ("uniform", "optimal"):
+        single = run_coverage_experiment(dataclasses.replace(cfg, weighting=weighting))
+        assert single.column("failures") == paired.column("failures") == [0.0] * 3
+        assert single.column("evaluations") == paired.column("evaluations")
+        assert single.column("accuracy") == paired.column(f"accuracy_{weighting}")
+        np.testing.assert_allclose(paired.column(f"mean_size_{weighting}"),
+                                   single.column("mean_size"), rtol=1e-12, atol=0.0)
 
 
 def test_compare_weighting_is_deterministic():
