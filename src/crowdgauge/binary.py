@@ -11,13 +11,19 @@ minimum-variance weights.
 
 Pairwise statistics are read by worker index from the arrays the dataset
 caches (`pair_overlap`, `pair_agreement`, `attempts`), so memory is O(m^2)
-in the number of workers m. The covariance of one worker's T triples is
-built from one matrix product over the attempt rows of its 2T partners.
+in the number of workers m. `build_worker_system` pairs each requested
+worker's peers, stacks every triple (i, j1, j2) as index arrays, and
+evaluates all of them in one array pass: agreement rates, error rates,
+derivatives, 3x3 agreement covariances, propagated deviations and the
+failure masks. The inversion, derivative and covariance formulas take
+scalars or arrays alike, and `evaluate_triple` is a one-row call into the
+same pass. Triple overlaps are counted once per worker, over that worker's
+triples. The covariance of one worker's T triples is built from one
+matrix product over the attempt rows of its 2T partners.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,9 +36,11 @@ from .errors import (
     InsufficientOverlapError,
     REASON_INSUFFICIENT_CONNECTIVITY,
     REASON_LOW_AGREEMENT,
+    REASON_NEGATIVE_VARIANCE,
     REASON_NO_USABLE_TRIPLES,
 )
 from .numerics import (
+    VARIANCE_CLAMP_TOL,
     ConfidenceInterval,
     normal_quantile,
     optimal_weights,
@@ -44,7 +52,7 @@ METHOD_M_WORKER_UNIFORM = "m_worker_uniform"
 METHOD_M_WORKER_OPTIMAL = "m_worker_optimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleEstimate:
     """One worker's error-rate estimate from a single triple (i, j1, j2).
 
@@ -93,46 +101,49 @@ class WorkerReport:
         return self.interval.failed
 
 
-def error_rate_from_agreements(q_i_j1: float, q_i_j2: float, q_j1_j2: float) -> float:
+def _agreement_rates(q_i_j1, q_i_j2, q_j1_j2) -> list[np.ndarray]:
+    """The three agreement rates as float arrays.
+
+    Any rate at or below 1/2 raises EstimationFailure (the model places all
+    agreement rates strictly above 1/2).
+    """
+    rates = [np.asarray(q, dtype=float) for q in (q_i_j1, q_i_j2, q_j1_j2)]
+    low = np.minimum(np.minimum(rates[0], rates[1]), rates[2]) <= 0.5
+    if low.any():
+        a, b, c = (float(np.broadcast_to(q, low.shape)[low][0]) for q in rates)
+        raise EstimationFailure(REASON_LOW_AGREEMENT, f"agreement rates ({a:g}, {b:g}, {c:g})")
+    return rates
+
+
+def error_rate_from_agreements(q_i_j1, q_i_j2, q_j1_j2):
     """Invert three pairwise agreement rates to worker i's error rate.
 
     p_i = 1/2 - 1/2 * sqrt((2 q_i_j1 - 1)(2 q_i_j2 - 1) / (2 q_j1_j2 - 1)).
 
-    Any agreement rate at or below 1/2 raises EstimationFailure (the model
-    places all agreement rates strictly above 1/2). A radicand above 1,
-    which noise can produce, clamps the estimate to 0.
+    The rates are scalars or arrays of one shape, and so is the result.
+    Any agreement rate at or below 1/2 raises EstimationFailure. A radicand
+    above 1, which noise can produce, clamps the estimate to 0.
     """
-    a = 2.0 * q_i_j1 - 1.0
-    b = 2.0 * q_i_j2 - 1.0
-    c = 2.0 * q_j1_j2 - 1.0
-    if min(a, b, c) <= 0.0:
-        raise EstimationFailure(
-            REASON_LOW_AGREEMENT,
-            f"agreement rates ({q_i_j1:g}, {q_i_j2:g}, {q_j1_j2:g})")
-    return max(0.0, 0.5 - 0.5 * math.sqrt(a * b / c))
+    a, b, c = (2.0 * q - 1.0 for q in _agreement_rates(q_i_j1, q_i_j2, q_j1_j2))
+    return np.maximum(0.0, 0.5 - 0.5 * np.sqrt(a * b / c))
 
 
-def f_derivatives(q_i_j1: float, q_i_j2: float, q_j1_j2: float
-                  ) -> tuple[float, float, float]:
+def f_derivatives(q_i_j1, q_i_j2, q_j1_j2) -> tuple:
     """Closed-form partial derivatives of error_rate_from_agreements.
 
-    Returns (d/dq_i_j1, d/dq_i_j2, d/dq_j1_j2) at the given point; the first
-    two are negative and the third positive everywhere in the domain.
+    Returns (d/dq_i_j1, d/dq_i_j2, d/dq_j1_j2) at the given point, each of
+    the rates' shape; the first two are negative and the third positive
+    everywhere in the domain.
     """
-    a = q_i_j1 - 0.5
-    b = q_i_j2 - 0.5
-    c = q_j1_j2 - 0.5
-    if min(a, b, c) <= 0.0:
-        raise EstimationFailure(
-            REASON_LOW_AGREEMENT,
-            f"agreement rates ({q_i_j1:g}, {q_i_j2:g}, {q_j1_j2:g})")
-    return (-math.sqrt(b / (8.0 * a * c)),
-            -math.sqrt(a / (8.0 * b * c)),
-            math.sqrt(a * b / (8.0 * c ** 3)))
+    a, b, c = (q - 0.5 for q in _agreement_rates(q_i_j1, q_i_j2, q_j1_j2))
+    # float_power is the C library's pow, which Python's float ** also
+    # calls; numpy's ** may take a vectorised pow that differs in the last bit.
+    return (-np.sqrt(b / (8.0 * a * c)),
+            -np.sqrt(a / (8.0 * b * c)),
+            np.sqrt(a * b / (8.0 * np.float_power(c, 3))))
 
 
-def agreement_covariances(q: Sequence[float], c2: Sequence[int], c3: int,
-                          p_hats: Sequence[float]) -> np.ndarray:
+def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np.ndarray:
     """3x3 covariance of the agreement rates (Q_i_j1, Q_i_j2, Q_j1_j2).
 
     For a triple (i, j1, j2), `q` holds the agreement rates and `c2` the
@@ -144,53 +155,78 @@ def agreement_covariances(q: Sequence[float], c2: Sequence[int], c3: int,
 
         Cov(Q_sa, Q_sb) = c_sab * p_s (1 - p_s) (2 q_ab - 1) / (c_sa c_sb).
 
-    With zero triple overlap the off-diagonal terms vanish.
+    With zero triple overlap the off-diagonal terms vanish. Every entry may
+    be an array over T triples instead of a scalar; the result is then a
+    (T, 3, 3) stack.
     """
-    q_ij1, q_ij2, q_j1j2 = (float(x) for x in q)
-    c_ij1, c_ij2, c_j1j2 = c2
-    p_i, p_j1, p_j2 = (float(p) for p in p_hats)
-    if min(c_ij1, c_ij2, c_j1j2) < 1:
+    q_ij1, q_ij2, q_j1j2 = (np.asarray(x, dtype=float) for x in q)
+    c_ij1, c_ij2, c_j1j2 = (np.asarray(x) for x in c2)
+    p_i, p_j1, p_j2 = (np.asarray(p, dtype=float) for p in p_hats)
+    c3 = np.asarray(c3)
+    if (np.minimum(np.minimum(c_ij1, c_ij2), c_j1j2) < 1).any():
         raise InsufficientOverlapError("a pair of the triple shares no tasks")
-    cov = np.zeros((3, 3))
-    cov[0, 0] = q_ij1 * (1.0 - q_ij1) / c_ij1
-    cov[1, 1] = q_ij2 * (1.0 - q_ij2) / c_ij2
-    cov[2, 2] = q_j1j2 * (1.0 - q_j1j2) / c_j1j2
-    if c3 > 0:
-        cov[0, 1] = cov[1, 0] = c3 * p_i * (1.0 - p_i) * (2.0 * q_j1j2 - 1.0) / (c_ij1 * c_ij2)
-        cov[0, 2] = cov[2, 0] = c3 * p_j1 * (1.0 - p_j1) * (2.0 * q_ij2 - 1.0) / (c_ij1 * c_j1j2)
-        cov[1, 2] = cov[2, 1] = c3 * p_j2 * (1.0 - p_j2) * (2.0 * q_ij1 - 1.0) / (c_ij2 * c_j1j2)
+    shape = np.broadcast(q_ij1, q_ij2, q_j1j2, c_ij1, c_ij2, c_j1j2, c3, p_i, p_j1, p_j2).shape
+    cov = np.zeros(shape + (3, 3))
+    cov[..., 0, 0] = q_ij1 * (1.0 - q_ij1) / c_ij1
+    cov[..., 1, 1] = q_ij2 * (1.0 - q_ij2) / c_ij2
+    cov[..., 2, 2] = q_j1j2 * (1.0 - q_j1j2) / c_j1j2
+    shared = c3 > 0
+    cov[..., 0, 1] = cov[..., 1, 0] = np.where(
+        shared, c3 * p_i * (1.0 - p_i) * (2.0 * q_j1j2 - 1.0) / (c_ij1 * c_ij2), 0.0)
+    cov[..., 0, 2] = cov[..., 2, 0] = np.where(
+        shared, c3 * p_j1 * (1.0 - p_j1) * (2.0 * q_ij2 - 1.0) / (c_ij1 * c_j1j2), 0.0)
+    cov[..., 1, 2] = cov[..., 2, 1] = np.where(
+        shared, c3 * p_j2 * (1.0 - p_j2) * (2.0 * q_ij1 - 1.0) / (c_ij2 * c_j1j2), 0.0)
     return cov
 
 
-def _evaluate_triple_core(ds: ResponseDataset, triple: Sequence[str]) -> TripleEstimate:
-    i, j1, j2 = triple
-    if len({i, j1, j2}) != 3:
-        raise ValueError(f"triple {tuple(triple)} repeats a worker")
-    a, b, c = (ds.worker_index(w) for w in triple)
-    pairs = ((a, b), (a, c), (b, c))
-    c2 = tuple(int(ds.pair_overlap[x, y]) for x, y in pairs)
-    if min(c2) < 1:
-        raise InsufficientOverlapError(f"triple {tuple(triple)} has an empty pair")
-    qs = tuple(float(ds.pair_agreement[x, y]) for x, y in pairs)
-    q_ij1, q_ij2, q_j1j2 = qs
-    key = (str(i), str(j1), str(j2))
-    if min(qs) <= 0.5:
-        return TripleEstimate(key, failed=True, reason=REASON_LOW_AGREEMENT)
-    p_i = error_rate_from_agreements(q_ij1, q_ij2, q_j1j2)
-    p_j1 = error_rate_from_agreements(q_ij1, q_j1j2, q_ij2)
-    p_j2 = error_rate_from_agreements(q_ij2, q_j1j2, q_ij1)
+def _evaluate_triples(ds: ResponseDataset, i: np.ndarray, j1: np.ndarray,
+                      j2: np.ndarray, c3: np.ndarray) -> list[TripleEstimate]:
+    """Estimate worker i[t]'s error rate from each triple (i[t], j1[t], j2[t]).
+
+    The triples are given as worker-index arrays and `c3` holds their triple
+    overlaps. Every formula runs once over all T triples. A triple with an
+    agreement rate at or below 1/2, or whose propagated variance is negative
+    beyond VARIANCE_CLAMP_TOL (the rule of propagated_deviation), is a
+    failed estimate; a pair sharing no task raises InsufficientOverlapError.
+    """
+    names = ds.workers
+    pairs = ((i, j1), (i, j2), (j1, j2))
+    c2 = [ds.pair_overlap[x, y] for x, y in pairs]
+    empty = np.flatnonzero(np.minimum(np.minimum(c2[0], c2[1]), c2[2]) < 1)
+    if empty.size:
+        t = empty[0]
+        raise InsufficientOverlapError(
+            f"triple {(names[i[t]], names[j1[t]], names[j2[t]])} has an empty pair")
+    q = [ds.pair_agreement[x, y] for x, y in pairs]
+    low = np.minimum(np.minimum(q[0], q[1]), q[2]) <= 0.5
+    ok = ~low
+    q_ij1, q_ij2, q_j1j2 = (x[ok] for x in q)
+    p_hats = (error_rate_from_agreements(q_ij1, q_ij2, q_j1j2),
+              error_rate_from_agreements(q_ij1, q_j1j2, q_ij2),
+              error_rate_from_agreements(q_ij2, q_j1j2, q_ij1))
     radicand = (2 * q_ij1 - 1) * (2 * q_ij2 - 1) / (2 * q_j1j2 - 1)
     derivs = f_derivatives(q_ij1, q_ij2, q_j1j2)
-    cov = agreement_covariances(qs, c2, ds.triple_overlap_by_index(a, b, c),
-                                (p_i, p_j1, p_j2))
-    try:
-        dev = propagated_deviation(derivs, cov)
-    except EstimationFailure as exc:
-        return TripleEstimate(key, failed=True, reason=exc.reason)
-    return TripleEstimate(
-        key, p_hat=p_i, dev=dev,
-        d_i_j1=derivs[0], d_i_j2=derivs[1], d_j1_j2=derivs[2],
-        q=qs, clamped=radicand > 1.0)
+    cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), [x[ok] for x in c2], c3[ok], p_hats)
+    g = np.stack(derivs, axis=1)
+    var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
+    dev = np.sqrt(np.maximum(var, 0.0))
+    rows = zip(p_hats[0].tolist(), dev.tolist(), *(d.tolist() for d in derivs),
+               zip(q_ij1.tolist(), q_ij2.tolist(), q_j1j2.tolist()),
+               (radicand > 1.0).tolist(), (var < -VARIANCE_CLAMP_TOL).tolist())
+    estimates = []
+    for a, b, c, failed in zip(i.tolist(), j1.tolist(), j2.tolist(), low.tolist()):
+        key = (names[a], names[b], names[c])
+        if failed:
+            estimates.append(TripleEstimate(key, failed=True, reason=REASON_LOW_AGREEMENT))
+            continue
+        p_hat, d, d1, d2, d3, qs, clamped, negative = next(rows)
+        if negative:
+            estimates.append(TripleEstimate(key, failed=True, reason=REASON_NEGATIVE_VARIANCE))
+        else:
+            estimates.append(TripleEstimate(key, p_hat=p_hat, dev=d, d_i_j1=d1, d_i_j2=d2,
+                                            d_j1_j2=d3, q=qs, clamped=clamped))
+    return estimates
 
 
 def evaluate_triple(ds: ResponseDataset, triple: Sequence[str], confidence: float
@@ -203,7 +239,11 @@ def evaluate_triple(ds: ResponseDataset, triple: Sequence[str], confidence: floa
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    est = _evaluate_triple_core(ds, triple)
+    i, j1, j2 = triple
+    if len({i, j1, j2}) != 3:
+        raise ValueError(f"triple {tuple(triple)} repeats a worker")
+    i, j1, j2 = (np.array([ds.worker_index(w)]) for w in triple)
+    est, = _evaluate_triples(ds, i, j1, j2, ds.triple_overlap_by_index(i[0], j1, j2))
     if est.failed:
         return est, ConfidenceInterval.failure(confidence, est.reason)
     z = abs(normal_quantile((1.0 - confidence) / 2.0))
@@ -219,8 +259,12 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
     ties); the head of the list is paired with the first later worker that
     shares at least `min_overlap` tasks with both. Unpairable heads are
     skipped, a leftover single is dropped. Raises
-    InsufficientConnectivityError when no pair can be formed.
+    InsufficientConnectivityError when no pair can be formed, and
+    ValueError for a min_overlap below 1: every pair of a triple must share
+    a task.
     """
+    if min_overlap < 1:
+        raise ValueError(f"min_overlap must be at least 1, got {min_overlap}")
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
@@ -296,14 +340,15 @@ def _partner_statistics(ds: ResponseDataset, worker: str,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c_iP, Q_PP, C3) for the partners P of worker i's triples.
 
-    C3 = (A_P o A_i) A_P^T in float64, exact for counts, from the
-    attempt rows A of the partners and of worker i.
+    C3 = B B^T in float64, exact for counts, where B = A_P o A_i is the
+    partners' attempt rows masked by worker i's. A_i is 0/1, so this is
+    (A_P o A_i) A_P^T from a single float array.
     """
     i = ds.worker_index(worker)
     partners = np.array([ds.worker_index(w) for t in triples for w in t.triple[1:]])
-    rows = ds.attempts[partners].astype(float)
+    shared = (ds.attempts[partners] & ds.attempts[i]).astype(float)
     return (ds.pair_overlap[i, partners], ds.pair_agreement[partners][:, partners],
-            (rows * ds.attempts[i]) @ rows.T)
+            shared @ shared.T)
 
 
 @dataclass(frozen=True)
@@ -321,37 +366,73 @@ class _WorkerSystem:
         return self.failure_reason is not None
 
 
-def build_worker_system(ds: ResponseDataset, worker: str,
-                        min_overlap: int = 1) -> _WorkerSystem:
-    """Evaluate every disjoint triple around a worker and their covariance.
+@dataclass(frozen=True)
+class _WorkerSystems:
+    """The systems of the requested workers, in request order, with the
+    non-failed triple estimates of all of them and the failed count."""
 
-    Failed triples are dropped (and counted); pairing or universal triple
-    failure is reported through `failure_reason` instead of an exception so
-    whole-dataset sweeps keep going.
+    systems: tuple[_WorkerSystem, ...]
+    triples: tuple[TripleEstimate, ...]
+    triples_failed: int
+
+
+def build_worker_system(ds: ResponseDataset, workers: Sequence[str],
+                        min_overlap: int = 1) -> _WorkerSystems:
+    """Evaluate every disjoint triple around each worker and their covariance.
+
+    `workers` is a sequence of worker ids; the triples of all of them are
+    estimated in one array pass. Failed triples are dropped (and counted);
+    pairing or universal triple failure is reported through a system's
+    `failure_reason` instead of an exception so whole-dataset sweeps keep
+    going. A min_overlap below 1 raises ValueError.
     """
+    if isinstance(workers, str):
+        raise TypeError(f"workers must be a sequence of worker ids, got the id {workers!r}")
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
-    try:
-        pairs = greedy_pairs(ds, worker, min_overlap)
-    except InsufficientConnectivityError:
-        return _WorkerSystem(worker, (), None, 0,
-                             failure_reason=REASON_INSUFFICIENT_CONNECTIVITY)
-    estimates = []
-    failures = 0
-    for a, b in pairs:
-        est = _evaluate_triple_core(ds, (worker, a, b))
-        if est.failed:
-            failures += 1
-        else:
-            estimates.append(est)
-    if not estimates:
-        return _WorkerSystem(worker, (), None, failures,
-                             failure_reason=REASON_NO_USABLE_TRIPLES)
-    p_bar = float(np.mean([t.p_hat for t in estimates]))
-    cov = cross_triple_covariances(estimates, p_bar,
-                                   *_partner_statistics(ds, worker, estimates))
-    return _WorkerSystem(worker, tuple(estimates), cov, failures)
+    counts: list[int | None] = []
+    i, j1, j2 = [], [], []
+    for worker in workers:
+        try:
+            pairs = greedy_pairs(ds, worker, min_overlap)
+        except InsufficientConnectivityError:
+            counts.append(None)
+            continue
+        counts.append(len(pairs))
+        i += [ds.worker_index(worker)] * len(pairs)
+        j1 += [ds.worker_index(a) for a, _ in pairs]
+        j2 += [ds.worker_index(b) for _, b in pairs]
+    i, j1, j2 = (np.array(x, dtype=np.intp) for x in (i, j1, j2))
+    # One triple-overlap call per worker keeps the temporary at
+    # (that worker's triples x tasks).
+    c3 = np.zeros(i.size, dtype=np.intp)
+    start = 0
+    for count in counts:
+        if count:
+            segment = slice(start, start + count)
+            c3[segment] = ds.triple_overlap_by_index(i[start], j1[segment], j2[segment])
+            start += count
+    estimates = _evaluate_triples(ds, i, j1, j2, c3)
+    systems = []
+    start = 0
+    for worker, count in zip(workers, counts):
+        if count is None:
+            systems.append(_WorkerSystem(worker, (), None, 0,
+                                         failure_reason=REASON_INSUFFICIENT_CONNECTIVITY))
+            continue
+        usable = tuple(t for t in estimates[start:start + count] if not t.failed)
+        start += count
+        if not usable:
+            systems.append(_WorkerSystem(worker, (), None, count,
+                                         failure_reason=REASON_NO_USABLE_TRIPLES))
+            continue
+        p_bar = float(np.mean([t.p_hat for t in usable]))
+        cov = cross_triple_covariances(usable, p_bar,
+                                       *_partner_statistics(ds, worker, usable))
+        systems.append(_WorkerSystem(worker, usable, cov, count - len(usable)))
+    return _WorkerSystems(tuple(systems), tuple(t for s in systems for t in s.triples),
+                          sum(s.triples_failed for s in systems))
 
 
 def aggregate_system(system: _WorkerSystem, weighting: str
@@ -372,18 +453,9 @@ def aggregate_system(system: _WorkerSystem, weighting: str
     return min(max(estimate, 0.0), 1.0), dev, weights, fallback, clamped
 
 
-def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
-                    weighting: str = "optimal", min_overlap: int = 1) -> WorkerReport:
-    """Full error-rate report for one worker.
-
-    Builds disjoint triples, drops failed ones, and combines the survivors
-    with the requested weighting. An isolated worker or all-failed triples
-    produce a failed report; fewer than 3 workers in the dataset raise
-    InsufficientConnectivityError.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    system = build_worker_system(ds, worker, min_overlap)
+def _worker_report(ds: ResponseDataset, system: _WorkerSystem, confidence: float,
+                   weighting: str) -> WorkerReport:
+    worker = system.worker
     if system.failed:
         return WorkerReport(
             worker=worker,
@@ -413,6 +485,21 @@ def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
         clamped=clamped, weight_fallback=fallback)
 
 
+def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
+                    weighting: str = "optimal", min_overlap: int = 1) -> WorkerReport:
+    """Full error-rate report for one worker.
+
+    Builds disjoint triples, drops failed ones, and combines the survivors
+    with the requested weighting. An isolated worker or all-failed triples
+    produce a failed report; fewer than 3 workers in the dataset raise
+    InsufficientConnectivityError, and a min_overlap below 1 ValueError.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    system, = build_worker_system(ds, (worker,), min_overlap).systems
+    return _worker_report(ds, system, confidence, weighting)
+
+
 def evaluate_all(ds: ResponseDataset, confidence: float,
                  weighting: str = "optimal", min_overlap: int = 1
                  ) -> list[WorkerReport]:
@@ -420,5 +507,7 @@ def evaluate_all(ds: ResponseDataset, confidence: float,
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
-    return [evaluate_worker(ds, w, confidence, weighting, min_overlap)
-            for w in ds.workers]
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    return [_worker_report(ds, system, confidence, weighting)
+            for system in build_worker_system(ds, ds.workers, min_overlap).systems]

@@ -226,6 +226,8 @@ def cmd_evaluate(args) -> int:
             f"evaluate expects binary responses, got arity {ds.arity}; "
             "collapse labels first with --map")
     confidence = _check_confidence(args.confidence)
+    if args.min_overlap < 1:
+        raise UsageError(f"--min-overlap must be at least 1, got {args.min_overlap}")
     proxies = None
     if args.gold:
         gold = load_gold(_read_input(args.gold)[0])
@@ -374,6 +376,9 @@ def cmd_simulate(args) -> int:
         if args.experiment != "kary-coverage":
             raise UsageError(f"--arity applies only to kary-coverage, not {args.experiment}")
         fixture = f"arity{args.arity}"
+    if args.weighting is not None and args.experiment not in ("coverage", "size-vs-density"):
+        raise UsageError(f"--weighting applies only to coverage and size-vs-density, "
+                         f"not {args.experiment}")
     confidence = args.confidence if args.confidence is not None \
         else defaults.get("confidence")
     if confidence is not None:
@@ -382,7 +387,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = SimConfig(n=int(n), m=int(m), confidence_grid=grid, density=density,
                         replications=int(reps), seed=int(args.seed),
-                        weighting=args.weighting, fixture=fixture)
+                        weighting=args.weighting or "optimal", fixture=fixture)
         if args.experiment in ("coverage", "kary-coverage"):
             result = run_coverage_experiment(cfg)
         elif args.experiment == "size-vs-density":
@@ -482,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single confidence level (size experiments)")
     p_sim.add_argument("--arity", type=int, help="task arity (kary-coverage only)")
     p_sim.add_argument("--weighting", choices=("uniform", "optimal"),
-                       default="optimal")
+                       help="triple weighting (coverage and size-vs-density only; "
+                            "default: optimal)")
     p_sim.add_argument("--fast", action="store_true",
                        help="cut replications to 100 unless --reps is given")
     p_sim.set_defaults(func=cmd_simulate)

@@ -14,8 +14,8 @@ identical duplicates, rejects conflicting ones and fills the matrix.
 Pairwise statistics live on the dataset as worker-indexed arrays, computed
 once on first use: `attempts`, `pair_overlap` and `pair_agreement` (m x m,
 so memory is O(m^2) in the number of workers m), plus
-`triple_overlap_by_index` for one triple at a time. The estimators index
-them by worker position.
+`triple_overlap_by_index` for one triple or for arrays of triples. The
+estimators index them by worker position.
 """
 
 from __future__ import annotations
@@ -221,10 +221,15 @@ class ResponseDataset:
         overlap = self.pair_overlap
         return np.divide(agree, overlap, out=np.full(overlap.shape, np.nan), where=overlap > 0)
 
-    def triple_overlap_by_index(self, a: int, b: int, c: int) -> int:
-        """Number of tasks attempted by all three workers, c_abc."""
+    def triple_overlap_by_index(self, a, b, c):
+        """Number of tasks attempted by all three workers, c_abc.
+
+        With worker positions as ints the result is an int; with index
+        arrays (ints broadcast) it is an integer array of the broadcast shape.
+        """
         att = self.attempts
-        return int(np.count_nonzero(att[a] & att[b] & att[c]))
+        counts = np.count_nonzero(att[a] & att[b] & att[c], axis=-1)
+        return counts if np.ndim(counts) else int(counts)
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,18 @@ def _as_text(source) -> str:
     return data
 
 
+def _csv_reader(text: str):
+    """A csv.reader over `text` that splits lines as io.StringIO(text) does.
+
+    It reads a UTF-8 copy of the text (one byte per ASCII character, where
+    StringIO keeps four); surrogatepass carries lone surrogates, which a
+    str may hold, through the copy unchanged.
+    """
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return csv.reader(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass",
+                                       newline="\n"))
+
+
 def load_responses(source, fmt: str = "csv") -> ResponseDataset:
     """Parse responses from CSV or JSON text (str, bytes, or file-like).
 
@@ -278,7 +295,7 @@ def load_responses(source, fmt: str = "csv") -> ResponseDataset:
 
 
 def _load_csv(text: str) -> ResponseDataset:
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_reader(text)
     declared_arity: int | None = None
     header_seen = False
     tasks: dict[str, int] = {}
@@ -351,7 +368,7 @@ def _load_json(text: str) -> ResponseDataset:
 
 def load_gold(source) -> GoldLabels:
     """Parse a gold-label CSV with header `task_id,response`."""
-    reader = csv.reader(io.StringIO(_as_text(source)))
+    reader = _csv_reader(_as_text(source))
     header_seen = False
     labels: dict[str, int] = {}
     for row in reader:

@@ -176,10 +176,9 @@ def gen_binary_responses(rates: Sequence[float], n: int, density, rng=0
     attempts = rng.random((m, n)) < dens[:, None]
     flips = rng.random((m, n)) < rates[:, None]
     responses = np.where(flips, 3 - truth[None, :], truth[None, :])
-    matrix = np.where(attempts, responses, 0)
-    ds = ResponseDataset.from_matrix(matrix, arity=2)
-    gold = GoldLabels({ds.tasks[j]: int(truth[j]) for j in range(n)})
-    return ds, gold
+    responses[~attempts] = 0
+    ds = ResponseDataset.from_matrix(responses, arity=2)
+    return ds, GoldLabels(dict(zip(ds.tasks, truth.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +239,7 @@ def _gen_kary_with_matrices(matrices, n: int, density, selectivity, rng
         rows.append(np.minimum(labels, k))
     matrix = np.where(attempts, np.stack(rows), 0)
     ds = ResponseDataset.from_matrix(matrix, arity=k)
-    gold = GoldLabels({ds.tasks[j]: int(truth[j]) for j in range(n)})
-    return KaryWorld(ds, gold, matrices, sel)
+    return KaryWorld(ds, GoldLabels(dict(zip(ds.tasks, truth.tolist()))), matrices, sel)
 
 
 @dataclass(frozen=True)
@@ -284,8 +282,7 @@ def _binary_rep(cfg: SimConfig, rep: int, weightings: Sequence[str]):
     est = np.full((len(weightings), cfg.m), np.nan)
     dev = np.full((len(weightings), cfg.m), np.nan)
     ok = np.zeros(cfg.m, dtype=bool)
-    for w, worker in enumerate(ds.workers):
-        system = build_worker_system(ds, worker)
+    for w, system in enumerate(build_worker_system(ds, ds.workers).systems):
         if system.failed:
             continue
         try:

@@ -514,7 +514,7 @@ def test_optimal_weighting_never_beaten_by_uniform():
     rng = np.random.default_rng(10)
     for rep in range(20):
         ds = simulate_binary((0.1, 0.15, 0.2, 0.25, 0.3, 0.12, 0.22), 300, rng)
-        system = build_worker_system(ds, "w1")
+        system, = build_worker_system(ds, ("w1",)).systems
         if system.failed:
             continue
         _, dev_opt, _, fallback, _ = aggregate_system(system, "optimal")
@@ -630,7 +630,7 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     masks[5:7, 450:] = rng.random((2, 450)) < 0.9
     masks[7:] = rng.random((2, n)) < 0.6
     ds = simulate_binary(np.linspace(0.05, 0.25, 9), n, rng, masks)
-    system = build_worker_system(ds, "w1")
+    system, = build_worker_system(ds, ("w1",)).systems
     assert not system.failed and len(system.triples) == 4
     stats = dataset_stats(ds)
     _, c2, c3 = stats
@@ -642,6 +642,96 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     expected = scalar_cross_triple_covariances(system.triples, stats, p_bar)
     assert np.count_nonzero(expected) > len(system.triples)
     np.testing.assert_allclose(system.covariance, expected, rtol=1e-12, atol=0.0)
+
+
+def scalar_triple_reference(stats, triple):
+    """Reference for one triple in scalar math: (p_hat, derivatives,
+    propagated variance), or None when an agreement rate is at or below
+    1/2."""
+    q, c2, c3 = stats
+    i, j1, j2 = triple
+    pairs = (frozenset((i, j1)), frozenset((i, j2)), frozenset((j1, j2)))
+    q1, q2, q3 = (q[pair] for pair in pairs)
+    n1, n2, n3 = (c2[pair] for pair in pairs)
+    shared = c3[frozenset(triple)]
+    if min(q1, q2, q3) <= 0.5:
+        return None
+
+    def invert(qa, qb, qc):
+        return max(0.0, 0.5 - 0.5 * math.sqrt((2 * qa - 1) * (2 * qb - 1) / (2 * qc - 1)))
+
+    p = (invert(q1, q2, q3), invert(q1, q3, q2), invert(q2, q3, q1))
+    a, b, c = q1 - 0.5, q2 - 0.5, q3 - 0.5
+    g = (-math.sqrt(b / (8 * a * c)), -math.sqrt(a / (8 * b * c)),
+         math.sqrt(a * b / (8 * c ** 3)))
+    cov = [[q1 * (1 - q1) / n1, 0.0, 0.0],
+           [0.0, q2 * (1 - q2) / n2, 0.0],
+           [0.0, 0.0, q3 * (1 - q3) / n3]]
+    for r, s, w, q_other, counts in ((0, 1, 0, q3, n1 * n2), (0, 2, 1, q2, n1 * n3),
+                                     (1, 2, 2, q1, n2 * n3)):
+        cov[r][s] = cov[s][r] = shared * p[w] * (1 - p[w]) * (2 * q_other - 1) / counts
+    var = sum(g[r] * cov[r][s] * g[s] for r in range(3) for s in range(3))
+    return p[0], g, var
+
+
+def test_batched_triples_equal_one_row_calls_and_scalar_reference():
+    # Three blocks of 200 tasks: w1 works on A and B, w2 on B and C, w3 on
+    # A and C, so every pair of them shares a block and the three share no
+    # task. w4..w10 work everywhere at density 0.45, and error rates near
+    # 1/2 make some of their triples fail on low agreement.
+    rng = np.random.default_rng(23)
+    n = 600
+    masks = np.zeros((10, n), dtype=bool)
+    masks[0, :400] = True
+    masks[1, 200:] = True
+    masks[2, :200] = masks[2, 400:] = True
+    masks[3:] = rng.random((7, n)) < 0.45
+    rates = (0.1, 0.1, 0.1, 0.05, 0.15, 0.3, 0.44, 0.47, 0.49, 0.5)
+    ds = simulate_binary(rates, n, rng, masks)
+    stats = dataset_stats(ds)
+    batch = build_worker_system(ds, ds.workers)
+    assert [s.worker for s in batch.systems] == list(ds.workers)
+    one_row_all = []
+    for system in batch.systems:
+        one_row = [evaluate_triple(ds, (system.worker, a, b), 0.9)[0]
+                   for a, b in greedy_pairs(ds, system.worker)]
+        one_row_all += one_row
+        # bit for bit: repr tells every float apart, -0.0 from 0.0 too
+        assert [repr(t) for t in system.triples] == [repr(t) for t in one_row if not t.failed]
+        assert system.triples_failed == sum(t.failed for t in one_row)
+    assert [repr(t) for t in batch.triples] == [repr(t) for t in one_row_all if not t.failed]
+    assert batch.triples_failed == sum(t.failed for t in one_row_all)
+    reasons = [t.reason for t in one_row_all if t.failed]
+    assert reasons and set(reasons) == {REASON_LOW_AGREEMENT}
+    assert any(stats[2][frozenset(t.triple)] == 0 for t in batch.triples)
+    for est in one_row_all:
+        reference = scalar_triple_reference(stats, est.triple)
+        if reference is None:
+            assert est.reason == REASON_LOW_AGREEMENT
+            continue
+        p_hat, derivs, var = reference
+        np.testing.assert_allclose(
+            (est.p_hat, est.d_i_j1, est.d_i_j2, est.d_j1_j2, est.dev),
+            (p_hat, *derivs, math.sqrt(var)), rtol=1e-12, atol=0.0)
+
+
+def test_min_overlap_below_one_is_rejected():
+    # w4 shares tasks only with w1; an overlap floor of 0 would pair it
+    # with w2, a worker it shares no task with.
+    matrix = np.ones((4, 40), dtype=int)
+    matrix[:3, 30:] = 0
+    matrix[3, :30] = 0
+    ds = ResponseDataset.from_matrix(matrix)
+    calls = (lambda: greedy_pairs(ds, "w4", min_overlap=0),
+             lambda: build_worker_system(ds, ds.workers, min_overlap=-1),
+             lambda: evaluate_worker(ds, "w4", 0.9, min_overlap=0),
+             lambda: evaluate_all(ds, 0.9, min_overlap=0))
+    for call in calls:
+        with pytest.raises(ValueError, match="min_overlap must be at least 1"):
+            call()
+    assert greedy_pairs(ds, "w1") == [("w2", "w3")]
+    with pytest.raises(TypeError):
+        build_worker_system(ds, "w1")
 
 
 def test_evaluate_worker_leaves_no_reference_cycle():

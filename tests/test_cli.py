@@ -128,6 +128,28 @@ def test_evaluate_exit_codes(tmp_path):
                    "--output", out) == 1
 
 
+def test_evaluate_min_overlap_below_one_is_a_usage_error(tmp_path, capsys):
+    # w4 shares tasks only with w1. With no overlap floor it would be
+    # paired with w2, a worker it shares no task with.
+    matrix = np.ones((4, 40), dtype=int)
+    matrix[:3, 30:] = 0
+    matrix[3, :30] = 0
+    matrix[1, :3] = 2
+    matrix[2, 5:9] = 2
+    src = tmp_path / "r.csv"
+    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=2)))
+    out = tmp_path / "o.json"
+    for floor in ("0", "-2"):
+        assert run_cli("evaluate", "--input", src, "--output", out,
+                       "--min-overlap", floor) == 1
+        assert "--min-overlap must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("evaluate", "--input", src, "--output", out) == 0
+    records = json.loads(out.read_text())
+    assert [r["failed"] for r in records] == [False, False, False, True]
+    assert records[3]["reason"] == "insufficient connectivity"
+
+
 def test_evaluate_non_binary_needs_label_map(tmp_path):
     world = gen_kary_responses("arity3", 1500, 1.0, rng=4)
     src = tmp_path / "kary.csv"
@@ -306,6 +328,23 @@ def test_simulate_arity_and_workers_must_match_the_run(tmp_path):
                    "--reps", "1", "--confidence", "0.8", "--output", out) == 0
     meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
     assert "# arity=3" in meta and "# m=3" in meta
+
+
+def test_simulate_weighting_only_where_it_applies(tmp_path):
+    # weight-comparison always runs both weightings and the k-ary
+    # experiments have none, so --weighting there would be ignored.
+    out = tmp_path / "o.csv"
+    for experiment in ("weight-comparison", "kary-coverage", "kary-size"):
+        assert run_cli("simulate", experiment, "--weighting", "uniform", "--reps", "1",
+                       "--output", out) == 1
+    assert not out.exists()
+    for experiment in ("coverage", "size-vs-density"):
+        assert run_cli("simulate", experiment, "--weighting", "uniform", "--n", "60",
+                       "--reps", "1", "--confidence", "0.8", "--output", out) == 0
+        assert "# weighting='uniform'" in out.read_text().splitlines()
+    assert run_cli("simulate", "weight-comparison", "--n", "60", "--reps", "1",
+                   "--confidence", "0.8", "--output", out) == 0
+    assert "# weighting='optimal'" in out.read_text().splitlines()
 
 
 def test_simulate_weight_comparison_columns(tmp_path):
