@@ -34,10 +34,8 @@ from .dataset import (
     write_responses_csv,
 )
 from .errors import (
-    ConvergenceError,
     CrowdGaugeError,
     EmptyDatasetError,
-    EstimationFailure,
     GoldLabelError,
     InsufficientConnectivityError,
     InsufficientOverlapError,
@@ -46,7 +44,7 @@ from .errors import (
     ResponseParseError,
     UnknownWorkerError,
 )
-from .kary import build_counts, kary_confidence_intervals, JACOBIAN_EPS_DEFAULT
+from .kary import build_counts, kary_confidence_intervals
 from .simulate import (
     CONFIDENCE_GRID,
     DENSITY_GRID,
@@ -61,8 +59,6 @@ from .simulate import (
 
 _PARSE_ERRORS = (ResponseParseError, ResponseConflictError, EmptyDatasetError,
                  LabelDomainError, GoldLabelError, UnknownWorkerError)
-_ESTIMATOR_ERRORS = (InsufficientConnectivityError, InsufficientOverlapError,
-                     EstimationFailure, ConvergenceError)
 
 
 class UsageError(Exception):
@@ -279,8 +275,6 @@ def _interval_cell(ci) -> dict[str, float]:
 def cmd_evaluate_kary(args) -> int:
     ds = _load_dataset(args)
     confidence = _check_confidence(args.confidence)
-    if args.epsilon <= 0:
-        raise UsageError(f"--epsilon must be positive, got {args.epsilon}")
     if args.workers:
         ids = [w.strip() for w in args.workers.split(",")]
         if len(ids) != 3 or len(set(ids)) != 3:
@@ -304,7 +298,7 @@ def cmd_evaluate_kary(args) -> int:
         counts = build_counts(ds, triple)
         record: dict[str, object] = {"workers": list(triple)}
         try:
-            report = kary_confidence_intervals(counts, confidence, args.epsilon)
+            report = kary_confidence_intervals(counts, confidence)
         except InsufficientOverlapError as exc:
             record.update(failed=True, reason=str(exc))
             records.append(record)
@@ -470,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kary.add_argument("--workers", help="three comma-separated worker ids")
     p_kary.add_argument("--auto-triples", type=int, default=None, metavar="T",
                         help="evaluate every triple sharing at least T tasks")
-    p_kary.add_argument("--epsilon", type=float, default=JACOBIAN_EPS_DEFAULT,
-                        help="finite-difference step for the Jacobian")
     p_kary.set_defaults(func=cmd_evaluate_kary)
 
     p_sim = sub.add_parser("simulate", help="synthetic interval-quality experiments")
@@ -515,9 +507,6 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _ESTIMATOR_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CrowdGaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -301,38 +301,41 @@ def _load_csv(text: str) -> ResponseDataset:
     tasks: dict[str, int] = {}
     workers: dict[str, int] = {}
     task_codes, worker_codes, labels = array("q"), array("q"), array("q")
-    for row in reader:
-        if not row:
-            continue
-        if row[0].lstrip().startswith("#"):
-            match = _ARITY_COMMENT.match(",".join(row).strip())
-            if match:
-                declared_arity = int(match.group(1))
-            continue
-        if not header_seen:
-            fields = [f.strip() for f in row]
-            if fields != _CSV_HEADER:
-                raise ResponseParseError(
-                    f"expected header {','.join(_CSV_HEADER)!r}, got {','.join(fields)!r}",
-                    reader.line_num)
-            header_seen = True
-            continue
-        if len(row) != 3:
-            raise ResponseParseError(f"expected 3 fields, got {len(row)}", reader.line_num)
-        task, worker, raw = row
-        task, worker, raw = task.strip(), worker.strip(), raw.strip()
-        if not task or not worker:
-            raise ResponseParseError("empty task or worker id", reader.line_num)
-        try:
-            label = int(raw)
-        except ValueError:
-            raise ResponseParseError(f"response {raw!r} is not an integer",
-                                     reader.line_num) from None
-        if label < 1:
-            raise LabelDomainError(f"line {reader.line_num}: label {label} is below 1")
-        task_codes.append(tasks.setdefault(task, len(tasks)))
-        worker_codes.append(workers.setdefault(worker, len(workers)))
-        labels.append(label)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if row[0].lstrip().startswith("#"):
+                match = _ARITY_COMMENT.match(",".join(row).strip())
+                if match:
+                    declared_arity = int(match.group(1))
+                continue
+            if not header_seen:
+                fields = [f.strip() for f in row]
+                if fields != _CSV_HEADER:
+                    raise ResponseParseError(
+                        f"expected header {','.join(_CSV_HEADER)!r}, got {','.join(fields)!r}",
+                        reader.line_num)
+                header_seen = True
+                continue
+            if len(row) != 3:
+                raise ResponseParseError(f"expected 3 fields, got {len(row)}", reader.line_num)
+            task, worker, raw = row
+            task, worker, raw = task.strip(), worker.strip(), raw.strip()
+            if not task or not worker:
+                raise ResponseParseError("empty task or worker id", reader.line_num)
+            try:
+                label = int(raw)
+            except ValueError:
+                raise ResponseParseError(f"response {raw!r} is not an integer",
+                                         reader.line_num) from None
+            if label < 1:
+                raise LabelDomainError(f"line {reader.line_num}: label {label} is below 1")
+            task_codes.append(tasks.setdefault(task, len(tasks)))
+            worker_codes.append(workers.setdefault(worker, len(workers)))
+            labels.append(label)
+    except csv.Error as exc:
+        raise ResponseParseError(f"malformed CSV: {exc}", reader.line_num) from None
     if not header_seen:
         raise ResponseParseError("missing header row")
     if not labels:
@@ -371,29 +374,33 @@ def load_gold(source) -> GoldLabels:
     reader = _csv_reader(_as_text(source))
     header_seen = False
     labels: dict[str, int] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        fields = [f.strip() for f in row]
-        if not header_seen:
-            if fields != _GOLD_HEADER:
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            fields = [f.strip() for f in row]
+            if not header_seen:
+                if fields != _GOLD_HEADER:
+                    raise GoldLabelError(
+                        f"line {line}: expected header {','.join(_GOLD_HEADER)!r}")
+                header_seen = True
+                continue
+            if len(fields) != 2:
+                raise GoldLabelError(f"line {line}: expected 2 fields, got {len(fields)}")
+            task, raw = fields
+            try:
+                label = int(raw)
+            except ValueError:
                 raise GoldLabelError(
-                    f"line {line}: expected header {','.join(_GOLD_HEADER)!r}")
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise GoldLabelError(f"line {line}: expected 2 fields, got {len(fields)}")
-        task, raw = fields
-        try:
-            label = int(raw)
-        except ValueError:
-            raise GoldLabelError(f"line {line}: response {raw!r} is not an integer") from None
-        if label < 1:
-            raise LabelDomainError(f"line {line}: label {label} is below 1")
-        if task in labels and labels[task] != label:
-            raise GoldLabelError(f"line {line}: conflicting gold labels for {task!r}")
-        labels[task] = label
+                    f"line {line}: response {raw!r} is not an integer") from None
+            if label < 1:
+                raise LabelDomainError(f"line {line}: label {label} is below 1")
+            if task in labels and labels[task] != label:
+                raise GoldLabelError(f"line {line}: conflicting gold labels for {task!r}")
+            labels[task] = label
+    except csv.Error as exc:
+        raise GoldLabelError(f"line {reader.line_num}: malformed CSV: {exc}") from None
     if not labels:
         raise GoldLabelError("no gold labels found")
     return GoldLabels(labels)

@@ -6,18 +6,21 @@ through S^(1/2) P_w. The product R_12 R_32^-1 R_31 is the Gram matrix of
 V_1 = S_D^(1/2) P_1, whose square root combined with per-response
 conditional slices recovers each V_w up to a common row permutation.
 The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
+`prob_estimate` returns one record per triple: V1..V3 and P1..P3 as
+(3, k, k) stacks, the selectivity, and one `KaryDiagnostics` record that
+the interval report passes on unchanged.
 
 Entrywise confidence intervals for P_w follow from the delta method: a
 numerical Jacobian of V against every count cell the recovery reads (the
 all-three-answered cells and the cells answered by exactly two workers),
 carried through the row normalization, and contracted with the multinomial
-covariance of the counts within each attempt pattern.
+covariance of the counts within each attempt pattern. The difference step
+is JACOBIAN_EPS_DEFAULT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Sequence
 
@@ -95,32 +98,6 @@ class CountsTensor:
         tensor.flags.writeable = False
         object.__setattr__(self, "counts", tensor)
 
-    @cached_property
-    def n_all_three(self) -> float:
-        """Tasks answered by all three workers."""
-        return float(self.counts[1:, 1:, 1:].sum())
-
-    @cached_property
-    def n_pair_12(self) -> float:
-        """Tasks answered by workers 1 and 2 only."""
-        return float(self.counts[1:, 1:, 0].sum())
-
-    @cached_property
-    def n_pair_23(self) -> float:
-        """Tasks answered by workers 2 and 3 only."""
-        return float(self.counts[0, 1:, 1:].sum())
-
-    @cached_property
-    def n_pair_31(self) -> float:
-        """Tasks answered by workers 3 and 1 only."""
-        return float(self.counts[1:, 0, 1:].sum())
-
-    def n_third_response(self, j3: int) -> float:
-        """Tasks answered by all three where worker 3 responded j3."""
-        if not 1 <= j3 <= self.arity:
-            raise ValueError(f"label must lie in 1..{self.arity}, got {j3}")
-        return float(self.counts[1:, 1:, j3].sum())
-
     def pattern_total(self, pattern: Sequence[int]) -> float:
         """Tasks attempted by exactly the workers flagged in `pattern`.
 
@@ -166,18 +143,6 @@ class FrequencyMatrices:
     r12: np.ndarray
     r23: np.ndarray
     r31: np.ndarray
-
-    @property
-    def r21(self) -> np.ndarray:
-        return self.r12.T
-
-    @property
-    def r32(self) -> np.ndarray:
-        return self.r23.T
-
-    @property
-    def r13(self) -> np.ndarray:
-        return self.r31.T
 
 
 def _frequency_stacks(counts: np.ndarray) -> tuple[
@@ -330,73 +295,41 @@ def _recover_many(counts: np.ndarray, k: int) -> _Recovery:
     return _Recovery(v, ok, reason, slice_failures, max_imag, permuted, sign_fixed)
 
 
-def _prob_estimate_arrays(counts: np.ndarray, k: int) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Core spectral recovery on a raw counts array.
+@dataclass(frozen=True, eq=False)
+class KaryDiagnostics:
+    """How the spectral recovery of one triple went.
 
-    Returns (v1, v2, v3, diagnostics). Soft failures raise
-    EstimationFailure; an empty pair raises InsufficientOverlapError.
+    slice_failures lists (slice, reason) for every dropped conditional
+    slice; max_imag is the largest imaginary part among the slice
+    eigensystems that passed the complex-eigensystem check; rows_permuted
+    and rows_sign_fixed say whether a kept slice had its rows reordered or
+    negated; clamped says whether some entry of V_w / rowsum(V_w) lies
+    outside [0, 1]. A failed report carries the defaults.
     """
-    rec = _recover_many(counts[None], k)
-    reason = rec.reason[0]
-    if reason == _NO_OVERLAP:
-        raise InsufficientOverlapError(
-            "each pair of the triple must share at least one task")
-    if not rec.ok[0]:
-        raise EstimationFailure(reason, f"spectral recovery failed: {reason}")
-    diagnostics = {
-        "slice_failures": tuple((j + 1, why) for j, why in enumerate(rec.slice_failures[0])
-                                if why is not None),
-        "max_imag": float(rec.max_imag[0]),
-        "rows_permuted": bool(rec.rows_permuted[0]),
-        "rows_sign_fixed": bool(rec.rows_sign_fixed[0]),
-    }
-    v1, v2, v3 = rec.v[0]
-    return v1, v2, v3, diagnostics
+
+    slice_failures: tuple[tuple[int, str], ...] = ()
+    max_imag: float = 0.0
+    rows_permuted: bool = False
+    rows_sign_fixed: bool = False
+    clamped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
 class ResponseProbEstimate:
     """Recovered response-probability matrices for a worker triple.
 
-    v1..v3 are the scaled matrices S_D^(1/2) P_w (common row order, shared
-    across workers); p1..p3 are the row-stochastic normalizations with
-    negative noise clamped; selectivity is the recovered truth distribution.
+    v_matrices[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order
+    shared by the three workers. p_matrices[w] is its row normalization;
+    a matrix with an entry outside [0, 1] is clipped and renormalized
+    (diagnostics.clamped). Both are (3, k, k) arrays. selectivity is the
+    recovered truth distribution.
     """
 
     arity: int
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
+    v_matrices: np.ndarray
+    p_matrices: np.ndarray
     selectivity: np.ndarray
-    slice_failures: tuple[tuple[int, str], ...]
-    max_imag: float
-    rows_permuted: bool
-    rows_sign_fixed: bool
-    clamped: bool
-
-    @property
-    def v_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.v1, self.v2, self.v3
-
-    @property
-    def p_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.p1, self.p2, self.p3
-
-
-def _rows_to_stochastic(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    sums = v.sum(axis=1, keepdims=True)
-    if (np.abs(sums) < 1e-12).any():
-        raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
-    p = v / sums
-    clamped = bool((p < 0.0).any() or (p > 1.0).any())
-    if clamped:
-        p = np.clip(p, 0.0, 1.0)
-        p = p / p.sum(axis=1, keepdims=True)
-    return p, clamped
+    diagnostics: KaryDiagnostics
 
 
 def recover_selectivity(v1: np.ndarray) -> np.ndarray:
@@ -418,17 +351,37 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     """Recover all three workers' response-probability matrices.
 
     Soft failures (singular frequency matrix, negative spectrum, no usable
-    slices, degenerate selectivity) raise EstimationFailure with a reason
+    slices, a zero row sum in some V) raise EstimationFailure with a reason
     code; pairs sharing no tasks raise InsufficientOverlapError.
     """
-    v1, v2, v3, diagnostics = _prob_estimate_arrays(counts.counts, counts.arity)
-    p1, c1 = _rows_to_stochastic(v1)
-    p2, c2 = _rows_to_stochastic(v2)
-    p3, c3 = _rows_to_stochastic(v3)
-    return ResponseProbEstimate(
-        arity=counts.arity, v1=v1, v2=v2, v3=v3, p1=p1, p2=p2, p3=p3,
-        selectivity=recover_selectivity(v1),
-        clamped=c1 or c2 or c3, **diagnostics)
+    rec = _recover_many(counts.counts[None], counts.arity)
+    reason = rec.reason[0]
+    if reason == _NO_OVERLAP:
+        raise InsufficientOverlapError(
+            "each pair of the triple must share at least one task")
+    if not rec.ok[0]:
+        raise EstimationFailure(reason, f"spectral recovery failed: {reason}")
+    v = rec.v[0]
+    sums = v.sum(axis=2, keepdims=True)
+    if (np.abs(sums) < 1e-12).any():
+        raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
+    p = v / sums
+    outside = ((p < 0.0) | (p > 1.0)).any(axis=(1, 2))
+    # Only a matrix that left [0, 1] is renormalized: dividing an in-range
+    # matrix by its row sums again would move its last bits.
+    if outside.any():
+        clipped = np.clip(p[outside], 0.0, 1.0)
+        p[outside] = clipped / clipped.sum(axis=2, keepdims=True)
+    diagnostics = KaryDiagnostics(
+        slice_failures=tuple((j + 1, why) for j, why in enumerate(rec.slice_failures[0])
+                             if why is not None),
+        max_imag=float(rec.max_imag[0]),
+        rows_permuted=bool(rec.rows_permuted[0]),
+        rows_sign_fixed=bool(rec.rows_sign_fixed[0]),
+        clamped=bool(outside.any()))
+    return ResponseProbEstimate(arity=counts.arity, v_matrices=v, p_matrices=p,
+                                selectivity=recover_selectivity(v[0]),
+                                diagnostics=diagnostics)
 
 
 class CountsCovariances:
@@ -476,10 +429,6 @@ class CountsCovariances:
             raise ValueError("cell (0, 0, 0) is never populated")
         return cell
 
-    def attempted_block(self) -> np.ndarray:
-        """k^3 x k^3 covariance of the all-three-answered cells, row-major."""
-        return self.pattern_block((1, 1, 1))
-
     def pattern_block(self, pattern: Sequence[int]) -> np.ndarray:
         """Covariance of one attempt pattern's cells, row-major.
 
@@ -495,11 +444,6 @@ class CountsCovariances:
         block = -np.outer(cells, cells) / total
         block[np.diag_indices_from(block)] = cells * (total - cells) / total
         return block
-
-
-def counts_covariances(counts: CountsTensor) -> CountsCovariances:
-    """Covariance accessor for a counts tensor."""
-    return CountsCovariances(counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,26 +475,6 @@ class KaryJacobian:
         return self.derivs[worker, row, col].reshape(-1)
 
 
-def _central_differences(counts: np.ndarray, k: int, cells, eps: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(3, k, k, len(cells)) derivatives of V1..V3 and per-cell usable flags.
-
-    Each cell is shifted by +eps and by -eps on copies of `counts`, and all
-    the shifted copies are recovered in one vectorized pass. Derivatives of
-    cells whose shifted recovery fails are NaN.
-    """
-    n = len(cells)
-    shifted = np.repeat(counts[None], 2 * n, axis=0)
-    idx = tuple(np.asarray(cells).T)
-    shifted[(np.arange(n),) + idx] += eps
-    shifted[(np.arange(n, 2 * n),) + idx] -= eps
-    rec = _recover_many(shifted, k)
-    usable = rec.ok[:n] & rec.ok[n:]
-    derivs = (rec.v[:n] - rec.v[n:]) / (2.0 * eps)
-    derivs[~usable] = np.nan
-    return np.moveaxis(derivs, 0, -1), usable
-
-
 def numerical_jacobian(counts: CountsTensor,
                        eps: float = JACOBIAN_EPS_DEFAULT) -> KaryJacobian:
     """Differentiate the spectral recovery against every cell it reads.
@@ -558,10 +482,11 @@ def numerical_jacobian(counts: CountsTensor,
     Those are the k^3 all-three-answered cells and the k^2 cells of each
     pair pattern in PAIR_PATTERNS (tasks answered by exactly two workers,
     which enter the pairwise frequency matrices); cells answered by one
-    worker are never read. Each cell is shifted by +-eps with a full
-    recovery run on either side. Pair patterns with no tasks are
-    skipped. The base recovery is assumed to succeed; cells whose
-    perturbed recovery fails are flagged unusable.
+    worker are never read. Each cell is shifted by +eps and by -eps on
+    copies of the counts, and all the shifted copies are recovered in one
+    vectorized pass. Pair patterns with no tasks are skipped. The base
+    recovery is assumed to succeed; cells whose perturbed recovery fails
+    are flagged unusable and their derivatives are NaN.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -570,7 +495,16 @@ def numerical_jacobian(counts: CountsTensor,
     perturbed = [PAIR_PATTERNS[p] for p in np.flatnonzero(pair_perturbed)]
     cells = [cell for pattern in ((1, 1, 1), *perturbed)
              for cell in _pattern_cells(pattern, k)]
-    all_derivs, all_usable = _central_differences(counts.counts, k, cells, eps)
+    count = len(cells)
+    shifted = np.repeat(counts.counts[None], 2 * count, axis=0)
+    idx = tuple(np.asarray(cells).T)
+    shifted[(np.arange(count),) + idx] += eps
+    shifted[(np.arange(count, 2 * count),) + idx] -= eps
+    rec = _recover_many(shifted, k)
+    all_usable = rec.ok[:count] & rec.ok[count:]
+    all_derivs = (rec.v[:count] - rec.v[count:]) / (2.0 * eps)
+    all_derivs[~all_usable] = np.nan
+    all_derivs = np.moveaxis(all_derivs, 0, -1)
     pair_derivs = np.full((3, 3, k, k, k, k), np.nan)
     pair_usable = np.zeros((3, k, k), dtype=bool)
     for n, p in enumerate(np.flatnonzero(pair_perturbed)):
@@ -602,30 +536,27 @@ class KaryDeviations:
     estimate: ResponseProbEstimate
 
 
-def kary_deviations(counts: CountsTensor,
-                    eps: float = JACOBIAN_EPS_DEFAULT) -> KaryDeviations:
+def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     """Spectral recovery plus linearized deviations of every P entry.
 
     The Jacobian of V against the all-three cells and the nonempty pair
     patterns' cells is carried through P = V / rowsum(V), then contracted
     with the block-diagonal multinomial covariance of those cells (one
     block per attempt pattern, see CountsCovariances). Raises
-    EstimationFailure when the recovery fails, when any perturbed cell's
-    recovery fails, or when a V row sum vanishes.
+    EstimationFailure when the recovery fails or when any perturbed cell's
+    recovery fails.
     """
     estimate = prob_estimate(counts)
-    jac = numerical_jacobian(counts, eps)
+    jac = numerical_jacobian(counts)
     bad = int((~jac.usable).sum() + (~jac.pair_usable[jac.pair_perturbed]).sum())
     if bad:
         raise EstimationFailure(
             REASON_JACOBIAN_FAILURE, f"{bad} perturbed cells failed to recover")
     k = counts.arity
-    v_all = np.stack(estimate.v_matrices)
+    v_all = estimate.v_matrices
     row_sums = v_all.sum(axis=2, keepdims=True)
-    if (np.abs(row_sums) < 1e-12).any():
-        raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
-    cov = counts_covariances(counts)
-    blocks = [(jac.derivs, cov.attempted_block())]
+    cov = CountsCovariances(counts)
+    blocks = [(jac.derivs, cov.pattern_block((1, 1, 1)))]
     blocks += [(jac.pair_derivs[p], cov.pattern_block(PAIR_PATTERNS[p]))
                for p in np.flatnonzero(jac.pair_perturbed)]
     p_all = v_all / row_sums
@@ -641,15 +572,6 @@ def kary_deviations(counts: CountsTensor,
         deviations=np.sqrt(np.clip(variances, 0.0, None)),
         selectivity=estimate.selectivity,
         estimate=estimate)
-
-
-@dataclass(frozen=True, eq=False)
-class KaryDiagnostics:
-    slice_failures: tuple[tuple[int, str], ...] = ()
-    max_imag: float = 0.0
-    rows_permuted: bool = False
-    rows_sign_fixed: bool = False
-    clamped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,8 +592,7 @@ class KaryReport:
     diagnostics: KaryDiagnostics
 
 
-def kary_confidence_intervals(counts: CountsTensor, confidence: float,
-                              eps: float = JACOBIAN_EPS_DEFAULT) -> KaryReport:
+def kary_confidence_intervals(counts: CountsTensor, confidence: float) -> KaryReport:
     """Full interval report for a triple's response-probability matrices.
 
     Estimation failures produce a failed report; a pair sharing no tasks
@@ -681,7 +602,7 @@ def kary_confidence_intervals(counts: CountsTensor, confidence: float,
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     try:
-        devs = kary_deviations(counts, eps)
+        devs = kary_deviations(counts)
     except EstimationFailure as exc:
         return KaryReport(arity=counts.arity, confidence=confidence, failed=True,
                           reason=exc.reason, intervals=None, selectivity=None,
@@ -697,12 +618,8 @@ def kary_confidence_intervals(counts: CountsTensor, confidence: float,
                 for c in range(counts.arity))
             for r in range(counts.arity))
         for w in range(3))
-    est = devs.estimate
     return KaryReport(
         arity=counts.arity, confidence=confidence, failed=False, reason=None,
         intervals=grids,
         selectivity=tuple(float(s) for s in devs.selectivity),
-        diagnostics=KaryDiagnostics(
-            slice_failures=est.slice_failures, max_imag=est.max_imag,
-            rows_permuted=est.rows_permuted, rows_sign_fixed=est.rows_sign_fixed,
-            clamped=est.clamped))
+        diagnostics=devs.estimate.diagnostics)

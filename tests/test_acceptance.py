@@ -19,7 +19,7 @@ from crowdgauge.binary import (
     f_derivatives,
 )
 from crowdgauge.dataset import prune_spammers
-from crowdgauge.kary import CountsTensor, counts_covariances, prob_estimate
+from crowdgauge.kary import CountsCovariances, CountsTensor, prob_estimate
 from crowdgauge.numerics import normal_quantile, optimal_weights
 from crowdgauge.simulate import (
     DENSITY_GRID,
@@ -291,7 +291,7 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
         tensor[cell] = n3 * prob
     for cell, prob in zip(cells2, probs2):
         tensor[cell] = n2 * prob
-    accessor = counts_covariances(CountsTensor(2, tensor))
+    accessor = CountsCovariances(CountsTensor(2, tensor))
     samples = np.hstack([rng.multinomial(n3, probs3, size=draws),
                          rng.multinomial(n2, probs2, size=draws)]).astype(float)
     empirical = np.cov(samples, rowvar=False)

@@ -237,6 +237,9 @@ def test_evaluate_kary_worker_selection_errors(tmp_path):
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--workers", "w1,w2,ghost") == 2
     assert run_cli("evaluate-kary", "--input", src, "--output", out) == 1
+    # the finite-difference step is not an option
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--workers", "w1,w2,w3", "--epsilon", "0.01") == 1
 
 
 def test_label_map_error_on_observed_label_is_a_usage_error(tmp_path, capsys):

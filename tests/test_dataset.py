@@ -231,6 +231,15 @@ def test_load_csv_keeps_lone_surrogates_line_ends_and_quoted_newlines():
     assert load_gold("task_id,response\nt\udc80,1\n").labels == {"t\udc80": 1}
 
 
+def test_load_csv_lone_carriage_return_is_a_parse_error():
+    # A lone "\r" inside a line is not a line end, and the csv module
+    # rejects it; the loader reports that as a parse error on its line.
+    with pytest.raises(ResponseParseError) as info:
+        load_responses("task_id,worker_id,response\nt1,w1,1\rt1,w2,2\n")
+    assert info.value.line == 2
+    assert str(info.value).startswith("line 2: ")
+
+
 def test_load_csv_arity_comment_after_header_and_blank_lines():
     text = "\ntask_id,worker_id,response\n\nt1,w1,1\n# arity=5\n\nt2,w1,2\n\n"
     ds = load_responses(text)
@@ -400,6 +409,12 @@ def test_load_gold():
         load_gold("task_id,response\nt1,1\nt1,2\n")  # conflicting gold
     with pytest.raises(GoldLabelError):
         load_gold("wrong,header\nt1,1\n")
+
+
+def test_load_gold_lone_carriage_return_is_a_gold_error():
+    with pytest.raises(GoldLabelError) as info:
+        load_gold("task_id,response\nt1,1\nt2,1\rt3,2\n")
+    assert str(info.value).startswith("line 3: ")
 
 
 def test_gold_validate_for():

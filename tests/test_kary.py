@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from crowdgauge import kary
 from crowdgauge.binary import error_rate_from_agreements
 from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
@@ -15,12 +16,12 @@ from crowdgauge.errors import (
     REASON_NO_USABLE_SLICES,
 )
 from crowdgauge.kary import (
+    CountsCovariances,
     CountsTensor,
     PAIR_PATTERNS,
     SLICE_DEGENERATE,
     _recover_many,
     build_counts,
-    counts_covariances,
     kary_confidence_intervals,
     kary_deviations,
     numerical_jacobian,
@@ -100,13 +101,11 @@ def test_build_counts_hand_tally():
     assert counts.counts[1, 0, 2] == 1
     assert counts.counts[0, 0, 0] == 0
     assert counts.counts.sum() == 5
-    assert counts.n_all_three == 2
-    assert counts.n_pair_12 == 1
-    assert counts.n_pair_23 == 1
-    assert counts.n_pair_31 == 1
-    assert counts.n_third_response(1) == 1
-    assert counts.n_third_response(3) == 1
-    assert counts.n_third_response(2) == 0
+    assert counts.pattern_total((0, 1, 1)) == 1
+    assert counts.pattern_total((1, 0, 1)) == 1
+    assert counts.counts[1:, 1:, 1].sum() == 1
+    assert counts.counts[1:, 1:, 3].sum() == 1
+    assert counts.counts[1:, 1:, 2].sum() == 0
     assert counts.pattern_total((1, 1, 1)) == 2
     assert counts.pattern_total((1, 1, 0)) == 1
 
@@ -120,7 +119,7 @@ def test_build_counts_hundred_task_layout():
     matrix[2, 10:90] = 1
     ds = ResponseDataset.from_matrix(matrix)
     counts = build_counts(ds, ("w1", "w2", "w3"))
-    assert counts.n_all_three == 60
+    assert counts.pattern_total((1, 1, 1)) == 60
     assert counts.pattern_total((1, 1, 0)) == 0
     assert counts.pattern_total((1, 0, 1)) == 10
     assert counts.pattern_total((0, 1, 1)) == 10
@@ -166,9 +165,6 @@ def test_frequency_matrices_sum_to_one_and_transpose():
     for r in (freq.r12, freq.r23, freq.r31):
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
         assert (r >= 0).all()
-    assert np.array_equal(freq.r21, freq.r12.T)
-    assert np.array_equal(freq.r32, freq.r23.T)
-    assert np.array_equal(freq.r13, freq.r31.T)
 
 
 def test_frequency_matrices_forward_model():
@@ -207,7 +203,7 @@ def test_gram_matrix_identity_on_noiseless_input():
     counts = expected_counts(ARITY3, sel)
     freq = response_frequency_matrices(counts)
     v1_true = scaled_truth(ARITY3, sel)[0]
-    gram = freq.r12 @ np.linalg.inv(freq.r32) @ freq.r31
+    gram = freq.r12 @ np.linalg.inv(freq.r23.T) @ freq.r31
     assert np.abs(gram - v1_true.T @ v1_true).max() < 1e-10
 
 
@@ -220,7 +216,7 @@ def test_prob_estimate_noiseless_identity_workers():
     for p in est.p_matrices:
         assert np.abs(p - np.eye(2)).max() < 1e-10
     assert np.allclose(est.selectivity, [0.5, 0.5], atol=1e-10)
-    assert est.slice_failures == ()
+    assert est.diagnostics.slice_failures == ()
 
 
 def test_prob_estimate_noiseless_arity2_fixture():
@@ -254,7 +250,7 @@ def test_prob_estimate_noiseless_arity4_fixture():
     sel = (0.25, 0.25, 0.25, 0.25)
     counts = expected_counts(mats, sel)
     est = prob_estimate(counts)
-    assert est.slice_failures == ((2, SLICE_DEGENERATE),)
+    assert est.diagnostics.slice_failures == ((2, SLICE_DEGENERATE),)
     for v, target in zip(est.v_matrices, scaled_truth(mats, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, mats):
@@ -385,7 +381,7 @@ def hand_covariance_tensor():
 
 
 def test_counts_covariance_hand_values():
-    cov = counts_covariances(hand_covariance_tensor())
+    cov = CountsCovariances(hand_covariance_tensor())
     assert cov.covariance((1, 1, 1), (1, 1, 1)) == pytest.approx(21.0)
     assert cov.covariance((1, 1, 1), (1, 1, 2)) == pytest.approx(-3.0)
     assert cov.covariance((1, 1, 0), (1, 1, 2)) == 0.0
@@ -395,13 +391,13 @@ def test_counts_covariance_hand_values():
 
 
 def test_counts_covariance_degenerate_pattern():
-    cov = counts_covariances(hand_covariance_tensor())
+    cov = CountsCovariances(hand_covariance_tensor())
     assert cov.covariance((0, 1, 1), (0, 1, 1)) == 0.0
     assert (0, 1, 1) in cov.degenerate_patterns
 
 
 def test_counts_covariance_rejects_bad_cells():
-    cov = counts_covariances(hand_covariance_tensor())
+    cov = CountsCovariances(hand_covariance_tensor())
     with pytest.raises(ValueError):
         cov.covariance((0, 0, 0), (1, 1, 1))
     with pytest.raises(ValueError):
@@ -410,8 +406,8 @@ def test_counts_covariance_rejects_bad_cells():
 
 def test_attempted_block_matches_scalar_covariances():
     counts = hand_covariance_tensor()
-    cov = counts_covariances(counts)
-    block = cov.attempted_block()
+    cov = CountsCovariances(counts)
+    block = cov.pattern_block((1, 1, 1))
     cells = list(product((1, 2), repeat=3))
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
@@ -420,18 +416,17 @@ def test_attempted_block_matches_scalar_covariances():
 
 def test_pattern_block_matches_scalar_covariances():
     counts = hand_covariance_tensor()
-    cov = counts_covariances(counts)
+    cov = CountsCovariances(counts)
     block = cov.pattern_block((1, 1, 0))
     cells = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
     assert block.shape == (4, 4)
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
             assert block[i, j] == pytest.approx(cov.covariance(a, b), abs=1e-12)
-    assert np.array_equal(cov.pattern_block((1, 1, 1)), cov.attempted_block())
 
 
 def test_pattern_block_empty_pattern_is_zero():
-    cov = counts_covariances(hand_covariance_tensor())
+    cov = CountsCovariances(hand_covariance_tensor())
     assert not cov.pattern_block((1, 0, 1)).any()
     assert (1, 0, 1) in cov.degenerate_patterns
 
@@ -453,7 +448,7 @@ def test_counts_covariances_match_multinomial_draws():
     tensor = np.zeros((3, 3, 3))
     tensor[1:, 1:, 1:] = (n3 * joint3).reshape(2, 2, 2)
     tensor[1:, 1:, 0] = (n2 * joint2).reshape(2, 2)
-    cov = counts_covariances(CountsTensor(2, tensor))
+    cov = CountsCovariances(CountsTensor(2, tensor))
 
     cells3 = list(product((1, 2), repeat=3))
     cells2 = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
@@ -516,7 +511,7 @@ def test_jacobian_selectivity_chain_rule():
     counts = expected_counts(ARITY2, (0.5, 0.5))
     jac = numerical_jacobian(counts, eps=0.01)
     est = prob_estimate(counts)
-    row_sums = est.v1.sum(axis=1)
+    row_sums = est.v_matrices[0].sum(axis=1)
     cell = (1, 1, 1)
     d_rows = jac.derivs[0, :, :, 0, 0, 0].sum(axis=1)
     chain = 2.0 * row_sums * d_rows
@@ -524,9 +519,9 @@ def test_jacobian_selectivity_chain_rule():
     eps = 0.005
     tensor = counts.counts.copy()
     tensor[cell] += eps
-    plus = prob_estimate(CountsTensor(2, tensor)).v1.sum(axis=1) ** 2
+    plus = prob_estimate(CountsTensor(2, tensor)).v_matrices[0].sum(axis=1) ** 2
     tensor[cell] -= 2 * eps
-    minus = prob_estimate(CountsTensor(2, tensor)).v1.sum(axis=1) ** 2
+    minus = prob_estimate(CountsTensor(2, tensor)).v_matrices[0].sum(axis=1) ** 2
     direct = (plus - minus) / (2 * eps)
     assert np.abs(chain - direct).max() < 1e-2 * max(1.0, np.abs(direct).max())
 
@@ -593,7 +588,7 @@ def test_kary_deviations_delta_method_on_p():
     counts = expected_counts(ARITY2, (0.4, 0.6), n=2000.0,
                              densities=(0.9, 0.8, 0.7))
     devs = kary_deviations(counts)
-    cov = counts_covariances(counts)
+    cov = CountsCovariances(counts)
     eps = 0.01
 
     def p_stack(tensor):
@@ -661,6 +656,28 @@ def test_kary_confidence_intervals_failure_report():
     assert report.failed
     assert report.reason == REASON_NONINVERTIBLE_FREQUENCY
     assert report.intervals is None and report.selectivity is None
+
+
+def test_report_diagnostics_are_the_estimates_and_clamped_reads_the_midpoints(
+        monkeypatch):
+    # the seed-61 sample of test_prob_estimate_rows_are_stochastic, whose
+    # unclamped rows leave [0, 1]
+    rng = np.random.default_rng(61)
+    counts = sample_counts(ARITY3, (1 / 3, 1 / 3, 1 / 3), 2000, rng)
+    seen = []
+
+    def spy(counts):
+        seen.append(kary_deviations(counts))
+        return seen[-1]
+
+    monkeypatch.setattr(kary, "kary_deviations", spy)
+    report = kary_confidence_intervals(counts, 0.9)
+    assert not report.failed
+    assert report.diagnostics is seen[0].estimate.diagnostics
+    midpoints = [ci.estimate for grid in report.intervals for row in grid for ci in row]
+    outside = any(m < 0.0 or m > 1.0 for m in midpoints)
+    assert report.diagnostics.clamped is True
+    assert report.diagnostics.clamped == outside
 
 
 def test_kary_confidence_intervals_validate_confidence():
