@@ -10,12 +10,14 @@ The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
 (3, k, k) stacks, the selectivity, and one `KaryDiagnostics` record that
 the interval report passes on unchanged.
 
-Entrywise confidence intervals for P_w follow from the delta method: a
-numerical Jacobian of V against every count cell the recovery reads (the
+Entrywise confidence intervals for P_w follow from the delta method: the
+closed-form Jacobian of V against every count cell the recovery reads (the
 all-three-answered cells and the cells answered by exactly two workers),
 carried through the row normalization, and contracted with the multinomial
-covariance of the counts within each attempt pattern. The difference step
-is JACOBIAN_EPS_DEFAULT.
+covariance of the counts within each attempt pattern. The Jacobian
+differentiates each step of the recovery in closed form, from that
+recovery's own intermediates: the frequency matrices, the inversions, the
+Gram square root, the slice eigensystems and the slice average.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ IMAG_TOL_SCALE = 1e-6
 # dropped. Only exact or near-exact ties trip it: where two population
 # eigenvalues coincide, sampling noise opens a gap far wider than this, the
 # slice passes, and the arbitrary eigenvectors of that block are averaged
-# into V1 (ROADMAP.md open item 1 weights the slices by their eigengap).
+# into V1 (ROADMAP.md open item 2 replaces the average by one well-separated
+# combination of the slices; weighting by eigengap was measured not to fix it).
 EIGENGAP_TOL_SCALE = 1e-7
-# Central-difference step applied to each differentiated count cell.
-JACOBIAN_EPS_DEFAULT = 0.01
 # Attempt patterns answered by exactly two workers (1+2, 2+3, 3+1). Their
 # cells feed the pairwise frequency matrices alongside the all-three cells.
 PAIR_PATTERNS = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
@@ -131,45 +132,19 @@ def build_counts(ds: ResponseDataset, triple: Sequence[str]) -> CountsTensor:
     return CountsTensor(ds.arity, tensor.astype(float))
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyMatrices:
-    """Pairwise response-frequency matrices over jointly answered tasks.
+def _pair_counts(counts: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Pairwise response counts (c12, c23, c31) and their totals.
 
-    r12[a, b] is the fraction of tasks both answered, out of those answered
-    by workers 1 and 2, where worker 1 said a and worker 2 said b; r23 and
-    r31 analogously. Each matrix is entrywise nonnegative and sums to 1.
+    Reads the last three axes of `counts`, so a stack of tensors gives a
+    stack of matrices. c12[a, b] counts the tasks where worker 1 said a+1
+    and worker 2 said b+1, whether or not worker 3 answered; c23 likewise,
+    and c31[c, a] has worker 3 saying c+1 and worker 1 saying a+1. The
+    pairwise frequency matrices are r12 = c12 / total12 and so on.
     """
-
-    r12: np.ndarray
-    r23: np.ndarray
-    r31: np.ndarray
-
-
-def _frequency_stacks(counts: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency matrices of a (B, k+1, k+1, k+1) counts stack.
-
-    Returns (r12, r23, r31, overlap); where overlap is False some pair
-    shares no task and that item's matrices are garbage.
-    """
-    pairs = (counts[:, 1:, 1:, :], counts[:, :, 1:, 1:], counts[:, 1:, :, 1:])
-    c12 = pairs[0].sum(axis=3)
-    c23 = pairs[1].sum(axis=1)
-    c31 = pairs[2].sum(axis=2).transpose(0, 2, 1)
-    dens = [pair.sum(axis=(1, 2, 3)) for pair in pairs]
-    overlap = np.minimum.reduce(dens) > 0
-    r12, r23, r31 = (c / np.where(overlap, den, 1.0)[:, None, None]
-                     for c, den in zip((c12, c23, c31), dens))
-    return r12, r23, r31, overlap
-
-
-def response_frequency_matrices(counts: CountsTensor) -> FrequencyMatrices:
-    """Compute the three pairwise response-frequency matrices."""
-    r12, r23, r31, overlap = _frequency_stacks(counts.counts[None])
-    if not overlap[0]:
-        raise InsufficientOverlapError(
-            "each pair of the triple must share at least one task")
-    return FrequencyMatrices(r12[0], r23[0], r31[0])
+    pairs = (counts[..., 1:, 1:, :], counts[..., :, 1:, 1:], counts[..., 1:, :, 1:])
+    matrices = (pairs[0].sum(axis=-1), pairs[1].sum(axis=-3),
+                np.swapaxes(pairs[2].sum(axis=-2), -1, -2))
+    return matrices, tuple(pair.sum(axis=(-3, -2, -1)) for pair in pairs)
 
 
 def _order_rows_by_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +152,8 @@ def _order_rows_by_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Runs per matrix of a (B, k, k) stack. Collisions fall back to the best
     still-free column, scanning rows in order (ties go to the lower
-    column). Returns the reordered stack and whether anything moved.
+    column). Returns the reordered stack and dest, where dest[b, row] is
+    the position that row of item b moved to.
     """
     count, k = v.shape[0], v.shape[1]
     items = np.arange(count)
@@ -189,110 +165,185 @@ def _order_rows_by_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         taken[items, col] = True
     out = np.empty_like(v)
     out[items[:, None], dest] = v
-    return out, (dest != np.arange(k)).any(axis=1)
-
-
-# Internal reason for a pair sharing no task; it surfaces as
-# InsufficientOverlapError, not as an EstimationFailure.
-_NO_OVERLAP = "no overlap"
+    return out, dest
 
 
 class _Recovery(NamedTuple):
-    """Per-item outcome of the spectral recovery over a counts stack.
+    """A successful spectral recovery and the intermediates its derivative uses.
 
-    v[b] stacks V1..V3 of item b and is valid only where ok[b]; otherwise
-    reason[b] is the first failure's reason and v[b] is garbage.
-    slice_failures[b, j] is the failure of conditional slice j+1 or None.
+    v stacks V1..V3. freqs holds r12, r23, r31 and pair_totals their
+    denominators; inv_r32 is R32^-1. gram_vectors and roots are the
+    eigenvectors and the square roots of the eigenvalues of the Gram
+    matrix, u1 its square root and u1_inv the inverse of u1, and u2_inv is
+    (u1_inv r12)^-1. The kept conditional slices are stacked in slice
+    order: kept holds their 0-based indices (the third worker's label less
+    1), conditionals and slice_totals their normalized counts and task
+    totals, vectors, inverses and values the eigensystem of their X, and
+    signs and dest the row signs and row destinations applied to
+    inverses @ u1. v1t_inv is (V1^T)^-1. The last four fields feed
+    KaryDiagnostics.
     """
 
     v: np.ndarray
-    ok: np.ndarray
-    reason: np.ndarray
-    slice_failures: np.ndarray
-    max_imag: np.ndarray
-    rows_permuted: np.ndarray
-    rows_sign_fixed: np.ndarray
+    freqs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pair_totals: tuple[np.ndarray, np.ndarray, np.ndarray]
+    inv_r32: np.ndarray
+    gram_vectors: np.ndarray
+    roots: np.ndarray
+    u1: np.ndarray
+    u1_inv: np.ndarray
+    u2_inv: np.ndarray
+    kept: np.ndarray
+    conditionals: np.ndarray
+    slice_totals: np.ndarray
+    vectors: np.ndarray
+    inverses: np.ndarray
+    values: np.ndarray
+    signs: np.ndarray
+    dest: np.ndarray
+    v1t_inv: np.ndarray
+    slice_failures: tuple[tuple[int, str], ...]
+    max_imag: float
+    rows_permuted: bool
+    rows_sign_fixed: bool
 
 
-def _recover_many(counts: np.ndarray, k: int) -> _Recovery:
-    """Core spectral recovery, run per item of a (B, k+1, k+1, k+1) stack.
+def _fail(reason: str) -> EstimationFailure:
+    return EstimationFailure(reason, f"spectral recovery failed: {reason}")
 
-    Every step is vectorized across the stack. An item that fails keeps
-    the first failure's reason; later steps still compute on it, but its
-    matrices are replaced by the identity before each eigendecomposition
-    so the garbage stays finite.
+
+def _recover(tensor: np.ndarray, k: int) -> _Recovery:
+    """Core spectral recovery of one (k+1, k+1, k+1) counts array.
+
+    The k conditional slices are processed as one stack. A pair sharing no
+    task raises InsufficientOverlapError; any other failure raises
+    EstimationFailure with the failed step's reason. The array is not
+    validated, so tests can recover counts shifted below zero.
     """
-    count = counts.shape[0]
-    ok = np.ones(count, dtype=bool)
-    reason = np.full(count, None, dtype=object)
-
-    def fail(mask: np.ndarray, why: str) -> None:
-        reason[mask & ok] = why
-        ok[mask] = False
-
-    def finite(stack: np.ndarray, live: np.ndarray) -> np.ndarray:
-        return np.where(live[:, None, None], stack, np.eye(k))
-
     with np.errstate(all="ignore"):
-        r12, r23, r31, overlap = _frequency_stacks(counts)
-        fail(~overlap, _NO_OVERLAP)
-        inv_r32, singular = invert_matrices(r23.transpose(0, 2, 1))
-        fail(singular, REASON_NONINVERTIBLE_FREQUENCY)
+        freqs, pair_totals = _pair_counts(tensor)
+        if min(pair_totals) <= 0:
+            raise InsufficientOverlapError(
+                "each pair of the triple must share at least one task")
+        r12, r23, r31 = (c / total for c, total in zip(freqs, pair_totals))
+        inv_r32, singular = invert_matrices(r23.T[None])
+        if singular[0]:
+            raise _fail(REASON_NONINVERTIBLE_FREQUENCY)
+        inv_r32 = inv_r32[0]
         gram = r12 @ inv_r32 @ r31
-        gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-        evecs, evals, _ = eigendecompose_many(finite(gram, ok))
-        scale = np.maximum(np.abs(gram).max(axis=(1, 2)), 1e-300)
-        fail(evals.min(axis=1) < -NEGATIVE_EIG_TOL_SCALE * scale, REASON_NEGATIVE_SPECTRUM)
+        gram = 0.5 * (gram + gram.T)
+        evecs, evals, _ = eigendecompose_many(gram[None])
+        evecs, evals = evecs[0], evals[0]
+        if evals.min() < -NEGATIVE_EIG_TOL_SCALE * max(np.abs(gram).max(), 1e-300):
+            raise _fail(REASON_NEGATIVE_SPECTRUM)
         # The Gram matrix is exactly symmetric, so evecs is orthonormal and
         # U1 = E sqrt(D) E^T is symmetric with inverse E D^-1/2 E^T.
         roots = np.sqrt(np.clip(evals, 0.0, None))
-        u1 = (evecs * roots[:, None, :]) @ evecs.transpose(0, 2, 1)
-        u1t_inv = (evecs / roots[:, None, :]) @ evecs.transpose(0, 2, 1)
-        u2_inv, singular_u2 = invert_matrices(u1t_inv @ r12)
-        singular_u1 = ~(roots[:, -1] * COND_LIMIT > roots[:, 0])
-        fail(singular_u1 | singular_u2, REASON_SINGULAR_ESTIMATE)
+        if not roots[-1] * COND_LIMIT > roots[0]:
+            raise _fail(REASON_SINGULAR_ESTIMATE)
+        u1 = (evecs * roots) @ evecs.T
+        u1_inv = (evecs / roots) @ evecs.T
+        u2_inv, singular = invert_matrices((u1_inv @ r12)[None])
+        if singular[0]:
+            raise _fail(REASON_SINGULAR_ESTIMATE)
+        u2_inv = u2_inv[0]
 
-        alive = ok.copy()
-        v1_sum = np.zeros((count, k, k))
-        used = np.zeros(count, dtype=int)
-        slice_failures = np.full((count, k), None, dtype=object)
-        max_imag = np.zeros(count)
-        permuted = np.zeros(count, dtype=bool)
-        sign_fixed = np.zeros(count, dtype=bool)
-        for j3 in range(1, k + 1):
-            live = alive.copy()
+        # slices[j] holds the counts where worker 3 said j+1.
+        slices = np.moveaxis(tensor[1:, 1:, 1:], -1, 0)
+        slice_totals = slices.sum(axis=(1, 2))
+        live = np.ones(k, dtype=bool)
+        failures = np.full(k, None, dtype=object)
 
-            def drop(mask: np.ndarray, why: str) -> None:
-                slice_failures[live & mask, j3 - 1] = why
-                live[mask] = False
+        def drop(mask: np.ndarray, why: str) -> None:
+            failures[live & mask] = why
+            live[mask] = False
 
-            n_j3 = counts[:, 1:, 1:, j3].sum(axis=(1, 2))
-            drop(n_j3 <= 0, SLICE_EMPTY)
-            conditional = counts[:, 1:, 1:, j3] / np.where(n_j3 > 0, n_j3, 1.0)[:, None, None]
-            x = u1t_inv @ conditional @ u2_inv
-            x_vecs, x_vals, x_imag = eigendecompose_many(finite(x, live))
-            drop(x_imag > IMAG_TOL_SCALE * np.maximum(np.abs(x).max(axis=(1, 2)), 1e-300),
-                 SLICE_COMPLEX)
-            max_imag = np.where(live, np.maximum(max_imag, x_imag), max_imag)
-            gaps = np.diff(np.sort(x_vals, axis=1), axis=1)
-            drop(gaps.min(axis=1) < EIGENGAP_TOL_SCALE * np.maximum(
-                np.abs(x_vals).max(axis=1), 1e-300), SLICE_DEGENERATE)
-            u_est, singular = invert_matrices(x_vecs)
-            drop(singular, SLICE_SINGULAR)
-            v1_slice = u_est @ u1
-            negative = v1_slice.sum(axis=2) < 0
-            sign_fixed |= live & negative.any(axis=1)
-            v1_slice = v1_slice * np.where(negative, -1.0, 1.0)[:, :, None]
-            v1_slice, moved = _order_rows_by_diagonal(v1_slice)
-            permuted |= live & moved
-            v1_sum[live] += v1_slice[live]
-            used += live
-        fail(alive & (used == 0), REASON_NO_USABLE_SLICES)
-        v1 = v1_sum / np.maximum(used, 1)[:, None, None]
-        v1t_inv, singular = invert_matrices(v1.transpose(0, 2, 1))
-        fail(singular, REASON_SINGULAR_ESTIMATE)
-        v = np.stack([v1, v1t_inv @ r12, v1t_inv @ r31.transpose(0, 2, 1)], axis=1)
-    return _Recovery(v, ok, reason, slice_failures, max_imag, permuted, sign_fixed)
+        drop(slice_totals <= 0, SLICE_EMPTY)
+        conditionals = slices / np.where(slice_totals > 0, slice_totals, 1.0)[:, None, None]
+        x = u1_inv @ conditionals @ u2_inv
+        vectors, values, imag = eigendecompose_many(
+            np.where(live[:, None, None], x, np.eye(k)))
+        drop(imag > IMAG_TOL_SCALE * np.maximum(np.abs(x).max(axis=(1, 2)), 1e-300),
+             SLICE_COMPLEX)
+        max_imag = float(imag[live].max(initial=0.0))
+        gaps = np.diff(np.sort(values, axis=1), axis=1)
+        drop(gaps.min(axis=1) < EIGENGAP_TOL_SCALE * np.maximum(
+            np.abs(values).max(axis=1), 1e-300), SLICE_DEGENERATE)
+        inverses, singular = invert_matrices(vectors)
+        drop(singular, SLICE_SINGULAR)
+        if not live.any():
+            raise _fail(REASON_NO_USABLE_SLICES)
+        v1_slices = inverses[live] @ u1
+        signs = np.where(v1_slices.sum(axis=2) < 0, -1.0, 1.0)
+        v1_slices, dest = _order_rows_by_diagonal(v1_slices * signs[:, :, None])
+        # Summed slice by slice, in slice order.
+        v1 = sum(v1_slices) / len(v1_slices)
+        v1t_inv, singular = invert_matrices(v1.T[None])
+        if singular[0]:
+            raise _fail(REASON_SINGULAR_ESTIMATE)
+        v1t_inv = v1t_inv[0]
+        v = np.stack([v1, v1t_inv @ r12, v1t_inv @ r31.T])
+    return _Recovery(
+        v=v, freqs=(r12, r23, r31), pair_totals=pair_totals, inv_r32=inv_r32,
+        gram_vectors=evecs, roots=roots, u1=u1, u1_inv=u1_inv, u2_inv=u2_inv,
+        kept=np.flatnonzero(live), conditionals=conditionals[live],
+        slice_totals=slice_totals[live], vectors=vectors[live], inverses=inverses[live],
+        values=values[live], signs=signs, dest=dest, v1t_inv=v1t_inv,
+        slice_failures=tuple((j + 1, why) for j, why in enumerate(failures)
+                             if why is not None),
+        max_imag=max_imag,
+        rows_permuted=bool((dest != np.arange(k)).any()),
+        rows_sign_fixed=bool((signs < 0).any()))
+
+
+def _differential(rec: _Recovery, directions: np.ndarray) -> np.ndarray:
+    """Derivative of V along each count direction, from the recovery's parts.
+
+    directions is a (D, k+1, k+1, k+1) stack of changes to the counts; the
+    result stacks the matching dV as (D, 3, k, k). Each step differentiates
+    the same step of `_recover` at its base values: the frequency ratios;
+    the inversions, by dA^-1 = -A^-1 dA A^-1; the Gram square root, by the
+    Daleckii-Krein formula; each kept slice's eigenvectors, by
+    dR = R (F o (R^-1 dX R)) with F_ij = 1 / (l_j - l_i) (Magnus, "On
+    differentiating eigenvalues and eigenvectors", Econometric Theory
+    1985), less the part that would change their unit norm; then the row
+    signs, the row order and the average over slices.
+    """
+    r12, _, r31 = rec.freqs
+    k = r12.shape[0]
+    d_freqs, d_totals = _pair_counts(directions)
+    dr12, dr23, dr31 = ((dc - r * dt[:, None, None]) / total
+                        for dc, dt, r, total in zip(d_freqs, d_totals, rec.freqs,
+                                                     rec.pair_totals))
+    m = rec.inv_r32
+    dm = -m @ dr23.transpose(0, 2, 1) @ m
+    dgram = dr12 @ m @ r31 + r12 @ dm @ r31 + r12 @ m @ dr31
+    dgram = 0.5 * (dgram + dgram.transpose(0, 2, 1))
+    e, roots = rec.gram_vectors, rec.roots
+    du1 = e @ (e.T @ dgram @ e / (roots[:, None] + roots)) @ e.T
+    du1_inv = -rec.u1_inv @ du1 @ rec.u1_inv
+    du2_inv = -rec.u2_inv @ (du1_inv @ r12 + rec.u1_inv @ dr12) @ rec.u2_inv
+
+    # Kept slices run along axis 1 from here on.
+    cond = rec.conditionals
+    d_slices = np.moveaxis(directions[:, 1:, 1:, 1:], -1, 1)[:, rec.kept]
+    d_cond = (d_slices - cond * d_slices.sum(axis=(2, 3))[..., None, None]
+              ) / rec.slice_totals[:, None, None]
+    dx = (du1_inv[:, None] @ cond @ rec.u2_inv + rec.u1_inv @ d_cond @ rec.u2_inv
+          + rec.u1_inv @ cond @ du2_inv[:, None])
+    vecs, invs = rec.vectors, rec.inverses
+    off = ~np.eye(k, dtype=bool)
+    gaps = rec.values[:, None, :] - rec.values[:, :, None]
+    coupling = np.where(off, 1.0 / np.where(off, gaps, 1.0), 0.0)
+    d_vecs = vecs @ (coupling * (invs @ dx @ vecs))
+    d_vecs -= vecs * (vecs * d_vecs).sum(axis=2, keepdims=True)
+    d_v1_slices = (-invs @ d_vecs @ invs @ rec.u1 + invs @ du1[:, None]) * rec.signs[..., None]
+    ordered = np.empty_like(d_v1_slices)
+    ordered[:, np.arange(len(rec.kept))[:, None], rec.dest] = d_v1_slices
+    dv1 = ordered.mean(axis=1)
+    dv1t_inv = -rec.v1t_inv @ dv1.transpose(0, 2, 1) @ rec.v1t_inv
+    return np.stack([dv1, dv1t_inv @ r12 + rec.v1t_inv @ dr12,
+                     dv1t_inv @ r31.T + rec.v1t_inv @ dr31.transpose(0, 2, 1)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,14 +405,8 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     slices, a zero row sum in some V) raise EstimationFailure with a reason
     code; pairs sharing no tasks raise InsufficientOverlapError.
     """
-    rec = _recover_many(counts.counts[None], counts.arity)
-    reason = rec.reason[0]
-    if reason == _NO_OVERLAP:
-        raise InsufficientOverlapError(
-            "each pair of the triple must share at least one task")
-    if not rec.ok[0]:
-        raise EstimationFailure(reason, f"spectral recovery failed: {reason}")
-    v = rec.v[0]
+    rec = _recover(counts.counts, counts.arity)
+    v = rec.v
     sums = v.sum(axis=2, keepdims=True)
     if (np.abs(sums) < 1e-12).any():
         raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
@@ -373,11 +418,8 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
         clipped = np.clip(p[outside], 0.0, 1.0)
         p[outside] = clipped / clipped.sum(axis=2, keepdims=True)
     diagnostics = KaryDiagnostics(
-        slice_failures=tuple((j + 1, why) for j, why in enumerate(rec.slice_failures[0])
-                             if why is not None),
-        max_imag=float(rec.max_imag[0]),
-        rows_permuted=bool(rec.rows_permuted[0]),
-        rows_sign_fixed=bool(rec.rows_sign_fixed[0]),
+        slice_failures=rec.slice_failures, max_imag=rec.max_imag,
+        rows_permuted=rec.rows_permuted, rows_sign_fixed=rec.rows_sign_fixed,
         clamped=bool(outside.any()))
     return ResponseProbEstimate(arity=counts.arity, v_matrices=v, p_matrices=p,
                                 selectivity=recover_selectivity(v[0]),
@@ -405,30 +447,6 @@ class CountsCovariances:
         self._counts = counts
         self.degenerate_patterns: set[tuple[int, int, int]] = set()
 
-    def covariance(self, cell_a: Sequence[int], cell_b: Sequence[int]) -> float:
-        a = self._check_cell(cell_a)
-        b = self._check_cell(cell_b)
-        pattern_a = tuple(int(x > 0) for x in a)
-        pattern_b = tuple(int(x > 0) for x in b)
-        if pattern_a != pattern_b:
-            return 0.0
-        total = self._counts.pattern_total(pattern_a)
-        if total <= 0:
-            self.degenerate_patterns.add(pattern_a)
-            return 0.0
-        count_a = float(self._counts.counts[a])
-        if a == b:
-            return count_a * (total - count_a) / total
-        return -count_a * float(self._counts.counts[b]) / total
-
-    def _check_cell(self, cell: Sequence[int]) -> tuple[int, int, int]:
-        cell = tuple(int(x) for x in cell)
-        if len(cell) != 3 or not all(0 <= x <= self._counts.arity for x in cell):
-            raise ValueError(f"cell must be three labels in 0..{self._counts.arity}")
-        if cell == (0, 0, 0):
-            raise ValueError("cell (0, 0, 0) is never populated")
-        return cell
-
     def pattern_block(self, pattern: Sequence[int]) -> np.ndarray:
         """Covariance of one attempt pattern's cells, row-major.
 
@@ -448,70 +466,60 @@ class CountsCovariances:
 
 @dataclass(frozen=True, eq=False)
 class KaryJacobian:
-    """Central-difference derivatives of the scaled matrices V1..V3.
+    """Derivatives of the scaled matrices V1..V3 against the count cells.
 
     derivs[w, i1, i2, a, b, c] is the derivative of V_{w+1}(i1, i2) with
     respect to the all-three cell counts[a+1, b+1, c+1]. usable[a, b, c] is
-    False where a perturbed recovery failed; such derivatives are NaN.
+    False where some derivative against that cell is not finite.
 
     pair_derivs[p, w, i1, i2, x, y] is the derivative of V_{w+1}(i1, i2)
     with respect to the cell of pair pattern PAIR_PATTERNS[p] where the
     first answering worker said x+1 and the second y+1 (so for pattern
     (1, 0, 1) that is counts[x+1, 0, y+1]), with pair_usable[p, x, y] its
     flag. A pair pattern with no tasks carries no sampling variance, so it
-    is not perturbed: pair_perturbed[p] is False and its entries are NaN.
+    is not differentiated: pair_perturbed[p] is False and its entries are
+    NaN.
     """
 
     arity: int
-    eps: float
     derivs: np.ndarray
     usable: np.ndarray
     pair_derivs: np.ndarray
     pair_usable: np.ndarray
     pair_perturbed: np.ndarray
 
-    def gradient(self, worker: int, row: int, col: int) -> np.ndarray:
-        """Flattened (row-major cell order) gradient of one V entry."""
-        return self.derivs[worker, row, col].reshape(-1)
 
-
-def numerical_jacobian(counts: CountsTensor,
-                       eps: float = JACOBIAN_EPS_DEFAULT) -> KaryJacobian:
+def numerical_jacobian(counts: CountsTensor) -> KaryJacobian:
     """Differentiate the spectral recovery against every cell it reads.
 
     Those are the k^3 all-three-answered cells and the k^2 cells of each
     pair pattern in PAIR_PATTERNS (tasks answered by exactly two workers,
     which enter the pairwise frequency matrices); cells answered by one
-    worker are never read. Each cell is shifted by +eps and by -eps on
-    copies of the counts, and all the shifted copies are recovered in one
-    vectorized pass. Pair patterns with no tasks are skipped. The base
-    recovery is assumed to succeed; cells whose perturbed recovery fails
-    are flagged unusable and their derivatives are NaN.
+    worker are never read. The derivatives are in closed form: the
+    recovery runs once, and every cell's unit direction is pushed through
+    the differential of each of its steps in one batched pass. Pair
+    patterns with no tasks are skipped. A failed recovery raises as in
+    prob_estimate.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     k = counts.arity
+    rec = _recover(counts.counts, k)
     pair_perturbed = np.array([counts.pattern_total(p) > 0 for p in PAIR_PATTERNS])
-    perturbed = [PAIR_PATTERNS[p] for p in np.flatnonzero(pair_perturbed)]
-    cells = [cell for pattern in ((1, 1, 1), *perturbed)
+    pairs = np.flatnonzero(pair_perturbed)
+    cells = [cell for pattern in ((1, 1, 1), *(PAIR_PATTERNS[p] for p in pairs))
              for cell in _pattern_cells(pattern, k)]
     count = len(cells)
-    shifted = np.repeat(counts.counts[None], 2 * count, axis=0)
-    idx = tuple(np.asarray(cells).T)
-    shifted[(np.arange(count),) + idx] += eps
-    shifted[(np.arange(count, 2 * count),) + idx] -= eps
-    rec = _recover_many(shifted, k)
-    all_usable = rec.ok[:count] & rec.ok[count:]
-    all_derivs = (rec.v[:count] - rec.v[count:]) / (2.0 * eps)
-    all_derivs[~all_usable] = np.nan
-    all_derivs = np.moveaxis(all_derivs, 0, -1)
+    directions = np.zeros((count, k + 1, k + 1, k + 1))
+    directions[(np.arange(count),) + tuple(np.asarray(cells).T)] = 1.0
+    with np.errstate(all="ignore"):
+        all_derivs = np.moveaxis(_differential(rec, directions), 0, -1)
+    all_usable = np.isfinite(all_derivs).all(axis=(0, 1, 2))
     pair_derivs = np.full((3, 3, k, k, k, k), np.nan)
     pair_usable = np.zeros((3, k, k), dtype=bool)
-    for n, p in enumerate(np.flatnonzero(pair_perturbed)):
+    for n, p in enumerate(pairs):
         block = slice(k ** 3 + n * k * k, k ** 3 + (n + 1) * k * k)
         pair_derivs[p] = all_derivs[..., block].reshape(3, k, k, k, k)
         pair_usable[p] = all_usable[block].reshape(k, k)
-    return KaryJacobian(arity=k, eps=float(eps),
+    return KaryJacobian(arity=k,
                         derivs=all_derivs[..., :k ** 3].reshape(3, k, k, k, k, k),
                         usable=all_usable[:k ** 3].reshape(k, k, k),
                         pair_derivs=pair_derivs, pair_usable=pair_usable,
@@ -529,10 +537,8 @@ class KaryDeviations:
     level follow as midpoint +- z * deviation.
     """
 
-    arity: int
     midpoints: np.ndarray
     deviations: np.ndarray
-    selectivity: np.ndarray
     estimate: ResponseProbEstimate
 
 
@@ -543,15 +549,15 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     patterns' cells is carried through P = V / rowsum(V), then contracted
     with the block-diagonal multinomial covariance of those cells (one
     block per attempt pattern, see CountsCovariances). Raises
-    EstimationFailure when the recovery fails or when any perturbed cell's
-    recovery fails.
+    EstimationFailure when the recovery fails or when a derivative is not
+    finite (REASON_JACOBIAN_FAILURE).
     """
     estimate = prob_estimate(counts)
     jac = numerical_jacobian(counts)
     bad = int((~jac.usable).sum() + (~jac.pair_usable[jac.pair_perturbed]).sum())
     if bad:
         raise EstimationFailure(
-            REASON_JACOBIAN_FAILURE, f"{bad} perturbed cells failed to recover")
+            REASON_JACOBIAN_FAILURE, f"{bad} count cells have non-finite derivatives")
     k = counts.arity
     v_all = estimate.v_matrices
     row_sums = v_all.sum(axis=2, keepdims=True)
@@ -567,10 +573,8 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
         grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     return KaryDeviations(
-        arity=k,
         midpoints=p_all,
         deviations=np.sqrt(np.clip(variances, 0.0, None)),
-        selectivity=estimate.selectivity,
         estimate=estimate)
 
 
@@ -621,5 +625,5 @@ def kary_confidence_intervals(counts: CountsTensor, confidence: float) -> KaryRe
     return KaryReport(
         arity=counts.arity, confidence=confidence, failed=False, reason=None,
         intervals=grids,
-        selectivity=tuple(float(s) for s in devs.selectivity),
+        selectivity=tuple(float(s) for s in devs.estimate.selectivity),
         diagnostics=devs.estimate.diagnostics)

@@ -117,27 +117,6 @@ def propagated_deviation(gradient: Sequence[float] | np.ndarray,
     return math.sqrt(max(var, 0.0))
 
 
-def delta_method_ci(estimate: float,
-                    gradient: Sequence[float] | np.ndarray,
-                    covariance: Matrix,
-                    confidence: float) -> ConfidenceInterval:
-    """Two-sided interval estimate +- z * sqrt(g^T C g) at the given level.
-
-    The multiplier z is the |normal quantile| at (1 - confidence) / 2. A
-    negative quadratic form beyond the clamp tolerance yields a failed
-    interval rather than an exception.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    try:
-        dev = propagated_deviation(gradient, covariance)
-    except EstimationFailure as exc:
-        return ConfidenceInterval.failure(confidence, exc.reason)
-    z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    return ConfidenceInterval(confidence=confidence, estimate=float(estimate),
-                              half_width=z * dev)
-
-
 def invert_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert each matrix of a (B, n, n) stack.
 

@@ -19,7 +19,7 @@ from crowdgauge.binary import (
     f_derivatives,
 )
 from crowdgauge.dataset import prune_spammers
-from crowdgauge.kary import CountsCovariances, CountsTensor, prob_estimate
+from crowdgauge.kary import CountsCovariances, CountsTensor, _pattern_cells, prob_estimate
 from crowdgauge.numerics import normal_quantile, optimal_weights
 from crowdgauge.simulate import (
     DENSITY_GRID,
@@ -292,15 +292,23 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
     for cell, prob in zip(cells2, probs2):
         tensor[cell] = n2 * prob
     accessor = CountsCovariances(CountsTensor(2, tensor))
+
+    def covariance(a, b):
+        pattern = tuple(int(x > 0) for x in a)
+        if pattern != tuple(int(x > 0) for x in b):
+            return 0.0
+        pattern_cells = _pattern_cells(pattern, 2)
+        return accessor.pattern_block(pattern)[pattern_cells.index(a), pattern_cells.index(b)]
+
     samples = np.hstack([rng.multinomial(n3, probs3, size=draws),
                          rng.multinomial(n2, probs2, size=draws)]).astype(float)
     empirical = np.cov(samples, rowvar=False)
     cells = cells3 + cells2
     for a, cell_a in enumerate(cells):
         for b, cell_b in enumerate(cells):
-            expected = accessor.covariance(cell_a, cell_b)
-            var_a = accessor.covariance(cell_a, cell_a)
-            var_b = accessor.covariance(cell_b, cell_b)
+            expected = covariance(cell_a, cell_b)
+            var_a = covariance(cell_a, cell_a)
+            var_b = covariance(cell_b, cell_b)
             se = math.sqrt((var_a * var_b + expected ** 2) / (draws - 1))
             checked += 1
             within += int(abs(empirical[a, b] - expected) <= 3.0 * se)

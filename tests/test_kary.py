@@ -12,6 +12,7 @@ from crowdgauge.errors import (
     EstimationFailure,
     InsufficientOverlapError,
     REASON_DEGENERATE_SELECTIVITY,
+    REASON_JACOBIAN_FAILURE,
     REASON_NONINVERTIBLE_FREQUENCY,
     REASON_NO_USABLE_SLICES,
 )
@@ -20,16 +21,16 @@ from crowdgauge.kary import (
     CountsTensor,
     PAIR_PATTERNS,
     SLICE_DEGENERATE,
-    _recover_many,
+    _pattern_cells,
+    _recover,
     build_counts,
     kary_confidence_intervals,
     kary_deviations,
     numerical_jacobian,
     prob_estimate,
     recover_selectivity,
-    response_frequency_matrices,
 )
-from crowdgauge.simulate import WORKER_MATRIX_FIXTURES
+from crowdgauge.simulate import WORKER_MATRIX_FIXTURES, _gen_kary_with_matrices
 
 ARITY2 = WORKER_MATRIX_FIXTURES["arity2"]
 ARITY3 = WORKER_MATRIX_FIXTURES["arity3"]
@@ -72,6 +73,11 @@ def sample_counts(matrices, selectivity, n, rng):
         responses.append(np.minimum(labels, k))
     np.add.at(tensor, (responses[0], responses[1], responses[2]), 1.0)
     return CountsTensor(k, tensor)
+
+
+def frequency_matrices(counts):
+    """The pairwise frequency matrices (r12, r23, r31) the recovery reads."""
+    return _recover(counts.counts, counts.arity).freqs
 
 
 def scaled_truth(matrices, selectivity):
@@ -153,16 +159,13 @@ def test_counts_tensor_validation():
 
 def test_frequency_matrices_identity_workers():
     counts = expected_counts([np.eye(2)] * 3, (0.5, 0.5))
-    freq = response_frequency_matrices(counts)
-    assert np.allclose(freq.r12, np.diag([0.5, 0.5]), atol=1e-12)
-    assert np.allclose(freq.r23, np.diag([0.5, 0.5]), atol=1e-12)
-    assert np.allclose(freq.r31, np.diag([0.5, 0.5]), atol=1e-12)
+    for r in frequency_matrices(counts):
+        assert np.allclose(r, np.diag([0.5, 0.5]), atol=1e-12)
 
 
 def test_frequency_matrices_sum_to_one_and_transpose():
     counts = expected_counts(ARITY3, (0.2, 0.5, 0.3))
-    freq = response_frequency_matrices(counts)
-    for r in (freq.r12, freq.r23, freq.r31):
+    for r in frequency_matrices(counts):
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
         assert (r >= 0).all()
 
@@ -172,19 +175,19 @@ def test_frequency_matrices_forward_model():
     sel = np.array([0.5, 0.5])
     rng = np.random.default_rng(60)
     counts = sample_counts(ARITY2, sel, 100_000, rng)
-    freq = response_frequency_matrices(counts)
+    r12, r23, r31 = frequency_matrices(counts)
     p1, p2, p3 = (np.asarray(m, float) for m in ARITY2)
-    assert np.abs(freq.r12 - p1.T @ np.diag(sel) @ p2).max() < 0.01
-    assert np.abs(freq.r23 - p2.T @ np.diag(sel) @ p3).max() < 0.01
-    assert np.abs(freq.r31 - p3.T @ np.diag(sel) @ p1).max() < 0.01
+    assert np.abs(r12 - p1.T @ np.diag(sel) @ p2).max() < 0.01
+    assert np.abs(r23 - p2.T @ np.diag(sel) @ p3).max() < 0.01
+    assert np.abs(r31 - p3.T @ np.diag(sel) @ p1).max() < 0.01
 
 
 def test_frequency_matrices_pair_only_tasks_count():
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(1.0, 1.0, 0.5))
-    freq = response_frequency_matrices(counts)
+    r12 = frequency_matrices(counts)[0]
     p1, p2 = (np.asarray(m, float) for m in ARITY2[:2])
     # worker 3's absences do not bias the 1-2 pair frequencies
-    assert np.allclose(freq.r12, p1.T @ np.diag([0.5, 0.5]) @ p2, atol=1e-12)
+    assert np.allclose(r12, p1.T @ np.diag([0.5, 0.5]) @ p2, atol=1e-12)
 
 
 def test_frequency_matrices_need_overlap():
@@ -192,7 +195,7 @@ def test_frequency_matrices_need_overlap():
     tensor[1, 1, 0] = 5.0  # only workers 1 and 2 ever answer together
     tensor[1, 0, 0] = 3.0
     with pytest.raises(InsufficientOverlapError):
-        response_frequency_matrices(CountsTensor(2, tensor))
+        frequency_matrices(CountsTensor(2, tensor))
 
 
 # -- spectral recovery -------------------------------------------------------
@@ -201,9 +204,9 @@ def test_frequency_matrices_need_overlap():
 def test_gram_matrix_identity_on_noiseless_input():
     sel = (0.3, 0.2, 0.5)
     counts = expected_counts(ARITY3, sel)
-    freq = response_frequency_matrices(counts)
+    r12, r23, r31 = frequency_matrices(counts)
     v1_true = scaled_truth(ARITY3, sel)[0]
-    gram = freq.r12 @ np.linalg.inv(freq.r23.T) @ freq.r31
+    gram = r12 @ np.linalg.inv(r23.T) @ r31
     assert np.abs(gram - v1_true.T @ v1_true).max() < 1e-10
 
 
@@ -301,21 +304,6 @@ def test_prob_estimate_constant_worker_fails():
     assert info.value.reason == REASON_NONINVERTIBLE_FREQUENCY
 
 
-def test_recovery_stack_items_are_independent():
-    # a failing item in a stacked recovery leaves its neighbours untouched
-    constant = np.zeros((3, 3, 3))
-    constant[1, 1, 1], constant[1, 2, 1] = 40.0, 10.0
-    constant[2, 1, 1], constant[2, 2, 1] = 12.0, 38.0
-    good = [expected_counts(ARITY2, (0.5, 0.5)).counts,
-            expected_counts(ARITY2, (0.3, 0.7), densities=(0.9, 0.8, 0.7)).counts]
-    rec = _recover_many(np.stack([good[0], constant, good[1]]), 2)
-    assert rec.ok.tolist() == [True, False, True]
-    assert rec.reason.tolist() == [None, REASON_NONINVERTIBLE_FREQUENCY, None]
-    for item, counts in ((0, good[0]), (2, good[1])):
-        alone = prob_estimate(CountsTensor(2, counts)).v_matrices
-        assert np.array_equal(rec.v[item], np.stack(alone))
-
-
 def test_recover_selectivity_diagonal():
     s = recover_selectivity(np.diag([1 / math.sqrt(2)] * 2))
     assert np.allclose(s, [0.5, 0.5], atol=1e-12)
@@ -380,28 +368,46 @@ def hand_covariance_tensor():
     return CountsTensor(2, tensor)
 
 
+def scalar_covariance(counts, cell_a, cell_b):
+    """Multinomial covariance of two count cells, the oracle for pattern_block."""
+    pattern = tuple(int(x > 0) for x in cell_a)
+    if pattern != tuple(int(x > 0) for x in cell_b):
+        return 0.0
+    total = counts.pattern_total(pattern)
+    if total <= 0:
+        return 0.0
+    count_a = float(counts.counts[tuple(cell_a)])
+    if tuple(cell_a) == tuple(cell_b):
+        return count_a * (total - count_a) / total
+    return -count_a * float(counts.counts[tuple(cell_b)]) / total
+
+
 def test_counts_covariance_hand_values():
+    # row-major cells: (1, 1, 1) is index 0 and (1, 1, 2) index 1 of the
+    # all-three block; (1, 1, 0) is 0 and (2, 1, 0) is 2 of the 1+2 block
     cov = CountsCovariances(hand_covariance_tensor())
-    assert cov.covariance((1, 1, 1), (1, 1, 1)) == pytest.approx(21.0)
-    assert cov.covariance((1, 1, 1), (1, 1, 2)) == pytest.approx(-3.0)
-    assert cov.covariance((1, 1, 0), (1, 1, 2)) == 0.0
-    assert cov.covariance((1, 1, 0), (1, 1, 0)) == pytest.approx(20 * 5 / 25)
-    assert cov.covariance((1, 1, 0), (2, 1, 0)) == pytest.approx(-20 * 5 / 25)
-    assert cov.covariance((1, 1, 2), (1, 1, 1)) == pytest.approx(-3.0)
+    attempted = cov.pattern_block((1, 1, 1))
+    assert attempted[0, 0] == pytest.approx(21.0)
+    assert attempted[0, 1] == pytest.approx(-3.0)
+    assert attempted[1, 0] == pytest.approx(-3.0)
+    pair = cov.pattern_block((1, 1, 0))
+    assert pair[0, 0] == pytest.approx(20 * 5 / 25)
+    assert pair[0, 2] == pytest.approx(-20 * 5 / 25)
 
 
 def test_counts_covariance_degenerate_pattern():
     cov = CountsCovariances(hand_covariance_tensor())
-    assert cov.covariance((0, 1, 1), (0, 1, 1)) == 0.0
+    assert not cov.pattern_block((0, 1, 1)).any()
     assert (0, 1, 1) in cov.degenerate_patterns
 
 
 def test_counts_covariance_rejects_bad_cells():
+    # a pattern selects cells by three 0/1 flags; anything else is refused
     cov = CountsCovariances(hand_covariance_tensor())
     with pytest.raises(ValueError):
-        cov.covariance((0, 0, 0), (1, 1, 1))
+        cov.pattern_block((2, 1, 1))
     with pytest.raises(ValueError):
-        cov.covariance((3, 1, 1), (1, 1, 1))
+        cov.pattern_block((1, 1))
 
 
 def test_attempted_block_matches_scalar_covariances():
@@ -411,7 +417,7 @@ def test_attempted_block_matches_scalar_covariances():
     cells = list(product((1, 2), repeat=3))
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
-            assert block[i, j] == pytest.approx(cov.covariance(a, b), abs=1e-12)
+            assert block[i, j] == pytest.approx(scalar_covariance(counts, a, b), abs=1e-12)
 
 
 def test_pattern_block_matches_scalar_covariances():
@@ -422,7 +428,7 @@ def test_pattern_block_matches_scalar_covariances():
     assert block.shape == (4, 4)
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
-            assert block[i, j] == pytest.approx(cov.covariance(a, b), abs=1e-12)
+            assert block[i, j] == pytest.approx(scalar_covariance(counts, a, b), abs=1e-12)
 
 
 def test_pattern_block_empty_pattern_is_zero():
@@ -450,33 +456,95 @@ def test_counts_covariances_match_multinomial_draws():
     tensor[1:, 1:, 0] = (n2 * joint2).reshape(2, 2)
     cov = CountsCovariances(CountsTensor(2, tensor))
 
+    def covariance(a, b):
+        pattern = tuple(int(x > 0) for x in a)
+        if pattern != tuple(int(x > 0) for x in b):
+            return 0.0
+        cells = _pattern_cells(pattern, 2)
+        return cov.pattern_block(pattern)[cells.index(a), cells.index(b)]
+
     cells3 = list(product((1, 2), repeat=3))
     cells2 = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
     empirical3 = np.cov(draws3.T)
     empirical2 = np.cov(draws2.T)
     for i, a in enumerate(cells3):
         for j, b in enumerate(cells3):
-            formula = cov.covariance(a, b)
-            se = math.sqrt((cov.covariance(a, a) * cov.covariance(b, b)
+            formula = covariance(a, b)
+            se = math.sqrt((covariance(a, a) * covariance(b, b)
                             + formula ** 2) / (reps - 1))
             assert abs(empirical3[i, j] - formula) <= 3 * se, (a, b)
     for i, a in enumerate(cells2):
         for j, b in enumerate(cells2):
-            formula = cov.covariance(a, b)
-            se = math.sqrt((cov.covariance(a, a) * cov.covariance(b, b)
+            formula = covariance(a, b)
+            se = math.sqrt((covariance(a, a) * covariance(b, b)
                             + formula ** 2) / (reps - 1))
             assert abs(empirical2[i, j] - formula) <= 3 * se, (a, b)
     # cross-pattern: independent multinomials
     for i, a in enumerate(cells3[:2]):
         for j, b in enumerate(cells2[:2]):
             empirical = np.cov(draws3[:, i], draws2[:, j])[0, 1]
-            assert cov.covariance(a, b) == 0.0
-            se = math.sqrt(cov.covariance(a, a) * cov.covariance(b, b)
+            assert covariance(a, b) == 0.0
+            se = math.sqrt(covariance(a, a) * covariance(b, b)
                            / (reps - 1))
             assert abs(empirical) <= 3 * se, (a, b)
 
 
 # -- jacobian ----------------------------------------------------------------
+
+
+def jacobian_columns(jac):
+    """(3, k, k, D) derivatives: the all-three cells, then each differentiated pair pattern."""
+    k = jac.arity
+    blocks = [jac.derivs.reshape(3, k, k, -1)]
+    blocks += [jac.pair_derivs[p].reshape(3, k, k, -1)
+               for p in np.flatnonzero(jac.pair_perturbed)]
+    return np.concatenate(blocks, axis=-1)
+
+
+def central_differences(counts, eps):
+    """Oracle for jacobian_columns: (V(c + eps) - V(c - eps)) / 2 eps per cell.
+
+    Runs the recovery behind prob_estimate on the raw shifted arrays, since
+    an empty cell shifted by -eps is no valid CountsTensor.
+    """
+    k = counts.arity
+    patterns = [(1, 1, 1)] + [p for p in PAIR_PATTERNS if counts.pattern_total(p) > 0]
+    columns = []
+    for cell in (c for p in patterns for c in _pattern_cells(p, k)):
+        tensor = counts.counts.copy()
+        tensor[cell] += eps
+        plus = _recover(tensor, k).v
+        tensor[cell] -= 2 * eps
+        columns.append((plus - _recover(tensor, k).v) / (2 * eps))
+    return np.stack(columns, axis=-1)
+
+
+def oracle_cases():
+    sel3 = (0.2, 0.5, 0.3)
+    for name, matrices, sel in (("arity2", ARITY2, (0.5, 0.5)), ("arity3", ARITY3, sel3)):
+        for dens in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7)):
+            yield f"expected-{name}-{dens[2]}", expected_counts(matrices, sel, densities=dens)
+    for k in (2, 3, 4):
+        for seed in range(5):
+            world = _gen_kary_with_matrices(WORKER_MATRIX_FIXTURES[f"arity{k}"], 3000,
+                                            [0.9, 0.8, 0.7], None, seed)
+            yield f"sample-arity{k}-{seed}", build_counts(world.dataset, world.dataset.workers)
+
+
+def test_jacobian_matches_central_differences():
+    # the closed form is the limit of central differences: within 1e-6 of
+    # max|J| at eps 1e-3 up to k = 3 and within 1e-4 at k = 4, where the
+    # differences' own O(eps^2) error is largest; there it falls about 100x
+    # from eps 1e-2 to 1e-3
+    for name, counts in oracle_cases():
+        closed = jacobian_columns(numerical_jacobian(counts))
+        scale = np.abs(closed).max()
+        error = np.abs(closed - central_differences(counts, 1e-3)).max()
+        bound = 1e-4 if counts.arity == 4 else 1e-6
+        assert error <= bound * scale, (name, error / scale)
+        if counts.arity == 4:
+            coarse = np.abs(closed - central_differences(counts, 1e-2)).max()
+            assert 50 < coarse / error < 200, (name, coarse / error)
 
 
 def test_jacobian_restores_counts():
@@ -489,10 +557,13 @@ def test_jacobian_restores_counts():
 
 
 def test_jacobian_step_halving():
-    counts = expected_counts(ARITY2, (0.5, 0.5))
-    coarse = numerical_jacobian(counts, eps=0.01)
-    fine = numerical_jacobian(counts, eps=0.005)
-    assert np.abs(coarse.derivs - fine.derivs).max() < 1e-3
+    # central differences approach the closed form at O(eps^2): halving
+    # the step quarters their error
+    counts = expected_counts(ARITY3, (0.2, 0.5, 0.3))
+    closed = jacobian_columns(numerical_jacobian(counts))
+    coarse = np.abs(closed - central_differences(counts, 0.01)).max()
+    fine = np.abs(closed - central_differences(counts, 0.005)).max()
+    assert 3.5 < coarse / fine < 4.5
 
 
 def test_jacobian_label_flip_symmetry():
@@ -509,7 +580,7 @@ def test_jacobian_selectivity_chain_rule():
     # chain rule through the jacobian matches a direct finite difference
     # of the squared V1 row sums against one perturbed cell
     counts = expected_counts(ARITY2, (0.5, 0.5))
-    jac = numerical_jacobian(counts, eps=0.01)
+    jac = numerical_jacobian(counts)
     est = prob_estimate(counts)
     row_sums = est.v_matrices[0].sum(axis=1)
     cell = (1, 1, 1)
@@ -523,16 +594,7 @@ def test_jacobian_selectivity_chain_rule():
     tensor[cell] -= 2 * eps
     minus = prob_estimate(CountsTensor(2, tensor)).v_matrices[0].sum(axis=1) ** 2
     direct = (plus - minus) / (2 * eps)
-    assert np.abs(chain - direct).max() < 1e-2 * max(1.0, np.abs(direct).max())
-
-
-def test_jacobian_gradient_accessor():
-    counts = expected_counts(ARITY2, (0.5, 0.5))
-    jac = numerical_jacobian(counts)
-    grad = jac.gradient(1, 0, 1)
-    assert grad.shape == (8,)
-    assert grad[0] == jac.derivs[1, 0, 1, 0, 0, 0]
-    assert grad[-1] == jac.derivs[1, 0, 1, 1, 1, 1]
+    assert np.abs(chain - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
 
 def test_jacobian_skips_empty_pair_patterns():
@@ -545,27 +607,55 @@ def test_jacobian_skips_empty_pair_patterns():
 
 def test_jacobian_pair_cells_match_direct_differences():
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
-    jac = numerical_jacobian(counts, eps=0.01)
+    jac = numerical_jacobian(counts)
     assert jac.pair_perturbed.all() and jac.pair_usable.all()
     assert jac.pair_derivs.shape == (3, 3, 2, 2, 2, 2)
+    scale = np.abs(jac.pair_derivs).max()
     # pattern (1, 0, 1): x is worker 1's label, y is worker 3's
     p = PAIR_PATTERNS.index((1, 0, 1))
     tensor = counts.counts.copy()
-    tensor[2, 0, 1] += 0.01
+    tensor[2, 0, 1] += 1e-3
     plus = prob_estimate(CountsTensor(2, tensor)).v_matrices
-    tensor[2, 0, 1] -= 0.02
+    tensor[2, 0, 1] -= 2e-3
     minus = prob_estimate(CountsTensor(2, tensor)).v_matrices
     for w in range(3):
-        direct = (plus[w] - minus[w]) / 0.02
-        assert np.abs(jac.pair_derivs[p, w, :, :, 1, 0] - direct).max() < 1e-12
+        direct = (plus[w] - minus[w]) / 2e-3
+        assert np.abs(jac.pair_derivs[p, w, :, :, 1, 0] - direct).max() < 1e-6 * scale
     # a pair-only cell moves the estimate, so it carries real derivatives
-    assert np.abs(jac.pair_derivs).max() > 1e-4
+    assert scale > 1e-4
 
 
-def test_jacobian_rejects_bad_eps():
-    counts = expected_counts(ARITY2, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        numerical_jacobian(counts, eps=0.0)
+def test_jacobian_raises_when_the_recovery_fails():
+    # worker 3 answers 1 on every task, so R32 is singular: the Jacobian
+    # raises the recovery's reason rather than returning NaN derivatives
+    tensor = np.zeros((3, 3, 3))
+    tensor[1, 1, 1] = 40.0
+    tensor[1, 2, 1] = 10.0
+    tensor[2, 1, 1] = 12.0
+    tensor[2, 2, 1] = 38.0
+    with pytest.raises(EstimationFailure) as info:
+        numerical_jacobian(CountsTensor(2, tensor))
+    assert info.value.reason == REASON_NONINVERTIBLE_FREQUENCY
+
+
+def test_non_finite_derivatives_fail_the_report(monkeypatch):
+    # a derivative that overflows marks its cell unusable, and the report
+    # fails with the Jacobian reason instead of printing a NaN interval
+    counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
+    differential = kary._differential
+
+    def overflowing(rec, directions):
+        dv = differential(rec, directions)
+        dv[-1, 0, 0, 0] = np.inf
+        return dv
+
+    monkeypatch.setattr(kary, "_differential", overflowing)
+    jac = numerical_jacobian(counts)
+    assert jac.usable.all()
+    assert (~jac.pair_usable[jac.pair_perturbed]).sum() == 1
+    report = kary_confidence_intervals(counts, 0.9)
+    assert report.failed
+    assert report.reason == REASON_JACOBIAN_FAILURE
 
 
 # -- deviations and intervals ------------------------------------------------
@@ -578,7 +668,6 @@ def test_kary_deviations_normalized():
     assert devs.midpoints.shape == (3, 3, 3)
     assert np.allclose(devs.midpoints.sum(axis=2), 1.0, atol=1e-9)
     assert (devs.deviations >= 0).all()
-    assert np.array_equal(devs.selectivity, devs.estimate.selectivity)
 
 
 def test_kary_deviations_delta_method_on_p():

@@ -6,7 +6,6 @@ import pytest
 from crowdgauge.errors import EstimationFailure
 from crowdgauge.numerics import (
     ConfidenceInterval,
-    delta_method_ci,
     eigendecompose_many,
     invert_matrices,
     normal_quantile,
@@ -84,6 +83,16 @@ def test_propagated_deviation_rejects_negative_variance():
 def test_propagated_deviation_clamps_tiny_negatives():
     cov = np.array([[1e-16, 0.0], [0.0, -1e-16]])
     assert propagated_deviation([0.0, 1.0], cov) == 0.0
+
+
+def delta_method_ci(estimate, gradient, covariance, confidence):
+    """An interval built as the pipelines build theirs: estimate +- z sqrt(g'Cg)."""
+    try:
+        dev = propagated_deviation(gradient, covariance)
+    except EstimationFailure as exc:
+        return ConfidenceInterval.failure(confidence, exc.reason)
+    z = abs(normal_quantile((1.0 - confidence) / 2.0))
+    return ConfidenceInterval(confidence=confidence, estimate=estimate, half_width=z * dev)
 
 
 def test_delta_method_ci_half_width():
