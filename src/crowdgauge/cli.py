@@ -40,6 +40,7 @@ from .errors import (
     InsufficientConnectivityError,
     InsufficientOverlapError,
     LabelDomainError,
+    REASON_INSUFFICIENT_OVERLAP,
     ResponseConflictError,
     ResponseParseError,
     UnknownWorkerError,
@@ -299,8 +300,8 @@ def cmd_evaluate_kary(args) -> int:
         record: dict[str, object] = {"workers": list(triple)}
         try:
             report = kary_confidence_intervals(counts, confidence)
-        except InsufficientOverlapError as exc:
-            record.update(failed=True, reason=str(exc))
+        except InsufficientOverlapError:
+            record.update(failed=True, reason=REASON_INSUFFICIENT_OVERLAP)
             records.append(record)
             continue
         record["failed"] = report.failed

@@ -69,6 +69,7 @@ REASON_INSUFFICIENT_CONNECTIVITY = "insufficient connectivity"
 REASON_NO_USABLE_TRIPLES = "no usable triples"
 REASON_NONINVERTIBLE_FREQUENCY = "non-invertible response frequency matrix"
 REASON_NEGATIVE_SPECTRUM = "negative spectrum"
+REASON_EIGEN_NONCONVERGENCE = "eigendecomposition did not converge"
 REASON_NO_USABLE_SLICES = "no usable conditional slices"
 REASON_DEGENERATE_SELECTIVITY = "degenerate selectivity"
 REASON_JACOBIAN_FAILURE = "jacobian failure"

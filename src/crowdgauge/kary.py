@@ -7,8 +7,9 @@ V_1 = S_D^(1/2) P_1, whose square root combined with per-response
 conditional slices recovers each V_w up to a common row permutation.
 The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
 `prob_estimate` returns one record per triple: V1..V3 and P1..P3 as
-(3, k, k) stacks, the selectivity, and one `KaryDiagnostics` record that
-the interval report passes on unchanged.
+(3, k, k) stacks, the selectivity, one `KaryDiagnostics` record that the
+interval report passes on unchanged, and the counts and the recovery's
+intermediates that the Jacobian needs.
 
 Entrywise confidence intervals for P_w follow from the delta method: the
 closed-form Jacobian of V against every count cell the recovery reads (the
@@ -17,7 +18,9 @@ carried through the row normalization, and contracted with the multinomial
 covariance of the counts within each attempt pattern. The Jacobian
 differentiates each step of the recovery in closed form, from that
 recovery's own intermediates: the frequency matrices, the inversions, the
-Gram square root, the slice eigensystems and the slice average.
+Gram square root, the slice eigensystems and the slice average. A triple
+is recovered once: that one recovery feeds the estimate, the Jacobian and
+the covariance contraction.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import numpy as np
 
 from .dataset import ResponseDataset
 from .errors import (
+    ConvergenceError,
     EstimationFailure,
     InsufficientOverlapError,
     REASON_DEGENERATE_SELECTIVITY,
+    REASON_EIGEN_NONCONVERGENCE,
     REASON_JACOBIAN_FAILURE,
     REASON_NEGATIVE_SPECTRUM,
     REASON_NO_USABLE_SLICES,
@@ -212,13 +217,22 @@ def _fail(reason: str) -> EstimationFailure:
     return EstimationFailure(reason, f"spectral recovery failed: {reason}")
 
 
+def _eigendecompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eigendecompose_many, with non-convergence as a failed recovery."""
+    try:
+        return eigendecompose_many(stack)
+    except ConvergenceError as exc:
+        raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE, str(exc)) from exc
+
+
 def _recover(tensor: np.ndarray, k: int) -> _Recovery:
     """Core spectral recovery of one (k+1, k+1, k+1) counts array.
 
     The k conditional slices are processed as one stack. A pair sharing no
-    task raises InsufficientOverlapError; any other failure raises
-    EstimationFailure with the failed step's reason. The array is not
-    validated, so tests can recover counts shifted below zero.
+    task raises InsufficientOverlapError; any other failure, an
+    eigensolver that does not converge included, raises EstimationFailure
+    with the failed step's reason. The array is not validated, so tests
+    can recover counts shifted below zero.
     """
     with np.errstate(all="ignore"):
         freqs, pair_totals = _pair_counts(tensor)
@@ -232,7 +246,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         inv_r32 = inv_r32[0]
         gram = r12 @ inv_r32 @ r31
         gram = 0.5 * (gram + gram.T)
-        evecs, evals, _ = eigendecompose_many(gram[None])
+        evecs, evals, _ = _eigendecompose(gram[None])
         evecs, evals = evecs[0], evals[0]
         if evals.min() < -NEGATIVE_EIG_TOL_SCALE * max(np.abs(gram).max(), 1e-300):
             raise _fail(REASON_NEGATIVE_SPECTRUM)
@@ -261,7 +275,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         drop(slice_totals <= 0, SLICE_EMPTY)
         conditionals = slices / np.where(slice_totals > 0, slice_totals, 1.0)[:, None, None]
         x = u1_inv @ conditionals @ u2_inv
-        vectors, values, imag = eigendecompose_many(
+        vectors, values, imag = _eigendecompose(
             np.where(live[:, None, None], x, np.eye(k)))
         drop(imag > IMAG_TOL_SCALE * np.maximum(np.abs(x).max(axis=(1, 2)), 1e-300),
              SLICE_COMPLEX)
@@ -373,7 +387,10 @@ class ResponseProbEstimate:
     shared by the three workers. p_matrices[w] is its row normalization;
     a matrix with an entry outside [0, 1] is clipped and renormalized
     (diagnostics.clamped). Both are (3, k, k) arrays. selectivity is the
-    recovered truth distribution.
+    recovered truth distribution. counts is the tensor the triple was
+    recovered from and recovery that one recovery's intermediates:
+    numerical_jacobian differentiates them and kary_deviations contracts
+    the result, so nothing recovers the triple again.
     """
 
     arity: int
@@ -381,6 +398,8 @@ class ResponseProbEstimate:
     p_matrices: np.ndarray
     selectivity: np.ndarray
     diagnostics: KaryDiagnostics
+    counts: CountsTensor
+    recovery: _Recovery
 
 
 def recover_selectivity(v1: np.ndarray) -> np.ndarray:
@@ -423,7 +442,7 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
         clamped=bool(outside.any()))
     return ResponseProbEstimate(arity=counts.arity, v_matrices=v, p_matrices=p,
                                 selectivity=recover_selectivity(v[0]),
-                                diagnostics=diagnostics)
+                                diagnostics=diagnostics, counts=counts, recovery=rec)
 
 
 class CountsCovariances:
@@ -489,20 +508,19 @@ class KaryJacobian:
     pair_perturbed: np.ndarray
 
 
-def numerical_jacobian(counts: CountsTensor) -> KaryJacobian:
-    """Differentiate the spectral recovery against every cell it reads.
+def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
+    """Differentiate an estimate's spectral recovery against every cell it reads.
 
     Those are the k^3 all-three-answered cells and the k^2 cells of each
     pair pattern in PAIR_PATTERNS (tasks answered by exactly two workers,
     which enter the pairwise frequency matrices); cells answered by one
-    worker are never read. The derivatives are in closed form: the
-    recovery runs once, and every cell's unit direction is pushed through
-    the differential of each of its steps in one batched pass. Pair
-    patterns with no tasks are skipped. A failed recovery raises as in
-    prob_estimate.
+    worker are never read. The derivatives are in closed form and nothing
+    is recovered again: every cell's unit direction is pushed through the
+    differential of each step of the estimate's own recovery in one
+    batched pass. Pair patterns with no tasks are skipped.
     """
+    counts, rec = estimate.counts, estimate.recovery
     k = counts.arity
-    rec = _recover(counts.counts, k)
     pair_perturbed = np.array([counts.pattern_total(p) > 0 for p in PAIR_PATTERNS])
     pairs = np.flatnonzero(pair_perturbed)
     cells = [cell for pattern in ((1, 1, 1), *(PAIR_PATTERNS[p] for p in pairs))
@@ -545,15 +563,16 @@ class KaryDeviations:
 def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     """Spectral recovery plus linearized deviations of every P entry.
 
-    The Jacobian of V against the all-three cells and the nonempty pair
-    patterns' cells is carried through P = V / rowsum(V), then contracted
-    with the block-diagonal multinomial covariance of those cells (one
-    block per attempt pattern, see CountsCovariances). Raises
-    EstimationFailure when the recovery fails or when a derivative is not
-    finite (REASON_JACOBIAN_FAILURE).
+    The triple is recovered once, by prob_estimate; the Jacobian of V
+    against the all-three cells and the nonempty pair patterns' cells
+    differentiates that recovery, is carried through P = V / rowsum(V),
+    then contracted with the block-diagonal multinomial covariance of
+    those cells (one block per attempt pattern, see CountsCovariances) by
+    matrix products. Raises EstimationFailure when the recovery fails or
+    when a derivative is not finite (REASON_JACOBIAN_FAILURE).
     """
     estimate = prob_estimate(counts)
-    jac = numerical_jacobian(counts)
+    jac = numerical_jacobian(estimate)
     bad = int((~jac.usable).sum() + (~jac.pair_usable[jac.pair_perturbed]).sum())
     if bad:
         raise EstimationFailure(
@@ -571,7 +590,7 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
         # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
         dv = derivs.reshape(3, k, k, -1)
         grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
-        variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
+        variances += ((grads @ block) * grads).sum(axis=-1)
     return KaryDeviations(
         midpoints=p_all,
         deviations=np.sqrt(np.clip(variances, 0.0, None)),

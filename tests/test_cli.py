@@ -13,8 +13,10 @@ from crowdgauge import cli
 from crowdgauge.cli import main, parse_label_map
 from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
-from crowdgauge.errors import LabelDomainError
-from crowdgauge.simulate import gen_binary_responses, gen_kary_responses
+from crowdgauge.errors import (
+    LabelDomainError, REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP)
+from crowdgauge.simulate import (
+    WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses)
 
 
 def run_cli(*argv) -> int:
@@ -265,6 +267,55 @@ def test_evaluate_kary_auto_triples(tmp_path):
     # threshold no triple can meet -> connectivity failure
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--auto-triples", "10000") == 3
+
+
+def test_evaluate_kary_pair_without_shared_tasks_gets_the_overlap_code(tmp_path):
+    # w1 answers the first 200 tasks and w3 the last 200, so they share none
+    world = gen_kary_responses("arity3", 400, 1.0, rng=8)
+    matrix = world.dataset.matrix.copy()
+    matrix[0, 200:] = 0
+    matrix[2, :200] = 0
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=3)))
+    out = tmp_path / "o.json"
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--workers", "w1,w2,w3") == 0
+    (record,) = json.loads(out.read_text())["triples"]
+    assert record == {"workers": ["w1", "w2", "w3"], "failed": True,
+                      "reason": REASON_INSUFFICIENT_OVERLAP}
+
+
+def test_evaluate_kary_eigensolver_failure_fails_only_its_triple(tmp_path, monkeypatch):
+    # four workers drawn from the arity-3 fixtures on shared truths; each
+    # triple's slice eigensystems take one np.linalg.eig call, and the
+    # second call does not converge
+    rng = np.random.default_rng(12)
+    mats = WORKER_MATRIX_FIXTURES["arity3"]
+    truth = rng.integers(0, 3, 2000)
+    matrix = np.stack([
+        np.minimum(1 + (np.cumsum(mats[w % 3], axis=1)[truth]
+                        < rng.random(truth.size)[:, None]).sum(axis=1), 3)
+        for w in range(4)])
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=3)))
+    out = tmp_path / "o.json"
+    eig = np.linalg.eig
+    calls = []
+
+    def flaky_eig(a):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", flaky_eig)
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--auto-triples", "1") == 0
+    records = json.loads(out.read_text())["triples"]
+    assert len(calls) == 4 and len(records) == 4
+    assert [r["failed"] for r in records] == [False, True, False, False]
+    assert records[1]["reason"] == REASON_EIGEN_NONCONVERGENCE
+    assert all("matrices" in r for r in records if not r["failed"])
 
 
 # -- simulate ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from crowdgauge.errors import (
     EstimationFailure,
     InsufficientOverlapError,
     REASON_DEGENERATE_SELECTIVITY,
+    REASON_EIGEN_NONCONVERGENCE,
     REASON_JACOBIAN_FAILURE,
     REASON_NONINVERTIBLE_FREQUENCY,
     REASON_NO_USABLE_SLICES,
@@ -537,7 +538,7 @@ def test_jacobian_matches_central_differences():
     # differences' own O(eps^2) error is largest; there it falls about 100x
     # from eps 1e-2 to 1e-3
     for name, counts in oracle_cases():
-        closed = jacobian_columns(numerical_jacobian(counts))
+        closed = jacobian_columns(numerical_jacobian(prob_estimate(counts)))
         scale = np.abs(closed).max()
         error = np.abs(closed - central_differences(counts, 1e-3)).max()
         bound = 1e-4 if counts.arity == 4 else 1e-6
@@ -550,7 +551,7 @@ def test_jacobian_matches_central_differences():
 def test_jacobian_restores_counts():
     counts = expected_counts(ARITY2, (0.5, 0.5))
     before = counts.counts.copy()
-    jac = numerical_jacobian(counts)
+    jac = numerical_jacobian(prob_estimate(counts))
     assert np.array_equal(counts.counts, before)
     assert jac.usable.all()
     assert np.isfinite(jac.derivs).all()
@@ -560,7 +561,7 @@ def test_jacobian_step_halving():
     # central differences approach the closed form at O(eps^2): halving
     # the step quarters their error
     counts = expected_counts(ARITY3, (0.2, 0.5, 0.3))
-    closed = jacobian_columns(numerical_jacobian(counts))
+    closed = jacobian_columns(numerical_jacobian(prob_estimate(counts)))
     coarse = np.abs(closed - central_differences(counts, 0.01)).max()
     fine = np.abs(closed - central_differences(counts, 0.005)).max()
     assert 3.5 < coarse / fine < 4.5
@@ -571,7 +572,7 @@ def test_jacobian_label_flip_symmetry():
     # relabeling 1<->2 everywhere must leave the derivative table invariant
     flip = [np.array([[0.8, 0.2], [0.2, 0.8]])] * 3
     counts = expected_counts(flip, (0.5, 0.5))
-    jac = numerical_jacobian(counts)
+    jac = numerical_jacobian(prob_estimate(counts))
     flipped = jac.derivs[:, ::-1, ::-1, ::-1, ::-1, ::-1]
     assert np.abs(jac.derivs - flipped).max() < 1e-8
 
@@ -580,8 +581,8 @@ def test_jacobian_selectivity_chain_rule():
     # chain rule through the jacobian matches a direct finite difference
     # of the squared V1 row sums against one perturbed cell
     counts = expected_counts(ARITY2, (0.5, 0.5))
-    jac = numerical_jacobian(counts)
     est = prob_estimate(counts)
+    jac = numerical_jacobian(est)
     row_sums = est.v_matrices[0].sum(axis=1)
     cell = (1, 1, 1)
     d_rows = jac.derivs[0, :, :, 0, 0, 0].sum(axis=1)
@@ -599,7 +600,7 @@ def test_jacobian_selectivity_chain_rule():
 
 def test_jacobian_skips_empty_pair_patterns():
     # at full density no task is answered by exactly two workers
-    jac = numerical_jacobian(expected_counts(ARITY2, (0.5, 0.5)))
+    jac = numerical_jacobian(prob_estimate(expected_counts(ARITY2, (0.5, 0.5))))
     assert not jac.pair_perturbed.any()
     assert np.isnan(jac.pair_derivs).all()
     assert jac.usable.all()
@@ -607,7 +608,7 @@ def test_jacobian_skips_empty_pair_patterns():
 
 def test_jacobian_pair_cells_match_direct_differences():
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
-    jac = numerical_jacobian(counts)
+    jac = numerical_jacobian(prob_estimate(counts))
     assert jac.pair_perturbed.all() and jac.pair_usable.all()
     assert jac.pair_derivs.shape == (3, 3, 2, 2, 2, 2)
     scale = np.abs(jac.pair_derivs).max()
@@ -626,15 +627,16 @@ def test_jacobian_pair_cells_match_direct_differences():
 
 
 def test_jacobian_raises_when_the_recovery_fails():
-    # worker 3 answers 1 on every task, so R32 is singular: the Jacobian
-    # raises the recovery's reason rather than returning NaN derivatives
+    # worker 3 answers 1 on every task, so R32 is singular: the recovery
+    # raises its reason, and no estimate is left for the Jacobian to turn
+    # into NaN derivatives
     tensor = np.zeros((3, 3, 3))
     tensor[1, 1, 1] = 40.0
     tensor[1, 2, 1] = 10.0
     tensor[2, 1, 1] = 12.0
     tensor[2, 2, 1] = 38.0
     with pytest.raises(EstimationFailure) as info:
-        numerical_jacobian(CountsTensor(2, tensor))
+        numerical_jacobian(prob_estimate(CountsTensor(2, tensor)))
     assert info.value.reason == REASON_NONINVERTIBLE_FREQUENCY
 
 
@@ -650,7 +652,7 @@ def test_non_finite_derivatives_fail_the_report(monkeypatch):
         return dv
 
     monkeypatch.setattr(kary, "_differential", overflowing)
-    jac = numerical_jacobian(counts)
+    jac = numerical_jacobian(prob_estimate(counts))
     assert jac.usable.all()
     assert (~jac.pair_usable[jac.pair_perturbed]).sum() == 1
     report = kary_confidence_intervals(counts, 0.9)
@@ -699,6 +701,70 @@ def test_kary_deviations_delta_method_on_p():
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     expected = np.sqrt(variances)
     assert np.abs(devs.deviations - expected).max() < 1e-6 * expected.max()
+
+
+def einsum_deviations(counts):
+    """Reference deviations: the three-operand einsum over each pattern block."""
+    est = prob_estimate(counts)
+    jac = numerical_jacobian(est)
+    k = counts.arity
+    cov = CountsCovariances(counts)
+    blocks = [(jac.derivs, cov.pattern_block((1, 1, 1)))]
+    blocks += [(jac.pair_derivs[p], cov.pattern_block(PAIR_PATTERNS[p]))
+               for p in np.flatnonzero(jac.pair_perturbed)]
+    row_sums = est.v_matrices.sum(axis=2, keepdims=True)
+    p_all = est.v_matrices / row_sums
+    variances = np.zeros((3, k, k))
+    for derivs, block in blocks:
+        dv = derivs.reshape(3, k, k, -1)
+        grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
+        variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
+    return np.sqrt(np.clip(variances, 0.0, None)), jac
+
+
+def test_kary_deviations_match_the_einsum_contraction():
+    # the matrix-product contraction equals the einsum one to rounding, with
+    # the pair-only blocks in play at partial density
+    for k in (2, 3, 4):
+        for dens in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7)):
+            world = _gen_kary_with_matrices(WORKER_MATRIX_FIXTURES[f"arity{k}"], 3000,
+                                            list(dens), None, k)
+            counts = build_counts(world.dataset, world.dataset.workers)
+            expected, jac = einsum_deviations(counts)
+            assert jac.pair_perturbed.all() == (dens[0] < 1.0)
+            np.testing.assert_allclose(kary_deviations(counts).deviations, expected,
+                                       rtol=1e-12, atol=0.0, err_msg=str((k, dens)))
+
+
+def test_one_recovery_per_triple(monkeypatch):
+    # the estimate, the Jacobian and the contraction share one recovery
+    counts = expected_counts(ARITY3, (0.2, 0.5, 0.3), densities=(0.9, 0.8, 0.7))
+    calls = []
+
+    def spy(tensor, k):
+        calls.append(k)
+        return _recover(tensor, k)
+
+    monkeypatch.setattr(kary, "_recover", spy)
+    kary_deviations(counts)
+    assert calls == [3]
+    report = kary_confidence_intervals(counts, 0.9)
+    assert not report.failed
+    assert calls == [3, 3]
+
+
+def test_eigensolver_non_convergence_fails_the_report(monkeypatch):
+    # the Gram matrix is symmetric, so its eigensystem comes from eigh
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    counts = expected_counts(ARITY3, (0.2, 0.5, 0.3))
+    with pytest.raises(EstimationFailure) as info:
+        prob_estimate(counts)
+    assert info.value.reason == REASON_EIGEN_NONCONVERGENCE
+    report = kary_confidence_intervals(counts, 0.9)
+    assert report.failed and report.reason == REASON_EIGEN_NONCONVERGENCE
 
 
 def test_kary_confidence_intervals_report_shape():

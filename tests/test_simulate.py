@@ -301,6 +301,29 @@ def test_kary_coverage_experiment_named_and_shaped():
     assert evaluations / 12 + failures == 10
 
 
+def test_kary_eigensolver_failure_counts_as_a_failed_replication(monkeypatch):
+    # each arity-3 replication's slice eigensystems take one np.linalg.eig
+    # call; the third call does not converge, and that replication alone is
+    # lost
+    cfg = SimConfig(n=500, m=3, fixture="arity3", density=1.0,
+                    replications=5, seed=5, confidence_grid=(0.5,))
+    (_, _, _, failures, evaluations), = run_coverage_experiment(cfg).rows
+    eig = np.linalg.eig
+    calls = []
+
+    def flaky_eig(a):
+        calls.append(1)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", flaky_eig)
+    (_, _, _, flaky_failures, flaky_evaluations), = run_coverage_experiment(cfg).rows
+    assert failures == 0 and evaluations == 5 * 27
+    assert len(calls) == 5
+    assert flaky_failures == 1 and flaky_evaluations == 4 * 27
+
+
 def test_kary_mean_size_measures_intervals_clipped_to_unit_range():
     # Response-probability intervals are intersected with [0, 1] before
     # their half-width is averaged, so the statistic is bounded by 1/2
