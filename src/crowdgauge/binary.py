@@ -11,21 +11,22 @@ minimum-variance weights.
 
 Pairwise statistics are read by worker index from the arrays the dataset
 caches (`pair_overlap`, `pair_agreement`, `attempts`), so memory is O(m^2)
-in the number of workers m. `build_worker_system` pairs each requested
-worker's peers, stacks every triple (i, j1, j2) as index arrays, and
-evaluates all of them in one array pass: agreement rates, error rates,
-derivatives, 3x3 agreement covariances, propagated deviations and the
-failure masks. The inversion, derivative and covariance formulas take
-scalars or arrays alike, and `evaluate_triple` is a one-row call into the
-same pass. Triple overlaps are counted once per worker, over that worker's
-triples. The covariance of one worker's T triples is built from one
-matrix product over the attempt rows of its 2T partners.
+in the number of workers m. Triples stay index and value arrays from
+pairing to weights: `greedy_pairs` returns partner positions,
+`build_worker_system` evaluates every triple (i, j1, j2) of the requested
+workers in one array pass (error rates, derivatives, agreement
+covariances, deviations and a failure reason per row), and each worker's
+system keeps its slice of those arrays and their covariance, one matrix
+product over the attempt rows of its 2T partners. The formulas take
+scalars or arrays alike; `evaluate_triple` is a one-row call into the same
+pass and the only place a `TripleEstimate` is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,11 +57,11 @@ METHOD_M_WORKER_OPTIMAL = "m_worker_optimal"
 class TripleEstimate:
     """One worker's error-rate estimate from a single triple (i, j1, j2).
 
-    On failure the numeric fields are None and `reason` explains why. `q`
-    holds the observed agreement rates (q_i_j1, q_i_j2, q_j1_j2) and the
-    d_* fields the partial derivatives of the estimate with respect to them.
-    `clamped` marks estimates cut off at 0 where the noisy agreement rates
-    imply a negative rate.
+    On failure the numeric fields are None and `reason` explains why. The
+    d_* fields are the partial derivatives of the estimate with respect to
+    the agreement rates q_i_j1, q_i_j2 and q_j1_j2. `clamped` marks
+    estimates cut off at 0 where the noisy agreement rates imply a negative
+    rate.
     """
 
     triple: tuple[str, str, str]
@@ -71,7 +72,6 @@ class TripleEstimate:
     d_i_j1: float | None = None
     d_i_j2: float | None = None
     d_j1_j2: float | None = None
-    q: tuple[float, float, float] | None = None
     clamped: bool = False
 
 
@@ -80,17 +80,18 @@ class WorkerReport:
     """Aggregated error-rate interval for one worker.
 
     `method` is one of three_worker, m_worker_uniform, m_worker_optimal.
-    `weights` aligns with the non-failed triples that entered the
-    aggregation; `dev` is the standard deviation behind the interval's
-    half-width. `weight_fallback` is set when minimum-variance weighting had
-    to fall back to uniform weights.
+    `triple_failures` counts the failed triples by reason, and
+    `triples_failed` is their total. `weights` aligns with the non-failed
+    triples that entered the aggregation; `dev` is the standard deviation
+    behind the interval's half-width. `weight_fallback` is set when
+    minimum-variance weighting had to fall back to uniform weights.
     """
 
     worker: str
     interval: ConfidenceInterval
     method: str
     triples_used: int
-    triples_failed: int
+    triple_failures: dict[str, int] = field(hash=False)
     weights: tuple[float, ...] | None = None
     dev: float | None = None
     clamped: bool = False
@@ -99,6 +100,10 @@ class WorkerReport:
     @property
     def failed(self) -> bool:
         return self.interval.failed
+
+    @property
+    def triples_failed(self) -> int:
+        return sum(self.triple_failures.values())
 
 
 def _agreement_rates(q_i_j1, q_i_j2, q_j1_j2) -> list[np.ndarray]:
@@ -180,53 +185,57 @@ def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np
     return cov
 
 
-def _evaluate_triples(ds: ResponseDataset, i: np.ndarray, j1: np.ndarray,
-                      j2: np.ndarray, c3: np.ndarray) -> list[TripleEstimate]:
-    """Estimate worker i[t]'s error rate from each triple (i[t], j1[t], j2[t]).
+class _Triples(NamedTuple):
+    """Triples (i, j1, j2) evaluated in one pass, as parallel arrays over T rows.
 
-    The triples are given as worker-index arrays and `c3` holds their triple
-    overlaps. Every formula runs once over all T triples. A triple with an
-    agreement rate at or below 1/2, or whose propagated variance is negative
-    beyond VARIANCE_CLAMP_TOL (the rule of propagated_deviation), is a
-    failed estimate; a pair sharing no task raises InsufficientOverlapError.
+    `index` holds the (T, 3) worker positions and `reason` each row's
+    failure reason, None on a usable row. `p_hat`, `dev` and the (T, 3)
+    `derivs` (with respect to q_i_j1, q_i_j2, q_j1_j2) are NaN on failed
+    rows; `clamped` marks estimates cut off at 0.
     """
-    names = ds.workers
+
+    index: np.ndarray
+    reason: np.ndarray
+    p_hat: np.ndarray
+    dev: np.ndarray
+    derivs: np.ndarray
+    clamped: np.ndarray
+
+
+def _evaluate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) -> _Triples:
+    """Estimate worker i's error rate from each row (i, j1, j2) of `index`.
+
+    `c3` holds the rows' triple overlaps. Every formula runs once over all
+    T rows. A row with an agreement rate at or below 1/2, or whose
+    propagated variance is negative beyond VARIANCE_CLAMP_TOL (the rule of
+    propagated_deviation), fails with that reason; a pair sharing no task
+    raises InsufficientOverlapError.
+    """
+    i, j1, j2 = index.T
     pairs = ((i, j1), (i, j2), (j1, j2))
     c2 = [ds.pair_overlap[x, y] for x, y in pairs]
     empty = np.flatnonzero(np.minimum(np.minimum(c2[0], c2[1]), c2[2]) < 1)
     if empty.size:
-        t = empty[0]
-        raise InsufficientOverlapError(
-            f"triple {(names[i[t]], names[j1[t]], names[j2[t]])} has an empty pair")
+        triple = tuple(ds.workers[w] for w in index[empty[0]])
+        raise InsufficientOverlapError(f"triple {triple} has an empty pair")
     q = [ds.pair_agreement[x, y] for x, y in pairs]
     low = np.minimum(np.minimum(q[0], q[1]), q[2]) <= 0.5
-    ok = ~low
-    q_ij1, q_ij2, q_j1j2 = (x[ok] for x in q)
+    # Low rows are evaluated at perfect agreement, a point inside the
+    # domain, and masked out below.
+    q_ij1, q_ij2, q_j1j2 = (np.where(low, 1.0, x) for x in q)
     p_hats = (error_rate_from_agreements(q_ij1, q_ij2, q_j1j2),
               error_rate_from_agreements(q_ij1, q_j1j2, q_ij2),
               error_rate_from_agreements(q_ij2, q_j1j2, q_ij1))
     radicand = (2 * q_ij1 - 1) * (2 * q_ij2 - 1) / (2 * q_j1j2 - 1)
-    derivs = f_derivatives(q_ij1, q_ij2, q_j1j2)
-    cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), [x[ok] for x in c2], c3[ok], p_hats)
-    g = np.stack(derivs, axis=1)
+    cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), c2, c3, p_hats)
+    g = np.stack(f_derivatives(q_ij1, q_ij2, q_j1j2), axis=1)
     var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
-    dev = np.sqrt(np.maximum(var, 0.0))
-    rows = zip(p_hats[0].tolist(), dev.tolist(), *(d.tolist() for d in derivs),
-               zip(q_ij1.tolist(), q_ij2.tolist(), q_j1j2.tolist()),
-               (radicand > 1.0).tolist(), (var < -VARIANCE_CLAMP_TOL).tolist())
-    estimates = []
-    for a, b, c, failed in zip(i.tolist(), j1.tolist(), j2.tolist(), low.tolist()):
-        key = (names[a], names[b], names[c])
-        if failed:
-            estimates.append(TripleEstimate(key, failed=True, reason=REASON_LOW_AGREEMENT))
-            continue
-        p_hat, d, d1, d2, d3, qs, clamped, negative = next(rows)
-        if negative:
-            estimates.append(TripleEstimate(key, failed=True, reason=REASON_NEGATIVE_VARIANCE))
-        else:
-            estimates.append(TripleEstimate(key, p_hat=p_hat, dev=d, d_i_j1=d1, d_i_j2=d2,
-                                            d_j1_j2=d3, q=qs, clamped=clamped))
-    return estimates
+    reason = np.where(low, REASON_LOW_AGREEMENT,
+                      np.where(var < -VARIANCE_CLAMP_TOL, REASON_NEGATIVE_VARIANCE, None))
+    usable = np.equal(reason, None)
+    return _Triples(index, reason, np.where(usable, p_hats[0], np.nan),
+                    np.where(usable, np.sqrt(np.maximum(var, 0.0)), np.nan),
+                    np.where(usable[:, None], g, np.nan), usable & (radicand > 1.0))
 
 
 def evaluate_triple(ds: ResponseDataset, triple: Sequence[str], confidence: float
@@ -242,23 +251,30 @@ def evaluate_triple(ds: ResponseDataset, triple: Sequence[str], confidence: floa
     i, j1, j2 = triple
     if len({i, j1, j2}) != 3:
         raise ValueError(f"triple {tuple(triple)} repeats a worker")
-    i, j1, j2 = (np.array([ds.worker_index(w)]) for w in triple)
-    est, = _evaluate_triples(ds, i, j1, j2, ds.triple_overlap_by_index(i[0], j1, j2))
-    if est.failed:
-        return est, ConfidenceInterval.failure(confidence, est.reason)
+    index = np.array([[ds.worker_index(w) for w in triple]])
+    row = _evaluate_triples(ds, index, ds.triple_overlap_by_index(
+        index[0, 0], index[:, 1], index[:, 2]))
+    reason = row.reason[0]
+    if reason is not None:
+        return (TripleEstimate(tuple(triple), failed=True, reason=reason),
+                ConfidenceInterval.failure(confidence, reason))
+    d_i_j1, d_i_j2, d_j1_j2 = row.derivs[0].tolist()
+    est = TripleEstimate(tuple(triple), p_hat=float(row.p_hat[0]), dev=float(row.dev[0]),
+                         d_i_j1=d_i_j1, d_i_j2=d_i_j2, d_j1_j2=d_j1_j2,
+                         clamped=bool(row.clamped[0]))
     z = abs(normal_quantile((1.0 - confidence) / 2.0))
     return est, ConfidenceInterval(confidence=confidence, estimate=est.p_hat,
                                    half_width=z * est.dev)
 
 
-def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
-                 ) -> list[tuple[str, str]]:
+def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1) -> np.ndarray:
     """Pair the other workers into disjoint triples around `worker`.
 
-    Others are sorted by overlap with `worker` (descending, first-appearance
-    ties); the head of the list is paired with the first later worker that
-    shares at least `min_overlap` tasks with both. Unpairable heads are
-    skipped, a leftover single is dropped. Raises
+    Returns the partner pairs (j1, j2) as a (P, 2) array of worker
+    positions. Others are sorted by overlap with `worker` (descending,
+    first-appearance ties); the head of the list is paired with the first
+    later worker that shares at least `min_overlap` tasks with both.
+    Unpairable heads are skipped, a leftover single is dropped. Raises
     InsufficientConnectivityError when no pair can be formed, and
     ValueError for a min_overlap below 1: every pair of a triple must share
     a task.
@@ -272,7 +288,7 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
     overlap = ds.pair_overlap
     order = sorted((j for j in range(ds.num_workers) if j != i),
                    key=lambda j: (-overlap[i, j], j))
-    pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[int, int]] = []
     while len(order) >= 2:
         head = order[0]
         if overlap[i, head] < min_overlap:
@@ -288,77 +304,68 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1
             continue
         partner = order.pop(partner_pos)
         order.pop(0)
-        pairs.append((ds.workers[head], ds.workers[partner]))
+        pairs.append((head, partner))
     if not pairs:
         raise InsufficientConnectivityError(
             f"no disjoint triples can be formed around worker {worker!r}")
-    return pairs
+    return np.array(pairs, dtype=np.intp)
 
 
-def cross_triple_covariances(triples: Sequence[TripleEstimate], p_i_hat: float,
+def cross_triple_covariances(derivs: np.ndarray, devs: np.ndarray, p_i_hat: float,
                              c2: np.ndarray, q: np.ndarray, c3: np.ndarray
                              ) -> np.ndarray:
-    """Covariance matrix of one worker's triple estimates.
+    """Covariance matrix of one worker's T usable triple estimates.
 
-    All T triples must share the evaluated worker i and be non-failed. The
-    arrays are indexed by the 2T partners x in triple order (j1, j2 of the
-    first triple, then of the second, ...): `c2[x]` = c_ix, `q[x, y]` =
-    q_xy and `c3[x, y]` = c_ixy. Diagonal entries are the squared
-    per-triple deviations. Two triples (i, a1, b1), (i, a2, b2) covary
-    through worker i's errors on tasks it shares with one member of each
-    pair:
+    Row t of `derivs` (T, 2) holds the derivatives of triple t's estimate
+    with respect to q_i_j1 and q_i_j2, and `devs` (T,) its propagated
+    deviation. The other arrays are indexed by the 2T partners x in triple
+    order (j1, j2 of the first triple, then of the second, ...): `c2[x]` =
+    c_ix, `q[x, y]` = q_xy and `c3[x, y]` = c_ixy. Diagonal entries are the
+    squared deviations. Two triples (i, a1, b1), (i, a2, b2) covary through
+    worker i's errors on tasks it shares with one member of each pair:
 
         sum over x in {a1, b1}, y in {a2, b2} of
             d_x d_y * c_ixy * p_i (1 - p_i) (2 q_xy - 1) / (c_ix c_iy)
 
     where d_x is the derivative of triple 1's estimate with respect to
     q_i_x, and similarly d_y for triple 2. Terms with c_ixy = 0 vanish
-    whatever q_xy holds.
+    whatever q_xy holds. Raises ValueError for no triple or for shapes that
+    disagree.
     """
-    if not triples:
-        raise ValueError("at least one triple estimate is required")
-    i = triples[0].triple[0]
-    for t in triples:
-        if t.failed:
-            raise ValueError("cross-triple covariances need non-failed estimates")
-        if t.triple[0] != i:
-            raise ValueError("triple estimates must share the evaluated worker")
-    count = len(triples)
+    derivs = np.asarray(derivs, dtype=float)
+    devs = np.asarray(devs, dtype=float)
+    count, partners = devs.size, 2 * devs.size
+    shapes = (derivs.shape, devs.shape, np.shape(c2), np.shape(q), np.shape(c3))
+    if count == 0 or shapes != ((count, 2), (count,), (partners,), (partners,) * 2,
+                                (partners,) * 2):
+        raise ValueError(f"need derivs (T, 2), devs (T,), c2, q, c3 over 2T partners, "
+                         f"T >= 1; got shapes {shapes}")
     pp = float(p_i_hat) * (1.0 - float(p_i_hat))
-    scaled = np.array([(t.d_i_j1, t.d_i_j2) for t in triples]).ravel() / c2
+    scaled = derivs.ravel() / c2
     terms = pp * np.outer(scaled, scaled) * np.where(c3 > 0, c3 * (2.0 * q - 1.0), 0.0)
     blocks = terms.reshape(count, 2, count, 2).sum(axis=(1, 3))
     # The two sums of a mirrored block pair differ in the last bit; their
     # mean makes the matrix exactly symmetric.
     cov = 0.5 * (blocks + blocks.T)
-    np.fill_diagonal(cov, [t.dev ** 2 for t in triples])
+    # float_power is the C library's pow, as Python's float ** is; numpy's
+    # ** 2 squares by multiplication, which differs from it in the last bit.
+    np.fill_diagonal(cov, np.float_power(devs, 2))
     return cov
-
-
-def _partner_statistics(ds: ResponseDataset, worker: str,
-                        triples: Sequence[TripleEstimate]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_iP, Q_PP, C3) for the partners P of worker i's triples.
-
-    C3 = B B^T in float64, exact for counts, where B = A_P o A_i is the
-    partners' attempt rows masked by worker i's. A_i is 0/1, so this is
-    (A_P o A_i) A_P^T from a single float array.
-    """
-    i = ds.worker_index(worker)
-    partners = np.array([ds.worker_index(w) for t in triples for w in t.triple[1:]])
-    shared = (ds.attempts[partners] & ds.attempts[i]).astype(float)
-    return (ds.pair_overlap[i, partners], ds.pair_agreement[partners][:, partners],
-            shared @ shared.T)
 
 
 @dataclass(frozen=True)
 class _WorkerSystem:
-    """Non-failed triple estimates for one worker plus their covariance."""
+    """One worker's slice of the evaluated triples: `partners` (T, 2) holds
+    the (j1, j2) positions of its usable triples, `p_hats` their estimates
+    and `covariance` their (T, T) covariance; `triple_failures` counts the
+    failed triples by reason. Without usable triples T = 0, the covariance
+    is None and `failure_reason` says why."""
 
     worker: str
-    triples: tuple[TripleEstimate, ...]
-    covariance: np.ndarray | None
-    triples_failed: int
+    partners: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.intp))
+    p_hats: np.ndarray = field(default_factory=lambda: np.empty(0))
+    covariance: np.ndarray | None = None
+    triple_failures: dict[str, int] = field(default_factory=dict)
     failure_reason: str | None = None
 
     @property
@@ -368,11 +375,12 @@ class _WorkerSystem:
 
 @dataclass(frozen=True)
 class _WorkerSystems:
-    """The systems of the requested workers, in request order, with the
-    non-failed triple estimates of all of them and the failed count."""
+    """The systems of the requested workers, in request order; `triples`
+    is the (N, 3) index array of all their usable triples and
+    `triples_failed` the number of failed ones."""
 
     systems: tuple[_WorkerSystem, ...]
-    triples: tuple[TripleEstimate, ...]
+    triples: np.ndarray
     triples_failed: int
 
 
@@ -381,64 +389,65 @@ def build_worker_system(ds: ResponseDataset, workers: Sequence[str],
     """Evaluate every disjoint triple around each worker and their covariance.
 
     `workers` is a sequence of worker ids; the triples of all of them are
-    estimated in one array pass. Failed triples are dropped (and counted);
-    pairing or universal triple failure is reported through a system's
-    `failure_reason` instead of an exception so whole-dataset sweeps keep
-    going. A min_overlap below 1 raises ValueError.
+    estimated in one array pass. Failed triples are dropped (and counted by
+    reason); pairing or universal triple failure is reported through a
+    system's `failure_reason` instead of an exception so whole-dataset
+    sweeps keep going. A min_overlap below 1 raises ValueError.
     """
     if isinstance(workers, str):
         raise TypeError(f"workers must be a sequence of worker ids, got the id {workers!r}")
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")
-    counts: list[int | None] = []
-    i, j1, j2 = [], [], []
+    blocks: list[np.ndarray | None] = []
     for worker in workers:
         try:
             pairs = greedy_pairs(ds, worker, min_overlap)
         except InsufficientConnectivityError:
-            counts.append(None)
+            blocks.append(None)
             continue
-        counts.append(len(pairs))
-        i += [ds.worker_index(worker)] * len(pairs)
-        j1 += [ds.worker_index(a) for a, _ in pairs]
-        j2 += [ds.worker_index(b) for _, b in pairs]
-    i, j1, j2 = (np.array(x, dtype=np.intp) for x in (i, j1, j2))
+        blocks.append(np.column_stack((np.full(len(pairs), ds.worker_index(worker)), pairs)))
+    paired = [block for block in blocks if block is not None]
+    index = np.concatenate([np.empty((0, 3), dtype=np.intp)] + paired)
     # One triple-overlap call per worker keeps the temporary at
     # (that worker's triples x tasks).
-    c3 = np.zeros(i.size, dtype=np.intp)
-    start = 0
-    for count in counts:
-        if count:
-            segment = slice(start, start + count)
-            c3[segment] = ds.triple_overlap_by_index(i[start], j1[segment], j2[segment])
-            start += count
-    estimates = _evaluate_triples(ds, i, j1, j2, c3)
+    c3 = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        ds.triple_overlap_by_index(block[0, 0], block[:, 1], block[:, 2]) for block in paired])
+    rows = _evaluate_triples(ds, index, c3)
+    usable = np.equal(rows.reason, None)
     systems = []
-    start = 0
-    for worker, count in zip(workers, counts):
-        if count is None:
-            systems.append(_WorkerSystem(worker, (), None, 0,
+    stop = 0
+    for worker, block in zip(workers, blocks):
+        if block is None:
+            systems.append(_WorkerSystem(worker,
                                          failure_reason=REASON_INSUFFICIENT_CONNECTIVITY))
             continue
-        usable = tuple(t for t in estimates[start:start + count] if not t.failed)
-        start += count
-        if not usable:
-            systems.append(_WorkerSystem(worker, (), None, count,
+        start, stop = stop, stop + len(block)
+        failures = Counter(r for r in rows.reason[start:stop] if r is not None)
+        keep = start + np.flatnonzero(usable[start:stop])
+        if not keep.size:
+            systems.append(_WorkerSystem(worker, triple_failures=failures,
                                          failure_reason=REASON_NO_USABLE_TRIPLES))
             continue
-        p_bar = float(np.mean([t.p_hat for t in usable]))
-        cov = cross_triple_covariances(usable, p_bar,
-                                       *_partner_statistics(ds, worker, usable))
-        systems.append(_WorkerSystem(worker, usable, cov, count - len(usable)))
-    return _WorkerSystems(tuple(systems), tuple(t for s in systems for t in s.triples),
-                          sum(s.triples_failed for s in systems))
+        i = block[0, 0]
+        partners = rows.index[keep, 1:]
+        p_hats = rows.p_hat[keep]
+        # C3 = B B^T in float64, exact for counts, where B = A_P o A_i is
+        # the partners' attempt rows masked by worker i's. A_i is 0/1, so
+        # this is (A_P o A_i) A_P^T from a single float array.
+        flat = partners.ravel()
+        shared = (ds.attempts[flat] & ds.attempts[i]).astype(float)
+        cov = cross_triple_covariances(
+            rows.derivs[keep, :2], rows.dev[keep], float(np.mean(p_hats)),
+            ds.pair_overlap[i, flat], ds.pair_agreement[flat][:, flat], shared @ shared.T)
+        systems.append(_WorkerSystem(worker, partners, p_hats, cov, failures))
+    return _WorkerSystems(tuple(systems), index[usable], int((~usable).sum()))
 
 
 def aggregate_system(system: _WorkerSystem, weighting: str
                ) -> tuple[float, float, np.ndarray, bool, bool]:
     """Combine a worker system into (estimate, dev, weights, fallback, clamped)."""
-    count = len(system.triples)
+    count = len(system.p_hats)
     if weighting == "optimal":
         solution = optimal_weights(system.covariance)
         weights, fallback = solution.weights, solution.fallback
@@ -446,8 +455,7 @@ def aggregate_system(system: _WorkerSystem, weighting: str
         weights, fallback = np.full(count, 1.0 / count), False
     else:
         raise ValueError(f"weighting must be 'uniform' or 'optimal', got {weighting!r}")
-    p_hats = np.array([t.p_hat for t in system.triples])
-    estimate = float(weights @ p_hats)
+    estimate = float(weights @ system.p_hats)
     dev = propagated_deviation(weights, system.covariance)
     clamped = estimate < 0.0 or estimate > 1.0
     return min(max(estimate, 0.0), 1.0), dev, weights, fallback, clamped
@@ -455,34 +463,25 @@ def aggregate_system(system: _WorkerSystem, weighting: str
 
 def _worker_report(ds: ResponseDataset, system: _WorkerSystem, confidence: float,
                    weighting: str) -> WorkerReport:
-    worker = system.worker
-    if system.failed:
-        return WorkerReport(
-            worker=worker,
-            interval=ConfidenceInterval.failure(confidence, system.failure_reason),
-            method=METHOD_THREE_WORKER if ds.num_workers == 3 else
-            (METHOD_M_WORKER_UNIFORM if weighting == "uniform" else METHOD_M_WORKER_OPTIMAL),
-            triples_used=0, triples_failed=system.triples_failed)
-    try:
-        estimate, dev, weights, fallback, clamped = aggregate_system(system, weighting)
-    except EstimationFailure as exc:
-        return WorkerReport(
-            worker=worker,
-            interval=ConfidenceInterval.failure(confidence, exc.reason),
-            method=METHOD_M_WORKER_UNIFORM if weighting == "uniform" else METHOD_M_WORKER_OPTIMAL,
-            triples_used=len(system.triples), triples_failed=system.triples_failed)
-    if len(system.triples) == 1:
-        method = METHOD_THREE_WORKER
-    else:
-        method = METHOD_M_WORKER_UNIFORM if weighting == "uniform" else METHOD_M_WORKER_OPTIMAL
+    # A one-triple aggregate cannot fail (its weight is 1 and its variance
+    # a square), so a failed m-worker report always names its weighting.
+    used = len(system.p_hats)
+    method = (METHOD_THREE_WORKER if ds.num_workers == 3 or used == 1 else
+              METHOD_M_WORKER_UNIFORM if weighting == "uniform" else METHOD_M_WORKER_OPTIMAL)
+    reason = system.failure_reason
+    if reason is None:
+        try:
+            estimate, dev, weights, fallback, clamped = aggregate_system(system, weighting)
+        except EstimationFailure as exc:
+            reason = exc.reason
+    if reason is not None:
+        return WorkerReport(system.worker, ConfidenceInterval.failure(confidence, reason),
+                            method, used, system.triple_failures)
     z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    interval = ConfidenceInterval(confidence=confidence, estimate=estimate,
-                                  half_width=z * dev)
-    return WorkerReport(
-        worker=worker, interval=interval, method=method,
-        triples_used=len(system.triples), triples_failed=system.triples_failed,
-        weights=tuple(float(w) for w in weights), dev=dev,
-        clamped=clamped, weight_fallback=fallback)
+    interval = ConfidenceInterval(confidence=confidence, estimate=estimate, half_width=z * dev)
+    return WorkerReport(system.worker, interval, method, used, system.triple_failures,
+                        weights=tuple(float(w) for w in weights), dev=dev,
+                        clamped=clamped, weight_fallback=fallback)
 
 
 def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,

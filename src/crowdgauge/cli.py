@@ -239,8 +239,10 @@ def cmd_evaluate(args) -> int:
             "confidence": confidence,
             "triples_used": report.triples_used,
             "triples_failed": report.triples_failed,
-            "method": report.method,
         }
+        if report.triples_failed:
+            record["triple_failures"] = report.triple_failures
+        record["method"] = report.method
         if report.failed:
             record["reason"] = report.interval.reason
         else:

@@ -6,10 +6,10 @@ through S^(1/2) P_w. The product R_12 R_32^-1 R_31 is the Gram matrix of
 V_1 = S_D^(1/2) P_1, whose square root combined with per-response
 conditional slices recovers each V_w up to a common row permutation.
 The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
-`prob_estimate` returns one record per triple: V1..V3 and P1..P3 as
-(3, k, k) stacks, the selectivity, one `KaryDiagnostics` record that the
-interval report passes on unchanged, and the counts and the recovery's
-intermediates that the Jacobian needs.
+`prob_estimate` returns one record per triple: P1..P3 as a (3, k, k)
+stack, the selectivity, one `KaryDiagnostics` record that the interval
+report passes on unchanged, and the counts and the recovery's
+intermediates (V1..V3 among them) that the Jacobian needs.
 
 Entrywise confidence intervals for P_w follow from the delta method: the
 closed-form Jacobian of V against every count cell the recovery reads (the
@@ -383,18 +383,17 @@ class KaryDiagnostics:
 class ResponseProbEstimate:
     """Recovered response-probability matrices for a worker triple.
 
-    v_matrices[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order
-    shared by the three workers. p_matrices[w] is its row normalization;
+    recovery.v[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order
+    shared by the three workers, and p_matrices[w] its row normalization;
     a matrix with an entry outside [0, 1] is clipped and renormalized
     (diagnostics.clamped). Both are (3, k, k) arrays. selectivity is the
     recovered truth distribution. counts is the tensor the triple was
-    recovered from and recovery that one recovery's intermediates:
-    numerical_jacobian differentiates them and kary_deviations contracts
-    the result, so nothing recovers the triple again.
+    recovered from (counts.arity is k) and recovery that one recovery's
+    intermediates: numerical_jacobian differentiates them and
+    kary_deviations contracts the result, so nothing recovers the triple
+    again.
     """
 
-    arity: int
-    v_matrices: np.ndarray
     p_matrices: np.ndarray
     selectivity: np.ndarray
     diagnostics: KaryDiagnostics
@@ -440,47 +439,34 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
         slice_failures=rec.slice_failures, max_imag=rec.max_imag,
         rows_permuted=rec.rows_permuted, rows_sign_fixed=rec.rows_sign_fixed,
         clamped=bool(outside.any()))
-    return ResponseProbEstimate(arity=counts.arity, v_matrices=v, p_matrices=p,
-                                selectivity=recover_selectivity(v[0]),
+    return ResponseProbEstimate(p_matrices=p, selectivity=recover_selectivity(v[0]),
                                 diagnostics=diagnostics, counts=counts, recovery=rec)
 
 
-class CountsCovariances:
-    """Covariances between response-count cells.
+def pattern_covariance(counts: CountsTensor, pattern: Sequence[int]) -> np.ndarray:
+    """Covariance of one attempt pattern's count cells, row-major.
 
     Cells with different attempt patterns (which worker positions are
-    nonzero) are uncorrelated. Within one pattern the cells split that
-    pattern's task total n multinomially:
+    nonzero) are uncorrelated, so the covariance of every cell is
+    block-diagonal with one such block per pattern. Within one pattern the
+    cells split that pattern's task total n multinomially:
 
         Var(N_a)        = N_a (n - N_a) / n
         Cov(N_a, N_b)   = -N_a N_b / n      (a != b)
 
-    The covariance of every cell is therefore block-diagonal, one block per
-    attempt pattern (`pattern_block`). The interval pipeline contracts the
+    The cells carry labels 1..k at the flagged positions and 0 elsewhere,
+    so a two-worker pattern gives a k^2 x k^2 block. A pattern whose total
+    is zero has zero covariance. The interval pipeline contracts the
     all-three block and the three pair-only blocks of PAIR_PATTERNS, the
-    cells the spectral recovery reads. Patterns whose total is zero yield
-    zero covariance and are recorded in `degenerate_patterns`.
+    cells the spectral recovery reads.
     """
-
-    def __init__(self, counts: CountsTensor):
-        self._counts = counts
-        self.degenerate_patterns: set[tuple[int, int, int]] = set()
-
-    def pattern_block(self, pattern: Sequence[int]) -> np.ndarray:
-        """Covariance of one attempt pattern's cells, row-major.
-
-        The cells carry labels 1..k at the flagged positions and 0
-        elsewhere, so a two-worker pattern gives a k^2 x k^2 block.
-        """
-        pattern = tuple(int(p) for p in pattern)
-        cells = self._counts.counts[_pattern_index(pattern)].reshape(-1)
-        total = self._counts.pattern_total(pattern)
-        if total <= 0:
-            self.degenerate_patterns.add(pattern)
-            return np.zeros((cells.size, cells.size))
-        block = -np.outer(cells, cells) / total
-        block[np.diag_indices_from(block)] = cells * (total - cells) / total
-        return block
+    cells = counts.counts[_pattern_index(pattern)].reshape(-1)
+    total = counts.pattern_total(pattern)
+    if total <= 0:
+        return np.zeros((cells.size, cells.size))
+    block = -np.outer(cells, cells) / total
+    block[np.diag_indices_from(block)] = cells * (total - cells) / total
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,7 +553,7 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     against the all-three cells and the nonempty pair patterns' cells
     differentiates that recovery, is carried through P = V / rowsum(V),
     then contracted with the block-diagonal multinomial covariance of
-    those cells (one block per attempt pattern, see CountsCovariances) by
+    those cells (one block per attempt pattern, see pattern_covariance) by
     matrix products. Raises EstimationFailure when the recovery fails or
     when a derivative is not finite (REASON_JACOBIAN_FAILURE).
     """
@@ -578,11 +564,10 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
         raise EstimationFailure(
             REASON_JACOBIAN_FAILURE, f"{bad} count cells have non-finite derivatives")
     k = counts.arity
-    v_all = estimate.v_matrices
+    v_all = estimate.recovery.v
     row_sums = v_all.sum(axis=2, keepdims=True)
-    cov = CountsCovariances(counts)
-    blocks = [(jac.derivs, cov.pattern_block((1, 1, 1)))]
-    blocks += [(jac.pair_derivs[p], cov.pattern_block(PAIR_PATTERNS[p]))
+    blocks = [(jac.derivs, pattern_covariance(counts, (1, 1, 1)))]
+    blocks += [(jac.pair_derivs[p], pattern_covariance(counts, PAIR_PATTERNS[p]))
                for p in np.flatnonzero(jac.pair_perturbed)]
     p_all = v_all / row_sums
     variances = np.zeros((3, k, k))

@@ -19,7 +19,7 @@ from crowdgauge.binary import (
     f_derivatives,
 )
 from crowdgauge.dataset import prune_spammers
-from crowdgauge.kary import CountsCovariances, CountsTensor, _pattern_cells, prob_estimate
+from crowdgauge.kary import CountsTensor, _pattern_cells, pattern_covariance, prob_estimate
 from crowdgauge.numerics import normal_quantile, optimal_weights
 from crowdgauge.simulate import (
     DENSITY_GRID,
@@ -291,14 +291,15 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
         tensor[cell] = n3 * prob
     for cell, prob in zip(cells2, probs2):
         tensor[cell] = n2 * prob
-    accessor = CountsCovariances(CountsTensor(2, tensor))
+    counts = CountsTensor(2, tensor)
 
     def covariance(a, b):
         pattern = tuple(int(x > 0) for x in a)
         if pattern != tuple(int(x > 0) for x in b):
             return 0.0
         pattern_cells = _pattern_cells(pattern, 2)
-        return accessor.pattern_block(pattern)[pattern_cells.index(a), pattern_cells.index(b)]
+        return pattern_covariance(counts, pattern)[pattern_cells.index(a),
+                                                   pattern_cells.index(b)]
 
     samples = np.hstack([rng.multinomial(n3, probs3, size=draws),
                          rng.multinomial(n2, probs2, size=draws)]).astype(float)
@@ -357,7 +358,7 @@ def test_criterion_07e_noiseless_spectral_recovery():
             tensor[1:, 1:, 1:] += 1000.0 * sel[t] * outer
         estimate = prob_estimate(CountsTensor(k, tensor))
         scale = np.sqrt(sel)[:, None]
-        for v, truth in zip(estimate.v_matrices, matrices):
+        for v, truth in zip(estimate.recovery.v, matrices):
             err = float(np.abs(v - scale * truth).max())
             assert err < 1e-8, f"{name}: recovery error {err:.3e} >= 1e-8"
         sel_err = float(np.abs(estimate.selectivity - sel).max())

@@ -2,6 +2,7 @@ import gc
 import math
 import time
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -296,6 +297,11 @@ def attempts_dataset(masks):
     return ResponseDataset.from_matrix(matrix)
 
 
+def pair_names(ds, pairs):
+    """greedy_pairs' (P, 2) worker positions as pairs of worker ids."""
+    return [(ds.workers[a], ds.workers[b]) for a, b in pairs.tolist()]
+
+
 def test_greedy_pairs_descending_overlap_trace():
     # overlaps with w1: w2 > w3 > w4 > w5, every cross pair overlapping
     n = 12
@@ -306,7 +312,7 @@ def test_greedy_pairs_descending_overlap_trace():
     masks[3, :8] = True
     masks[4, :6] = True
     ds = attempts_dataset(masks)
-    assert greedy_pairs(ds, "w1") == [("w2", "w3"), ("w4", "w5")]
+    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3"), ("w4", "w5")]
 
 
 def test_greedy_pairs_skips_unpairable_head():
@@ -319,13 +325,13 @@ def test_greedy_pairs_skips_unpairable_head():
     masks[3, 8:13] = True
     masks[4, 13:14] = True
     ds = attempts_dataset(masks)
-    assert greedy_pairs(ds, "w1") == [("w3", "w4")]
+    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w3", "w4")]
 
 
 def test_greedy_pairs_leftover_single_dropped():
     masks = np.ones((4, 6), dtype=bool)
     ds = attempts_dataset(masks)
-    assert greedy_pairs(ds, "w1") == [("w2", "w3")]
+    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3")]
 
 
 def test_greedy_pairs_min_overlap_breaks_early():
@@ -389,8 +395,14 @@ def exact_triple_estimate(stats, triple, rates_by_name):
                                 c3[frozenset(triple)], p_hats)
     dev = propagated_deviation(derivs, cov)
     return TripleEstimate(tuple(triple), p_hat=rates_by_name[i], dev=dev,
-                          d_i_j1=derivs[0], d_i_j2=derivs[1],
-                          d_j1_j2=derivs[2], q=qs)
+                          d_i_j1=derivs[0], d_i_j2=derivs[1], d_j1_j2=derivs[2])
+
+
+def triple_arrays(triples):
+    """(derivs (T, 2), devs (T,)) of `triples`, as cross_triple_covariances
+    takes them."""
+    return (np.array([(t.d_i_j1, t.d_i_j2) for t in triples]),
+            np.array([t.dev for t in triples]))
 
 
 def partner_arrays(stats, triples):
@@ -413,7 +425,8 @@ def test_cross_triple_diagonal_is_squared_dev():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    cov = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
+    cov = cross_triple_covariances(*triple_arrays((t1, t2)), 0.1,
+                                   *partner_arrays(stats, (t1, t2)))
     assert cov[0, 0] == pytest.approx(t1.dev ** 2, abs=1e-15)
     assert cov[1, 1] == pytest.approx(t2.dev ** 2, abs=1e-15)
     assert cov[0, 1] == cov[1, 0]
@@ -429,19 +442,32 @@ def test_cross_triple_disjoint_supports_give_zero():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    cov = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(zeroed, (t1, t2)))
+    cov = cross_triple_covariances(*triple_arrays((t1, t2)), 0.1,
+                                   *partner_arrays(zeroed, (t1, t2)))
     assert cov[0, 1] == 0.0
 
 
-def test_cross_triple_rejects_mixed_workers():
+def test_cross_triple_rejects_mismatched_shapes():
     names = ("w1", "w2", "w3", "w4", "w5")
     rates = (0.1, 0.15, 0.2, 0.25, 0.3)
     stats = full_overlap_stats(rates, names, 1000)
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
-    t2 = exact_triple_estimate(stats, ("w2", "w4", "w5"), by_name)
-    with pytest.raises(ValueError):
-        cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
+    t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
+    derivs, devs = triple_arrays((t1, t2))
+    c2, q, c3 = partner_arrays(stats, (t1, t2))
+    assert cross_triple_covariances(derivs, devs, 0.1, c2, q, c3).shape == (2, 2)
+    bad = [(derivs[:1], devs, c2, q, c3),          # derivs not (T, 2)
+           (derivs[:, :1], devs, c2, q, c3),
+           (derivs, devs[:1], c2, q, c3),          # devs not (T,)
+           (derivs, devs[:, None], c2, q, c3),
+           (derivs, devs, c2[:3], q, c3),          # c2 not over 2T partners
+           (derivs, devs, c2, q[:3, :3], c3),      # q not 2T x 2T
+           (derivs, devs, c2, q, c3[:, :3]),       # c3 not 2T x 2T
+           (derivs[:0], devs[:0], c2[:0], q[:0, :0], c3[:0, :0])]  # no triple
+    for d, v, a, b, c in bad:
+        with pytest.raises(ValueError):
+            cross_triple_covariances(d, v, 0.1, a, b, c)
 
 
 def test_cross_triple_covariances_match_simulation():
@@ -456,7 +482,8 @@ def test_cross_triple_covariances_match_simulation():
     by_name = dict(zip(names, rates))
     t1 = exact_triple_estimate(stats, ("w1", "w2", "w3"), by_name)
     t2 = exact_triple_estimate(stats, ("w1", "w4", "w5"), by_name)
-    formula = cross_triple_covariances((t1, t2), 0.1, *partner_arrays(stats, (t1, t2)))
+    formula = cross_triple_covariances(*triple_arrays((t1, t2)), 0.1,
+                                       *partner_arrays(stats, (t1, t2)))
 
     def invert(qa, qb, qc):
         return 0.5 - 0.5 * np.sqrt((2 * qa - 1) * (2 * qb - 1) / (2 * qc - 1))
@@ -631,16 +658,18 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     masks[7:] = rng.random((2, n)) < 0.6
     ds = simulate_binary(np.linspace(0.05, 0.25, 9), n, rng, masks)
     system, = build_worker_system(ds, ("w1",)).systems
-    assert not system.failed and len(system.triples) == 4
+    assert not system.failed and system.partners.shape == (4, 2)
     stats = dataset_stats(ds)
     _, c2, c3 = stats
-    partners = [w for t in system.triples for w in t.triple[1:]]
+    triples = [evaluate_triple(ds, ("w1", a, b), 0.9)[0]
+               for a, b in pair_names(ds, system.partners)]
+    partners = [w for t in triples for w in t.triple[1:]]
     c3s = [c3[frozenset(("w1", x, y))] for x in partners for y in partners if x != y]
     assert 0 in c3s
     assert any(c2[frozenset((x, y))] == 0 for x in partners for y in partners if x != y)
-    p_bar = float(np.mean([t.p_hat for t in system.triples]))
-    expected = scalar_cross_triple_covariances(system.triples, stats, p_bar)
-    assert np.count_nonzero(expected) > len(system.triples)
+    p_bar = float(np.mean([t.p_hat for t in triples]))
+    expected = scalar_cross_triple_covariances(triples, stats, p_bar)
+    assert np.count_nonzero(expected) > len(triples)
     np.testing.assert_allclose(system.covariance, expected, rtol=1e-12, atol=0.0)
 
 
@@ -694,16 +723,26 @@ def test_batched_triples_equal_one_row_calls_and_scalar_reference():
     one_row_all = []
     for system in batch.systems:
         one_row = [evaluate_triple(ds, (system.worker, a, b), 0.9)[0]
-                   for a, b in greedy_pairs(ds, system.worker)]
+                   for a, b in pair_names(ds, greedy_pairs(ds, system.worker))]
         one_row_all += one_row
+        usable = [t for t in one_row if not t.failed]
+        assert pair_names(ds, system.partners) == [t.triple[1:] for t in usable]
         # bit for bit: repr tells every float apart, -0.0 from 0.0 too
-        assert [repr(t) for t in system.triples] == [repr(t) for t in one_row if not t.failed]
-        assert system.triples_failed == sum(t.failed for t in one_row)
-    assert [repr(t) for t in batch.triples] == [repr(t) for t in one_row_all if not t.failed]
+        assert [repr(p) for p in system.p_hats.tolist()] == [repr(t.p_hat) for t in usable]
+        # The covariance carries the batched derivatives and deviations.
+        i, flat = ds.worker_index(system.worker), system.partners.ravel()
+        shared = (ds.attempts[flat] & ds.attempts[i]).astype(float)
+        expected = cross_triple_covariances(
+            *triple_arrays(usable), float(np.mean(system.p_hats)), ds.pair_overlap[i, flat],
+            ds.pair_agreement[flat][:, flat], shared @ shared.T)
+        assert system.covariance.tolist() == expected.tolist()
+        assert system.triple_failures == Counter(t.reason for t in one_row if t.failed)
+    usable_all = [t.triple for t in one_row_all if not t.failed]
+    assert [tuple(ds.workers[w] for w in row) for row in batch.triples.tolist()] == usable_all
     assert batch.triples_failed == sum(t.failed for t in one_row_all)
     reasons = [t.reason for t in one_row_all if t.failed]
     assert reasons and set(reasons) == {REASON_LOW_AGREEMENT}
-    assert any(stats[2][frozenset(t.triple)] == 0 for t in batch.triples)
+    assert any(stats[2][frozenset(t)] == 0 for t in usable_all)
     for est in one_row_all:
         reference = scalar_triple_reference(stats, est.triple)
         if reference is None:
@@ -729,7 +768,7 @@ def test_min_overlap_below_one_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="min_overlap must be at least 1"):
             call()
-    assert greedy_pairs(ds, "w1") == [("w2", "w3")]
+    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3")]
     with pytest.raises(TypeError):
         build_worker_system(ds, "w1")
 

@@ -14,7 +14,8 @@ from crowdgauge.cli import main, parse_label_map
 from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
 from crowdgauge.errors import (
-    LabelDomainError, REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP)
+    LabelDomainError, REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP,
+    REASON_LOW_AGREEMENT)
 from crowdgauge.simulate import (
     WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses)
 
@@ -108,6 +109,40 @@ def test_evaluate_uniform_weighting_flag(tmp_path):
         weights = record["weights"]
         assert len(weights) > 1
         assert weights == pytest.approx([1 / len(weights)] * len(weights))
+
+
+def test_evaluate_counts_failed_triples_by_reason(tmp_path):
+    # The low-agreement world of tests/test_binary.py's batched-triple test
+    # (seed 23): error rates near 1/2 fail some triples on low agreement.
+    rng = np.random.default_rng(23)
+    n = 600
+    masks = np.zeros((10, n), dtype=bool)
+    masks[0, :400] = True
+    masks[1, 200:] = True
+    masks[2, :200] = masks[2, 400:] = True
+    masks[3:] = rng.random((7, n)) < 0.45
+    rates = (0.1, 0.1, 0.1, 0.05, 0.15, 0.3, 0.44, 0.47, 0.49, 0.5)
+    truth = rng.integers(1, 3, size=n)
+    rows = [np.where(rng.random(n) < rate, 3 - truth, truth) for rate in rates]
+    ds = ResponseDataset.from_matrix(np.where(masks, np.stack(rows), 0))
+    src = tmp_path / "r.csv"
+    src.write_text(write_responses_csv(ds))
+    out = tmp_path / "o.json"
+    assert run_cli("evaluate", "--input", src, "--output", out) == 0
+    records = json.loads(out.read_text())
+    # The CSV lists workers in order of first appearance, so the pairing
+    # (and w2's count) differs from the in-memory dataset's.
+    assert {r["worker"]: r["triples_failed"] for r in records} == {
+        "w1": 0, "w2": 1, "w3": 1, "w4": 1, "w5": 1, "w6": 1, "w7": 1,
+        "w8": 2, "w9": 2, "w10": 2}
+    for record in records:
+        if record["triples_failed"]:
+            assert record["triple_failures"] == {
+                REASON_LOW_AGREEMENT: record["triples_failed"]}
+            assert list(record).index("triple_failures") == list(record).index(
+                "triples_failed") + 1
+        else:
+            assert "triple_failures" not in record
 
 
 def test_evaluate_exit_codes(tmp_path):

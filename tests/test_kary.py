@@ -18,7 +18,6 @@ from crowdgauge.errors import (
     REASON_NO_USABLE_SLICES,
 )
 from crowdgauge.kary import (
-    CountsCovariances,
     CountsTensor,
     PAIR_PATTERNS,
     SLICE_DEGENERATE,
@@ -28,6 +27,7 @@ from crowdgauge.kary import (
     kary_confidence_intervals,
     kary_deviations,
     numerical_jacobian,
+    pattern_covariance,
     prob_estimate,
     recover_selectivity,
 )
@@ -215,7 +215,7 @@ def test_prob_estimate_noiseless_identity_workers():
     counts = expected_counts([np.eye(2)] * 3, (0.5, 0.5))
     est = prob_estimate(counts)
     target = np.diag([1 / math.sqrt(2)] * 2)
-    for v in est.v_matrices:
+    for v in est.recovery.v:
         assert np.abs(v - target).max() < 1e-10
     for p in est.p_matrices:
         assert np.abs(p - np.eye(2)).max() < 1e-10
@@ -227,7 +227,7 @@ def test_prob_estimate_noiseless_arity2_fixture():
     sel = (0.5, 0.5)
     counts = expected_counts(ARITY2, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.v_matrices, scaled_truth(ARITY2, sel)):
+    for v, target in zip(est.recovery.v, scaled_truth(ARITY2, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, ARITY2):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -238,7 +238,7 @@ def test_prob_estimate_noiseless_arity3_fixture():
     sel = (1 / 3, 1 / 3, 1 / 3)
     counts = expected_counts(ARITY3, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.v_matrices, scaled_truth(ARITY3, sel)):
+    for v, target in zip(est.recovery.v, scaled_truth(ARITY3, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, ARITY3):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -255,7 +255,7 @@ def test_prob_estimate_noiseless_arity4_fixture():
     counts = expected_counts(mats, sel)
     est = prob_estimate(counts)
     assert est.diagnostics.slice_failures == ((2, SLICE_DEGENERATE),)
-    for v, target in zip(est.v_matrices, scaled_truth(mats, sel)):
+    for v, target in zip(est.recovery.v, scaled_truth(mats, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, mats):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -277,7 +277,7 @@ def test_prob_estimate_noiseless_skewed_selectivity():
     sel = (0.3, 0.7)
     counts = expected_counts(ARITY2, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.v_matrices, scaled_truth(ARITY2, sel)):
+    for v, target in zip(est.recovery.v, scaled_truth(ARITY2, sel)):
         assert np.abs(v - target).max() < 1e-8
     assert np.allclose(est.selectivity, sel, atol=1e-8)
 
@@ -370,7 +370,7 @@ def hand_covariance_tensor():
 
 
 def scalar_covariance(counts, cell_a, cell_b):
-    """Multinomial covariance of two count cells, the oracle for pattern_block."""
+    """Multinomial covariance of two count cells, the oracle for pattern_covariance."""
     pattern = tuple(int(x > 0) for x in cell_a)
     if pattern != tuple(int(x > 0) for x in cell_b):
         return 0.0
@@ -386,35 +386,28 @@ def scalar_covariance(counts, cell_a, cell_b):
 def test_counts_covariance_hand_values():
     # row-major cells: (1, 1, 1) is index 0 and (1, 1, 2) index 1 of the
     # all-three block; (1, 1, 0) is 0 and (2, 1, 0) is 2 of the 1+2 block
-    cov = CountsCovariances(hand_covariance_tensor())
-    attempted = cov.pattern_block((1, 1, 1))
+    counts = hand_covariance_tensor()
+    attempted = pattern_covariance(counts, (1, 1, 1))
     assert attempted[0, 0] == pytest.approx(21.0)
     assert attempted[0, 1] == pytest.approx(-3.0)
     assert attempted[1, 0] == pytest.approx(-3.0)
-    pair = cov.pattern_block((1, 1, 0))
+    pair = pattern_covariance(counts, (1, 1, 0))
     assert pair[0, 0] == pytest.approx(20 * 5 / 25)
     assert pair[0, 2] == pytest.approx(-20 * 5 / 25)
 
 
-def test_counts_covariance_degenerate_pattern():
-    cov = CountsCovariances(hand_covariance_tensor())
-    assert not cov.pattern_block((0, 1, 1)).any()
-    assert (0, 1, 1) in cov.degenerate_patterns
-
-
 def test_counts_covariance_rejects_bad_cells():
     # a pattern selects cells by three 0/1 flags; anything else is refused
-    cov = CountsCovariances(hand_covariance_tensor())
+    counts = hand_covariance_tensor()
     with pytest.raises(ValueError):
-        cov.pattern_block((2, 1, 1))
+        pattern_covariance(counts, (2, 1, 1))
     with pytest.raises(ValueError):
-        cov.pattern_block((1, 1))
+        pattern_covariance(counts, (1, 1))
 
 
 def test_attempted_block_matches_scalar_covariances():
     counts = hand_covariance_tensor()
-    cov = CountsCovariances(counts)
-    block = cov.pattern_block((1, 1, 1))
+    block = pattern_covariance(counts, (1, 1, 1))
     cells = list(product((1, 2), repeat=3))
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
@@ -423,8 +416,7 @@ def test_attempted_block_matches_scalar_covariances():
 
 def test_pattern_block_matches_scalar_covariances():
     counts = hand_covariance_tensor()
-    cov = CountsCovariances(counts)
-    block = cov.pattern_block((1, 1, 0))
+    block = pattern_covariance(counts, (1, 1, 0))
     cells = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
     assert block.shape == (4, 4)
     for i, a in enumerate(cells):
@@ -433,9 +425,12 @@ def test_pattern_block_matches_scalar_covariances():
 
 
 def test_pattern_block_empty_pattern_is_zero():
-    cov = CountsCovariances(hand_covariance_tensor())
-    assert not cov.pattern_block((1, 0, 1)).any()
-    assert (1, 0, 1) in cov.degenerate_patterns
+    # (1, 0, 1) and (0, 1, 1) hold no tasks in the hand tensor
+    counts = hand_covariance_tensor()
+    for pattern in ((1, 0, 1), (0, 1, 1)):
+        block = pattern_covariance(counts, pattern)
+        assert block.shape == (4, 4)
+        assert not block.any()
 
 
 def test_counts_covariances_match_multinomial_draws():
@@ -455,14 +450,14 @@ def test_counts_covariances_match_multinomial_draws():
     tensor = np.zeros((3, 3, 3))
     tensor[1:, 1:, 1:] = (n3 * joint3).reshape(2, 2, 2)
     tensor[1:, 1:, 0] = (n2 * joint2).reshape(2, 2)
-    cov = CountsCovariances(CountsTensor(2, tensor))
+    counts = CountsTensor(2, tensor)
 
     def covariance(a, b):
         pattern = tuple(int(x > 0) for x in a)
         if pattern != tuple(int(x > 0) for x in b):
             return 0.0
         cells = _pattern_cells(pattern, 2)
-        return cov.pattern_block(pattern)[cells.index(a), cells.index(b)]
+        return pattern_covariance(counts, pattern)[cells.index(a), cells.index(b)]
 
     cells3 = list(product((1, 2), repeat=3))
     cells2 = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
@@ -583,7 +578,7 @@ def test_jacobian_selectivity_chain_rule():
     counts = expected_counts(ARITY2, (0.5, 0.5))
     est = prob_estimate(counts)
     jac = numerical_jacobian(est)
-    row_sums = est.v_matrices[0].sum(axis=1)
+    row_sums = est.recovery.v[0].sum(axis=1)
     cell = (1, 1, 1)
     d_rows = jac.derivs[0, :, :, 0, 0, 0].sum(axis=1)
     chain = 2.0 * row_sums * d_rows
@@ -591,9 +586,9 @@ def test_jacobian_selectivity_chain_rule():
     eps = 0.005
     tensor = counts.counts.copy()
     tensor[cell] += eps
-    plus = prob_estimate(CountsTensor(2, tensor)).v_matrices[0].sum(axis=1) ** 2
+    plus = prob_estimate(CountsTensor(2, tensor)).recovery.v[0].sum(axis=1) ** 2
     tensor[cell] -= 2 * eps
-    minus = prob_estimate(CountsTensor(2, tensor)).v_matrices[0].sum(axis=1) ** 2
+    minus = prob_estimate(CountsTensor(2, tensor)).recovery.v[0].sum(axis=1) ** 2
     direct = (plus - minus) / (2 * eps)
     assert np.abs(chain - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
@@ -616,9 +611,9 @@ def test_jacobian_pair_cells_match_direct_differences():
     p = PAIR_PATTERNS.index((1, 0, 1))
     tensor = counts.counts.copy()
     tensor[2, 0, 1] += 1e-3
-    plus = prob_estimate(CountsTensor(2, tensor)).v_matrices
+    plus = prob_estimate(CountsTensor(2, tensor)).recovery.v
     tensor[2, 0, 1] -= 2e-3
-    minus = prob_estimate(CountsTensor(2, tensor)).v_matrices
+    minus = prob_estimate(CountsTensor(2, tensor)).recovery.v
     for w in range(3):
         direct = (plus[w] - minus[w]) / 2e-3
         assert np.abs(jac.pair_derivs[p, w, :, :, 1, 0] - direct).max() < 1e-6 * scale
@@ -679,11 +674,10 @@ def test_kary_deviations_delta_method_on_p():
     counts = expected_counts(ARITY2, (0.4, 0.6), n=2000.0,
                              densities=(0.9, 0.8, 0.7))
     devs = kary_deviations(counts)
-    cov = CountsCovariances(counts)
     eps = 0.01
 
     def p_stack(tensor):
-        v = np.stack(prob_estimate(CountsTensor(2, tensor)).v_matrices)
+        v = np.stack(prob_estimate(CountsTensor(2, tensor)).recovery.v)
         return v / v.sum(axis=2, keepdims=True)
 
     variances = np.zeros((3, 2, 2))
@@ -697,7 +691,7 @@ def test_kary_deviations_delta_method_on_p():
             plus = p_stack(tensor)
             tensor[cell] -= 2 * eps
             grads[..., n] = (plus - p_stack(tensor)) / (2 * eps)
-        block = cov.pattern_block(pattern)
+        block = pattern_covariance(counts, pattern)
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     expected = np.sqrt(variances)
     assert np.abs(devs.deviations - expected).max() < 1e-6 * expected.max()
@@ -708,12 +702,11 @@ def einsum_deviations(counts):
     est = prob_estimate(counts)
     jac = numerical_jacobian(est)
     k = counts.arity
-    cov = CountsCovariances(counts)
-    blocks = [(jac.derivs, cov.pattern_block((1, 1, 1)))]
-    blocks += [(jac.pair_derivs[p], cov.pattern_block(PAIR_PATTERNS[p]))
+    blocks = [(jac.derivs, pattern_covariance(counts, (1, 1, 1)))]
+    blocks += [(jac.pair_derivs[p], pattern_covariance(counts, PAIR_PATTERNS[p]))
                for p in np.flatnonzero(jac.pair_perturbed)]
-    row_sums = est.v_matrices.sum(axis=2, keepdims=True)
-    p_all = est.v_matrices / row_sums
+    row_sums = est.recovery.v.sum(axis=2, keepdims=True)
+    p_all = est.recovery.v / row_sums
     variances = np.zeros((3, k, k))
     for derivs, block in blocks:
         dv = derivs.reshape(3, k, k, -1)
