@@ -424,13 +424,21 @@ def test_pattern_block_matches_scalar_covariances():
             assert block[i, j] == pytest.approx(scalar_covariance(counts, a, b), abs=1e-12)
 
 
-def test_pattern_block_empty_pattern_is_zero():
-    # (1, 0, 1) and (0, 1, 1) hold no tasks in the hand tensor
+def test_counts_covariance_degenerate_pattern():
+    # (0, 1, 1) holds no tasks in the hand tensor, so its block is zero
     counts = hand_covariance_tensor()
-    for pattern in ((1, 0, 1), (0, 1, 1)):
-        block = pattern_covariance(counts, pattern)
-        assert block.shape == (4, 4)
-        assert not block.any()
+    assert counts.pattern_total((0, 1, 1)) == 0
+    block = pattern_covariance(counts, (0, 1, 1))
+    assert block.shape == (4, 4)
+    assert not block.any()
+
+
+def test_pattern_block_empty_pattern_is_zero():
+    # (1, 0, 1) holds no tasks in the hand tensor
+    counts = hand_covariance_tensor()
+    block = pattern_covariance(counts, (1, 0, 1))
+    assert block.shape == (4, 4)
+    assert not block.any()
 
 
 def test_counts_covariances_match_multinomial_draws():
