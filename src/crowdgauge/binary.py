@@ -271,10 +271,11 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1) -> np.n
     """Pair the other workers into disjoint triples around `worker`.
 
     Returns the partner pairs (j1, j2) as a (P, 2) array of worker
-    positions. Others are sorted by overlap with `worker` (descending,
-    first-appearance ties); the head of the list is paired with the first
-    later worker that shares at least `min_overlap` tasks with both.
-    Unpairable heads are skipped, a leftover single is dropped. Raises
+    positions. Others are sorted by overlap with `worker` (descending, ties
+    by worker id, so the pairs do not depend on the order of the input
+    rows); the head of the list is paired with the first later worker that
+    shares at least `min_overlap` tasks with both. Unpairable heads are
+    skipped, a leftover single is dropped. Raises
     InsufficientConnectivityError when no pair can be formed, and
     ValueError for a min_overlap below 1: every pair of a triple must share
     a task.
@@ -287,7 +288,7 @@ def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1) -> np.n
     i = ds.worker_index(worker)
     overlap = ds.pair_overlap
     order = sorted((j for j in range(ds.num_workers) if j != i),
-                   key=lambda j: (-overlap[i, j], j))
+                   key=lambda j: (-overlap[i, j], ds.workers[j]))
     pairs: list[tuple[int, int]] = []
     while len(order) >= 2:
         head = order[0]
@@ -502,10 +503,10 @@ def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
 def evaluate_all(ds: ResponseDataset, confidence: float,
                  weighting: str = "optimal", min_overlap: int = 1
                  ) -> list[WorkerReport]:
-    """Evaluate every worker; per-worker failures become failed reports."""
-    if ds.num_workers < 3:
-        raise InsufficientConnectivityError(
-            f"estimation needs at least 3 workers, got {ds.num_workers}")
+    """Evaluate every worker; per-worker failures become failed reports.
+
+    Fewer than 3 workers in the dataset raise InsufficientConnectivityError.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     return [_worker_report(ds, system, confidence, weighting)

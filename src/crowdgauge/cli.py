@@ -38,9 +38,7 @@ from .errors import (
     EmptyDatasetError,
     GoldLabelError,
     InsufficientConnectivityError,
-    InsufficientOverlapError,
     LabelDomainError,
-    REASON_INSUFFICIENT_OVERLAP,
     ResponseConflictError,
     ResponseParseError,
     UnknownWorkerError,
@@ -269,12 +267,6 @@ def cmd_evaluate(args) -> int:
 # -- evaluate-kary -----------------------------------------------------------
 
 
-def _interval_cell(ci) -> dict[str, float]:
-    return {"estimate": _round9(ci.estimate),
-            "lower": _round9(ci.lower),
-            "upper": _round9(ci.upper)}
-
-
 def cmd_evaluate_kary(args) -> int:
     ds = _load_dataset(args)
     confidence = _check_confidence(args.confidence)
@@ -298,23 +290,20 @@ def cmd_evaluate_kary(args) -> int:
         raise UsageError("one of --workers or --auto-triples is required")
     records = []
     for triple in triples:
-        counts = build_counts(ds, triple)
-        record: dict[str, object] = {"workers": list(triple)}
-        try:
-            report = kary_confidence_intervals(counts, confidence)
-        except InsufficientOverlapError:
-            record.update(failed=True, reason=REASON_INSUFFICIENT_OVERLAP)
-            records.append(record)
-            continue
-        record["failed"] = report.failed
+        report = kary_confidence_intervals(build_counts(ds, triple), confidence)
+        record: dict[str, object] = {"workers": list(triple), "failed": report.failed}
         if report.failed:
             record["reason"] = report.reason
         else:
             record["selectivity"] = [_round9(s) for s in report.selectivity]
+            k = report.arity
             record["matrices"] = [
                 {"worker": triple[w],
-                 "rows": [[_interval_cell(ci) for ci in row]
-                          for row in report.intervals[w]]}
+                 "rows": [[{"estimate": _round9(report.midpoints[w, r, c]),
+                            "lower": _round9(report.lower[w, r, c]),
+                            "upper": _round9(report.upper[w, r, c])}
+                           for c in range(k)]
+                          for r in range(k)]}
                 for w in range(3)]
             diag = report.diagnostics
             record["diagnostics"] = {
@@ -333,9 +322,6 @@ def cmd_evaluate_kary(args) -> int:
 
 
 # -- simulate ----------------------------------------------------------------
-
-_EXPERIMENTS = ("coverage", "size-vs-density", "weight-comparison",
-                "kary-coverage", "kary-size")
 
 _EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
     "coverage": {"n": 100, "m": 7, "d": 0.8, "reps": 500},
@@ -362,12 +348,7 @@ def cmd_simulate(args) -> int:
     n = args.n if args.n is not None else defaults["n"]
     m = args.m if args.m is not None else defaults["m"]
     density = _parse_density(args.d if args.d is not None else defaults["d"])
-    if args.reps is not None:
-        reps = args.reps
-    elif args.fast:
-        reps = 100
-    else:
-        reps = defaults["reps"]
+    reps = args.reps if args.reps is not None else defaults["reps"]
     fixture = defaults.get("fixture")
     if args.arity is not None:
         if args.experiment != "kary-coverage":
@@ -470,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kary.set_defaults(func=cmd_evaluate_kary)
 
     p_sim = sub.add_parser("simulate", help="synthetic interval-quality experiments")
-    p_sim.add_argument("experiment", choices=_EXPERIMENTS)
+    p_sim.add_argument("experiment", choices=tuple(_EXPERIMENT_DEFAULTS))
     p_sim.add_argument("--output", required=True,
                        help="result path (.csv or .json)")
     p_sim.add_argument("--n", type=int, help="tasks per replication")
@@ -484,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--weighting", choices=("uniform", "optimal"),
                        help="triple weighting (coverage and size-vs-density only; "
                             "default: optimal)")
-    p_sim.add_argument("--fast", action="store_true",
-                       help="cut replications to 100 unless --reps is given")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_prune = sub.add_parser("prune", parents=[common],

@@ -45,10 +45,6 @@ class InsufficientConnectivityError(CrowdGaugeError):
     """Too few workers, or no disjoint worker pairs can be formed."""
 
 
-class ConvergenceError(CrowdGaugeError):
-    """An iterative numeric routine failed to converge."""
-
-
 class EstimationFailure(CrowdGaugeError):
     """A soft estimator failure carrying a machine-readable reason code.
 

@@ -21,6 +21,12 @@ recovery's own intermediates: the frequency matrices, the inversions, the
 Gram square root, the slice eigensystems and the slice average. A triple
 is recovered once: that one recovery feeds the estimate, the Jacobian and
 the covariance contraction.
+
+Every way a triple can fail, a pair that shares no task included, raises
+EstimationFailure with one of the REASON_* codes of `errors`, and
+`kary_confidence_intervals` turns it into a failed `KaryReport`. A
+successful report carries its midpoints and interval ends as (3, k, k)
+arrays.
 """
 
 from __future__ import annotations
@@ -33,11 +39,9 @@ import numpy as np
 
 from .dataset import ResponseDataset
 from .errors import (
-    ConvergenceError,
     EstimationFailure,
-    InsufficientOverlapError,
     REASON_DEGENERATE_SELECTIVITY,
-    REASON_EIGEN_NONCONVERGENCE,
+    REASON_INSUFFICIENT_OVERLAP,
     REASON_JACOBIAN_FAILURE,
     REASON_NEGATIVE_SPECTRUM,
     REASON_NO_USABLE_SLICES,
@@ -46,7 +50,6 @@ from .errors import (
 )
 from .numerics import (
     COND_LIMIT,
-    ConfidenceInterval,
     eigendecompose_many,
     invert_matrices,
     normal_quantile,
@@ -217,28 +220,19 @@ def _fail(reason: str) -> EstimationFailure:
     return EstimationFailure(reason, f"spectral recovery failed: {reason}")
 
 
-def _eigendecompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eigendecompose_many, with non-convergence as a failed recovery."""
-    try:
-        return eigendecompose_many(stack)
-    except ConvergenceError as exc:
-        raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE, str(exc)) from exc
-
-
 def _recover(tensor: np.ndarray, k: int) -> _Recovery:
     """Core spectral recovery of one (k+1, k+1, k+1) counts array.
 
-    The k conditional slices are processed as one stack. A pair sharing no
-    task raises InsufficientOverlapError; any other failure, an
-    eigensolver that does not converge included, raises EstimationFailure
-    with the failed step's reason. The array is not validated, so tests
-    can recover counts shifted below zero.
+    The k conditional slices are processed as one stack. Every failure, a
+    pair sharing no task and an eigensolver that does not converge
+    included, raises EstimationFailure with the failed step's reason. The
+    array is not validated, so tests can recover counts shifted below zero.
     """
     with np.errstate(all="ignore"):
         freqs, pair_totals = _pair_counts(tensor)
         if min(pair_totals) <= 0:
-            raise InsufficientOverlapError(
-                "each pair of the triple must share at least one task")
+            raise EstimationFailure(REASON_INSUFFICIENT_OVERLAP,
+                                    "each pair of the triple must share at least one task")
         r12, r23, r31 = (c / total for c, total in zip(freqs, pair_totals))
         inv_r32, singular = invert_matrices(r23.T[None])
         if singular[0]:
@@ -246,7 +240,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         inv_r32 = inv_r32[0]
         gram = r12 @ inv_r32 @ r31
         gram = 0.5 * (gram + gram.T)
-        evecs, evals, _ = _eigendecompose(gram[None])
+        evecs, evals, _ = eigendecompose_many(gram[None])
         evecs, evals = evecs[0], evals[0]
         if evals.min() < -NEGATIVE_EIG_TOL_SCALE * max(np.abs(gram).max(), 1e-300):
             raise _fail(REASON_NEGATIVE_SPECTRUM)
@@ -275,7 +269,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         drop(slice_totals <= 0, SLICE_EMPTY)
         conditionals = slices / np.where(slice_totals > 0, slice_totals, 1.0)[:, None, None]
         x = u1_inv @ conditionals @ u2_inv
-        vectors, values, imag = _eigendecompose(
+        vectors, values, imag = eigendecompose_many(
             np.where(live[:, None, None], x, np.eye(k)))
         drop(imag > IMAG_TOL_SCALE * np.maximum(np.abs(x).max(axis=(1, 2)), 1e-300),
              SLICE_COMPLEX)
@@ -419,9 +413,10 @@ def recover_selectivity(v1: np.ndarray) -> np.ndarray:
 def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     """Recover all three workers' response-probability matrices.
 
-    Soft failures (singular frequency matrix, negative spectrum, no usable
-    slices, a zero row sum in some V) raise EstimationFailure with a reason
-    code; pairs sharing no tasks raise InsufficientOverlapError.
+    Every failure (a pair sharing no task, a singular frequency matrix, a
+    negative spectrum, an eigensolver that does not converge, no usable
+    slices, a zero row sum in some V) raises EstimationFailure with a
+    reason code.
     """
     rec = _recover(counts.counts, counts.arity)
     v = rec.v
@@ -586,48 +581,45 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
 class KaryReport:
     """Entrywise confidence intervals for a worker triple's matrices.
 
-    intervals[w][row][col] covers P_{w+1}(row, col); each row of midpoints
-    sums to 1 up to float error. On failure the grids and selectivity are
-    None and `reason` carries the cause.
+    midpoints, lower and upper are (3, k, k) arrays: the interval for
+    P_{w+1}(row, col) is [lower[w, row, col], upper[w, row, col]], the
+    midpoint less and plus z times its deviation. Each row of midpoints
+    sums to 1 up to float error, and selectivity is the recovered truth
+    distribution. On failure the arrays and selectivity are None and
+    `reason` carries the cause.
     """
 
     arity: int
     confidence: float
-    failed: bool
     reason: str | None
-    intervals: tuple[tuple[tuple[ConfidenceInterval, ...], ...], ...] | None
-    selectivity: tuple[float, ...] | None
+    midpoints: np.ndarray | None
+    lower: np.ndarray | None
+    upper: np.ndarray | None
+    selectivity: np.ndarray | None
     diagnostics: KaryDiagnostics
+
+    @property
+    def failed(self) -> bool:
+        return self.reason is not None
 
 
 def kary_confidence_intervals(counts: CountsTensor, confidence: float) -> KaryReport:
     """Full interval report for a triple's response-probability matrices.
 
-    Estimation failures produce a failed report; a pair sharing no tasks
-    still raises InsufficientOverlapError since the input violates the
-    estimator's precondition.
+    Every estimation failure, a pair sharing no task included, produces a
+    failed report with the reason code.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     try:
         devs = kary_deviations(counts)
     except EstimationFailure as exc:
-        return KaryReport(arity=counts.arity, confidence=confidence, failed=True,
-                          reason=exc.reason, intervals=None, selectivity=None,
+        return KaryReport(arity=counts.arity, confidence=confidence, reason=exc.reason,
+                          midpoints=None, lower=None, upper=None, selectivity=None,
                           diagnostics=KaryDiagnostics())
-    z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    grids = tuple(
-        tuple(
-            tuple(
-                ConfidenceInterval(
-                    confidence=confidence,
-                    estimate=float(devs.midpoints[w, r, c]),
-                    half_width=z * float(devs.deviations[w, r, c]))
-                for c in range(counts.arity))
-            for r in range(counts.arity))
-        for w in range(3))
+    half = abs(normal_quantile((1.0 - confidence) / 2.0)) * devs.deviations
     return KaryReport(
-        arity=counts.arity, confidence=confidence, failed=False, reason=None,
-        intervals=grids,
-        selectivity=tuple(float(s) for s in devs.estimate.selectivity),
+        arity=counts.arity, confidence=confidence, reason=None,
+        midpoints=devs.midpoints, lower=devs.midpoints - half,
+        upper=devs.midpoints + half, selectivity=devs.estimate.selectivity,
         diagnostics=devs.estimate.diagnostics)

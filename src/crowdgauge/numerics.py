@@ -14,7 +14,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, EstimationFailure, REASON_NEGATIVE_VARIANCE
+from .errors import (
+    EstimationFailure,
+    REASON_EIGEN_NONCONVERGENCE,
+    REASON_NEGATIVE_VARIANCE,
+)
 
 Matrix = np.ndarray
 
@@ -150,7 +154,8 @@ def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     with imaginary parts dropped, plus per item the largest imaginary
     magnitude seen so callers can enforce realness. Symmetric items
     (detected via SYMMETRY_DETECTION_TOL) take the symmetric path, get
-    orthonormal eigenvectors and report max_imag 0.
+    orthonormal eigenvectors and report max_imag 0. A solver that does not
+    converge raises EstimationFailure(REASON_EIGEN_NONCONVERGENCE).
     """
     m = np.array(stack, dtype=float)
     count, n = m.shape[0], m.shape[-1]
@@ -169,7 +174,8 @@ def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         if not symmetric.all():
             w, v = np.linalg.eig(m[~symmetric])
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE,
+                                f"eigendecomposition failed: {exc}") from exc
     if not symmetric.all():
         w = np.asarray(w, dtype=complex)
         v = np.asarray(v, dtype=complex)

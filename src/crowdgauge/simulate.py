@@ -21,7 +21,7 @@ import numpy as np
 
 from .binary import aggregate_system, build_worker_system
 from .dataset import GoldLabels, ResponseDataset
-from .errors import EstimationFailure, InsufficientOverlapError
+from .errors import EstimationFailure
 from .kary import build_counts, kary_deviations
 from .numerics import normal_quantile
 
@@ -122,19 +122,21 @@ def ramp_densities(m: int) -> np.ndarray:
     return (0.5 * i + (m - i)) / m
 
 
+def _per_worker_densities(density, m: int) -> np.ndarray:
+    """One attempt density per worker, from a scalar or a length-m sequence."""
+    dens = np.full(m, float(density)) if np.isscalar(density) else np.asarray(density, float)
+    if dens.shape != (m,):
+        raise ValueError(f"need one density per worker ({m}), got {dens.shape}")
+    return dens
+
+
 def _density_vector(cfg: SimConfig) -> np.ndarray:
     if isinstance(cfg.density, str):
         if cfg.density != "ramp":
             raise ValueError(f"density must be a number, 'ramp', or a tuple, "
                              f"got {cfg.density!r}")
         return ramp_densities(cfg.m)
-    if isinstance(cfg.density, (tuple, list)):
-        dens = np.asarray(cfg.density, dtype=float)
-        if dens.shape != (cfg.m,):
-            raise ValueError(f"need one density per worker ({cfg.m}), "
-                             f"got {dens.shape}")
-    else:
-        dens = np.full(cfg.m, float(cfg.density))
+    dens = _per_worker_densities(cfg.density, cfg.m)
     if (dens <= 0).any() or (dens > 1).any():
         raise ValueError("densities must lie in (0, 1]")
     return dens
@@ -169,9 +171,7 @@ def gen_binary_responses(rates: Sequence[float], n: int, density, rng=0
     rng = _as_generator(rng)
     rates = np.asarray(rates, dtype=float)
     m = rates.size
-    dens = np.full(m, float(density)) if np.isscalar(density) else np.asarray(density, float)
-    if dens.shape != (m,):
-        raise ValueError(f"need one density per worker ({m}), got {dens.shape}")
+    dens = _per_worker_densities(density, m)
     truth = rng.integers(1, 3, size=n)
     attempts = rng.random((m, n)) < dens[:, None]
     flips = rng.random((m, n)) < rates[:, None]
@@ -225,9 +225,7 @@ def _gen_kary_with_matrices(matrices, n: int, density, selectivity, rng
         if sel.shape != (k,) or (sel < 0).any() or sel.sum() <= 0:
             raise ValueError("selectivity must be a nonnegative length-k vector")
         sel = sel / sel.sum()
-    dens = np.full(3, float(density)) if np.isscalar(density) else np.asarray(density, float)
-    if dens.shape != (3,):
-        raise ValueError(f"need one density per worker (3), got {dens.shape}")
+    dens = _per_worker_densities(density, 3)
     truth = 1 + np.searchsorted(np.cumsum(sel), rng.random(n), side="right")
     truth = np.minimum(truth, k)
     attempts = rng.random((3, n)) < dens[:, None]
@@ -301,7 +299,7 @@ def _kary_rep(cfg: SimConfig, rep: int):
     counts = build_counts(world.dataset, world.dataset.workers)
     try:
         devs = kary_deviations(counts)
-    except (EstimationFailure, InsufficientOverlapError):
+    except EstimationFailure:
         return None
     return np.stack(world.matrices), devs.midpoints, devs.deviations
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from crowdgauge import cli
+from crowdgauge.binary import evaluate_all
 from crowdgauge.cli import main, parse_label_map
 from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
@@ -17,7 +18,7 @@ from crowdgauge.errors import (
     LabelDomainError, REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT)
 from crowdgauge.simulate import (
-    WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses)
+    WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses, substream)
 
 
 def run_cli(*argv) -> int:
@@ -111,9 +112,9 @@ def test_evaluate_uniform_weighting_flag(tmp_path):
         assert weights == pytest.approx([1 / len(weights)] * len(weights))
 
 
-def test_evaluate_counts_failed_triples_by_reason(tmp_path):
-    # The low-agreement world of tests/test_binary.py's batched-triple test
-    # (seed 23): error rates near 1/2 fail some triples on low agreement.
+def low_agreement_world():
+    """The low-agreement world of tests/test_binary.py's batched-triple test
+    (seed 23): error rates near 1/2 fail some triples on low agreement."""
     rng = np.random.default_rng(23)
     n = 600
     masks = np.zeros((10, n), dtype=bool)
@@ -124,16 +125,17 @@ def test_evaluate_counts_failed_triples_by_reason(tmp_path):
     rates = (0.1, 0.1, 0.1, 0.05, 0.15, 0.3, 0.44, 0.47, 0.49, 0.5)
     truth = rng.integers(1, 3, size=n)
     rows = [np.where(rng.random(n) < rate, 3 - truth, truth) for rate in rates]
-    ds = ResponseDataset.from_matrix(np.where(masks, np.stack(rows), 0))
+    return ResponseDataset.from_matrix(np.where(masks, np.stack(rows), 0))
+
+
+def test_evaluate_counts_failed_triples_by_reason(tmp_path):
     src = tmp_path / "r.csv"
-    src.write_text(write_responses_csv(ds))
+    src.write_text(write_responses_csv(low_agreement_world()))
     out = tmp_path / "o.json"
     assert run_cli("evaluate", "--input", src, "--output", out) == 0
     records = json.loads(out.read_text())
-    # The CSV lists workers in order of first appearance, so the pairing
-    # (and w2's count) differs from the in-memory dataset's.
     assert {r["worker"]: r["triples_failed"] for r in records} == {
-        "w1": 0, "w2": 1, "w3": 1, "w4": 1, "w5": 1, "w6": 1, "w7": 1,
+        "w1": 0, "w2": 1, "w3": 1, "w4": 0, "w5": 1, "w6": 1, "w7": 1,
         "w8": 2, "w9": 2, "w10": 2}
     for record in records:
         if record["triples_failed"]:
@@ -143,6 +145,31 @@ def test_evaluate_counts_failed_triples_by_reason(tmp_path):
                 "triples_failed") + 1
         else:
             assert "triple_failures" not in record
+
+
+def test_evaluate_records_do_not_depend_on_the_order_of_the_rows(tmp_path):
+    # A CSV lists workers in order of first appearance, so the round trip
+    # and the shuffled rows give the workers other positions than the
+    # in-memory dataset; greedy pairing breaks overlap ties by worker id, so
+    # every worker gets the same triples and the same record.
+    ds = low_agreement_world()
+    lines = write_responses_csv(ds).splitlines(keepends=True)
+    header, lines = lines[:2], lines[2:]
+    shuffled = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+    memory = sorted(evaluate_all(ds, 0.95), key=lambda r: r.worker)
+    outputs = []
+    for name, body in (("round_trip", lines), ("shuffled", shuffled)):
+        text = "".join(header + body)
+        loaded = load_responses(text, "csv")
+        assert loaded.workers != ds.workers
+        assert sorted(evaluate_all(loaded, 0.95), key=lambda r: r.worker) == memory
+        src = tmp_path / f"{name}.csv"
+        src.write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert run_cli("evaluate", "--input", src, "--output", out) == 0
+        outputs.append(sorted(json.loads(out.read_text()), key=lambda r: r["worker"]))
+    assert outputs[0] == outputs[1]
+    assert [r["triples_used"] for r in outputs[0]] == [r.triples_used for r in memory]
 
 
 def test_evaluate_exit_codes(tmp_path):
@@ -383,14 +410,33 @@ def test_simulate_kary_coverage_json(tmp_path):
     assert len(payload["rows"]) == 1
 
 
-def test_simulate_reps_overrides_fast(tmp_path):
+def test_simulate_kary_coverage_counts_pairs_without_shared_tasks_as_failures(tmp_path):
+    # six tasks at density 0.3: in most worlds some pair of the three
+    # workers shares no task, and every world is too small to estimate, so
+    # each replication is a failure and the run still exits 0
+    reps, seed = 20, 8
+    disjoint = 0
+    for rep in range(reps):
+        world = gen_kary_responses("arity2", 6, [0.3] * 3, None, substream(seed, rep))
+        disjoint += int((world.dataset.pair_overlap[np.triu_indices(3, 1)] == 0).any())
+    assert disjoint >= reps // 2
+    out = tmp_path / "sparse.csv"
+    assert run_cli("simulate", "kary-coverage", "--arity", "2", "--n", "6", "--d", "0.3",
+                   "--reps", reps, "--seed", seed, "--confidence", "0.8",
+                   "--output", out) == 0
+    data = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert data == ["confidence,accuracy,mean_size,failures,evaluations",
+                    f"0.8,nan,nan,{reps},0"]
+
+
+def test_simulate_fast_is_a_usage_error(tmp_path):
+    # simulate has no --fast option: it duplicated --reps 100
     out = tmp_path / "fast.json"
     rc = run_cli("simulate", "coverage", "--n", "50", "--m", "3", "--d", "1.0",
                  "--fast", "--reps", "2", "--confidence", "0.8",
                  "--output", out)
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["metadata"]["replications"] == "2"
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_simulate_usage_errors(tmp_path):

@@ -10,9 +10,9 @@ from crowdgauge.binary import error_rate_from_agreements
 from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
     EstimationFailure,
-    InsufficientOverlapError,
     REASON_DEGENERATE_SELECTIVITY,
     REASON_EIGEN_NONCONVERGENCE,
+    REASON_INSUFFICIENT_OVERLAP,
     REASON_JACOBIAN_FAILURE,
     REASON_NONINVERTIBLE_FREQUENCY,
     REASON_NO_USABLE_SLICES,
@@ -31,6 +31,7 @@ from crowdgauge.kary import (
     prob_estimate,
     recover_selectivity,
 )
+from crowdgauge.numerics import ConfidenceInterval, normal_quantile
 from crowdgauge.simulate import WORKER_MATRIX_FIXTURES, _gen_kary_with_matrices
 
 ARITY2 = WORKER_MATRIX_FIXTURES["arity2"]
@@ -195,8 +196,9 @@ def test_frequency_matrices_need_overlap():
     tensor = np.zeros((3, 3, 3))
     tensor[1, 1, 0] = 5.0  # only workers 1 and 2 ever answer together
     tensor[1, 0, 0] = 3.0
-    with pytest.raises(InsufficientOverlapError):
+    with pytest.raises(EstimationFailure) as info:
         frequency_matrices(CountsTensor(2, tensor))
+    assert info.value.reason == REASON_INSUFFICIENT_OVERLAP
 
 
 # -- spectral recovery -------------------------------------------------------
@@ -774,16 +776,24 @@ def test_kary_confidence_intervals_report_shape():
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
     assert report.arity == 3
-    assert len(report.intervals) == 3
-    for grid in report.intervals:
-        assert len(grid) == 3 and all(len(row) == 3 for row in grid)
-        for row in grid:
-            midpoints = [ci.estimate for ci in row]
-            assert sum(midpoints) == pytest.approx(1.0, abs=1e-6)
-            for ci in row:
-                assert ci.confidence == 0.9
-                assert ci.half_width >= 0
+    assert report.confidence == 0.9
+    for grid in (report.midpoints, report.lower, report.upper):
+        assert grid.shape == (3, 3, 3)
+    for row in report.midpoints.reshape(-1, 3):
+        assert sum(row) == pytest.approx(1.0, abs=1e-6)
+    assert (report.upper - report.midpoints >= 0).all()
+    # the interval is symmetric about its midpoint
+    np.testing.assert_allclose(report.midpoints - report.lower,
+                               report.upper - report.midpoints, rtol=1e-9, atol=1e-15)
+    assert report.selectivity.shape == (3,)
     assert sum(report.selectivity) == pytest.approx(1.0, abs=1e-9)
+    # the ends are the ones ConfidenceInterval gives, to the last bit
+    devs = kary_deviations(counts)
+    z = abs(normal_quantile(0.05))
+    for cell in np.ndindex(3, 3, 3):
+        ci = ConfidenceInterval(confidence=0.9, estimate=float(devs.midpoints[cell]),
+                                half_width=z * float(devs.deviations[cell]))
+        assert (report.lower[cell], report.upper[cell]) == (ci.lower, ci.upper)
 
 
 def test_kary_confidence_intervals_cover_truth_mostly():
@@ -797,7 +807,7 @@ def test_kary_confidence_intervals_cover_truth_mostly():
         truth = np.asarray(truth, float)
         for r in range(3):
             for c in range(3):
-                if report.intervals[w][r][c].covers(truth[r, c]):
+                if report.lower[w, r, c] <= truth[r, c] <= report.upper[w, r, c]:
                     covered += 1
     assert covered >= 20  # 27 cells, noisy but most must cover at 95%
 
@@ -811,7 +821,8 @@ def test_kary_confidence_intervals_failure_report():
     report = kary_confidence_intervals(CountsTensor(2, tensor), 0.9)
     assert report.failed
     assert report.reason == REASON_NONINVERTIBLE_FREQUENCY
-    assert report.intervals is None and report.selectivity is None
+    assert report.midpoints is None and report.selectivity is None
+    assert report.lower is None and report.upper is None
 
 
 def test_report_diagnostics_are_the_estimates_and_clamped_reads_the_midpoints(
@@ -830,7 +841,7 @@ def test_report_diagnostics_are_the_estimates_and_clamped_reads_the_midpoints(
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
     assert report.diagnostics is seen[0].estimate.diagnostics
-    midpoints = [ci.estimate for grid in report.intervals for row in grid for ci in row]
+    midpoints = report.midpoints.reshape(-1).tolist()
     outside = any(m < 0.0 or m > 1.0 for m in midpoints)
     assert report.diagnostics.clamped is True
     assert report.diagnostics.clamped == outside
@@ -842,11 +853,12 @@ def test_kary_confidence_intervals_validate_confidence():
         kary_confidence_intervals(counts, 1.0)
 
 
-def test_kary_confidence_intervals_missing_pair_raises():
+def test_kary_confidence_intervals_missing_pair_fails_the_report():
     tensor = np.zeros((3, 3, 3))
     tensor[1, 1, 0] = 5.0
-    with pytest.raises(InsufficientOverlapError):
-        kary_confidence_intervals(CountsTensor(2, tensor), 0.9)
+    report = kary_confidence_intervals(CountsTensor(2, tensor), 0.9)
+    assert report.failed and report.reason == REASON_INSUFFICIENT_OVERLAP
+    assert report.midpoints is None and report.selectivity is None
 
 
 def test_runtime_insensitive_to_task_count():

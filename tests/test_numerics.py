@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdgauge.errors import EstimationFailure
+from crowdgauge.errors import EstimationFailure, REASON_EIGEN_NONCONVERGENCE
 from crowdgauge.numerics import (
     ConfidenceInterval,
     eigendecompose_many,
@@ -205,6 +205,22 @@ def test_eigendecompose_many_matches_single_calls():
         assert np.array_equal(values[item], d)
         assert max_imag[item] == imag
     assert max_imag[0] == 0.0 and max_imag[2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eig"])
+def test_eigendecompose_many_non_convergence_fails_with_the_reason_code(
+        monkeypatch, solver):
+    # symmetric items go to eigh and the others to eig; either solver's
+    # failure is an estimation failure, not a bare LinAlgError
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, no_convergence)
+    stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 3.0]]])
+    with pytest.raises(EstimationFailure) as info:
+        eigendecompose_many(stack)
+    assert info.value.reason == REASON_EIGEN_NONCONVERGENCE
+    assert "Eigenvalues did not converge" in str(info.value)
 
 
 def test_eigendecompose_symmetric():
