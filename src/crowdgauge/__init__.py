@@ -13,14 +13,12 @@ from .errors import (
     EstimationFailure,
     GoldLabelError,
     InsufficientConnectivityError,
-    InsufficientOverlapError,
     LabelDomainError,
     ResponseConflictError,
     ResponseParseError,
     UnknownWorkerError,
 )
 from .numerics import (
-    ConfidenceInterval,
     normal_quantile,
     optimal_weights,
     propagated_deviation,
@@ -36,14 +34,12 @@ from .dataset import (
     write_responses_csv,
 )
 from .binary import (
-    TripleEstimate,
     WorkerReport,
     agreement_covariances,
     build_worker_system,
     cross_triple_covariances,
     error_rate_from_agreements,
     evaluate_all,
-    evaluate_triple,
     evaluate_worker,
     greedy_pairs,
 )
@@ -80,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONFIDENCE_GRID",
-    "ConfidenceInterval",
     "CountsTensor",
     "CrowdGaugeError",
     "DENSITY_GRID",
@@ -90,7 +85,6 @@ __all__ = [
     "GoldLabelError",
     "GoldLabels",
     "InsufficientConnectivityError",
-    "InsufficientOverlapError",
     "KaryReport",
     "KaryWorld",
     "LabelDomainError",
@@ -100,7 +94,6 @@ __all__ = [
     "ResponseParseError",
     "ResponseProbEstimate",
     "SimConfig",
-    "TripleEstimate",
     "UnknownWorkerError",
     "WorkerReport",
     "agreement_covariances",
@@ -110,7 +103,6 @@ __all__ = [
     "cross_triple_covariances",
     "error_rate_from_agreements",
     "evaluate_all",
-    "evaluate_triple",
     "evaluate_worker",
     "gen_binary_responses",
     "gen_binary_workers",

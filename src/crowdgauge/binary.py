@@ -18,8 +18,8 @@ workers in one array pass (error rates, derivatives, agreement
 covariances, deviations and a failure reason per row), and each worker's
 system keeps its slice of those arrays and their covariance, one matrix
 product over the attempt rows of its 2T partners. The formulas take
-scalars or arrays alike; `evaluate_triple` is a one-row call into the same
-pass and the only place a `TripleEstimate` is built.
+scalars or arrays alike. A `WorkerReport` carries each worker's interval as
+plain floats, with a reason code in place of the numbers on failure.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ from .dataset import ResponseDataset
 from .errors import (
     EstimationFailure,
     InsufficientConnectivityError,
-    InsufficientOverlapError,
     REASON_INSUFFICIENT_CONNECTIVITY,
+    REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT,
     REASON_NEGATIVE_VARIANCE,
     REASON_NO_USABLE_TRIPLES,
 )
 from .numerics import (
     VARIANCE_CLAMP_TOL,
-    ConfidenceInterval,
     normal_quantile,
     optimal_weights,
     propagated_deviation,
@@ -53,45 +52,29 @@ METHOD_M_WORKER_UNIFORM = "m_worker_uniform"
 METHOD_M_WORKER_OPTIMAL = "m_worker_optimal"
 
 
-@dataclass(frozen=True, slots=True)
-class TripleEstimate:
-    """One worker's error-rate estimate from a single triple (i, j1, j2).
-
-    On failure the numeric fields are None and `reason` explains why. The
-    d_* fields are the partial derivatives of the estimate with respect to
-    the agreement rates q_i_j1, q_i_j2 and q_j1_j2. `clamped` marks
-    estimates cut off at 0 where the noisy agreement rates imply a negative
-    rate.
-    """
-
-    triple: tuple[str, str, str]
-    failed: bool = False
-    reason: str | None = None
-    p_hat: float | None = None
-    dev: float | None = None
-    d_i_j1: float | None = None
-    d_i_j2: float | None = None
-    d_j1_j2: float | None = None
-    clamped: bool = False
-
-
 @dataclass(frozen=True)
 class WorkerReport:
     """Aggregated error-rate interval for one worker.
 
-    `method` is one of three_worker, m_worker_uniform, m_worker_optimal.
-    `triple_failures` counts the failed triples by reason, and
-    `triples_failed` is their total. `weights` aligns with the non-failed
-    triples that entered the aggregation; `dev` is the standard deviation
-    behind the interval's half-width. `weight_fallback` is set when
-    minimum-variance weighting had to fall back to uniform weights.
+    The interval is [lower, upper], the estimate less and plus z times
+    `dev`. On failure `estimate`, `lower`, `upper`, `weights` and `dev` are
+    None and `reason` carries the cause. `method` is one of three_worker,
+    m_worker_uniform, m_worker_optimal. `triple_failures` counts the failed
+    triples by reason, and `triples_failed` is their total. `weights` aligns
+    with the non-failed triples that entered the aggregation. `clamped`
+    marks an aggregate cut back into [0, 1], and `weight_fallback` is set
+    when minimum-variance weighting had to fall back to uniform weights.
     """
 
     worker: str
-    interval: ConfidenceInterval
+    confidence: float
+    reason: str | None
     method: str
     triples_used: int
     triple_failures: dict[str, int] = field(hash=False)
+    estimate: float | None = None
+    lower: float | None = None
+    upper: float | None = None
     weights: tuple[float, ...] | None = None
     dev: float | None = None
     clamped: bool = False
@@ -99,7 +82,7 @@ class WorkerReport:
 
     @property
     def failed(self) -> bool:
-        return self.interval.failed
+        return self.reason is not None
 
     @property
     def triples_failed(self) -> int:
@@ -162,14 +145,16 @@ def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np
 
     With zero triple overlap the off-diagonal terms vanish. Every entry may
     be an array over T triples instead of a scalar; the result is then a
-    (T, 3, 3) stack.
+    (T, 3, 3) stack. A pair that shares no task raises
+    EstimationFailure(REASON_INSUFFICIENT_OVERLAP).
     """
     q_ij1, q_ij2, q_j1j2 = (np.asarray(x, dtype=float) for x in q)
     c_ij1, c_ij2, c_j1j2 = (np.asarray(x) for x in c2)
     p_i, p_j1, p_j2 = (np.asarray(p, dtype=float) for p in p_hats)
     c3 = np.asarray(c3)
     if (np.minimum(np.minimum(c_ij1, c_ij2), c_j1j2) < 1).any():
-        raise InsufficientOverlapError("a pair of the triple shares no tasks")
+        raise EstimationFailure(REASON_INSUFFICIENT_OVERLAP,
+                                "a pair of the triple shares no tasks")
     shape = np.broadcast(q_ij1, q_ij2, q_j1j2, c_ij1, c_ij2, c_j1j2, c3, p_i, p_j1, p_j2).shape
     cov = np.zeros(shape + (3, 3))
     cov[..., 0, 0] = q_ij1 * (1.0 - q_ij1) / c_ij1
@@ -191,7 +176,7 @@ class _Triples(NamedTuple):
     `index` holds the (T, 3) worker positions and `reason` each row's
     failure reason, None on a usable row. `p_hat`, `dev` and the (T, 3)
     `derivs` (with respect to q_i_j1, q_i_j2, q_j1_j2) are NaN on failed
-    rows; `clamped` marks estimates cut off at 0.
+    rows; a `p_hat` of 0 is an estimate cut off at 0.
     """
 
     index: np.ndarray
@@ -199,25 +184,20 @@ class _Triples(NamedTuple):
     p_hat: np.ndarray
     dev: np.ndarray
     derivs: np.ndarray
-    clamped: np.ndarray
 
 
-def _evaluate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) -> _Triples:
+def _estimate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) -> _Triples:
     """Estimate worker i's error rate from each row (i, j1, j2) of `index`.
 
     `c3` holds the rows' triple overlaps. Every formula runs once over all
     T rows. A row with an agreement rate at or below 1/2, or whose
     propagated variance is negative beyond VARIANCE_CLAMP_TOL (the rule of
     propagated_deviation), fails with that reason; a pair sharing no task
-    raises InsufficientOverlapError.
+    raises EstimationFailure(REASON_INSUFFICIENT_OVERLAP).
     """
     i, j1, j2 = index.T
     pairs = ((i, j1), (i, j2), (j1, j2))
     c2 = [ds.pair_overlap[x, y] for x, y in pairs]
-    empty = np.flatnonzero(np.minimum(np.minimum(c2[0], c2[1]), c2[2]) < 1)
-    if empty.size:
-        triple = tuple(ds.workers[w] for w in index[empty[0]])
-        raise InsufficientOverlapError(f"triple {triple} has an empty pair")
     q = [ds.pair_agreement[x, y] for x, y in pairs]
     low = np.minimum(np.minimum(q[0], q[1]), q[2]) <= 0.5
     # Low rows are evaluated at perfect agreement, a point inside the
@@ -226,7 +206,6 @@ def _evaluate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) ->
     p_hats = (error_rate_from_agreements(q_ij1, q_ij2, q_j1j2),
               error_rate_from_agreements(q_ij1, q_j1j2, q_ij2),
               error_rate_from_agreements(q_ij2, q_j1j2, q_ij1))
-    radicand = (2 * q_ij1 - 1) * (2 * q_ij2 - 1) / (2 * q_j1j2 - 1)
     cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), c2, c3, p_hats)
     g = np.stack(f_derivatives(q_ij1, q_ij2, q_j1j2), axis=1)
     var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
@@ -235,36 +214,7 @@ def _evaluate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) ->
     usable = np.equal(reason, None)
     return _Triples(index, reason, np.where(usable, p_hats[0], np.nan),
                     np.where(usable, np.sqrt(np.maximum(var, 0.0)), np.nan),
-                    np.where(usable[:, None], g, np.nan), usable & (radicand > 1.0))
-
-
-def evaluate_triple(ds: ResponseDataset, triple: Sequence[str], confidence: float
-                    ) -> tuple[TripleEstimate, ConfidenceInterval]:
-    """Estimate worker triple[0]'s error rate from one triple, with interval.
-
-    Low agreement or a negative propagated variance yields a failed estimate
-    and interval rather than an exception; an empty pair (no shared tasks)
-    raises InsufficientOverlapError.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    i, j1, j2 = triple
-    if len({i, j1, j2}) != 3:
-        raise ValueError(f"triple {tuple(triple)} repeats a worker")
-    index = np.array([[ds.worker_index(w) for w in triple]])
-    row = _evaluate_triples(ds, index, ds.triple_overlap_by_index(
-        index[0, 0], index[:, 1], index[:, 2]))
-    reason = row.reason[0]
-    if reason is not None:
-        return (TripleEstimate(tuple(triple), failed=True, reason=reason),
-                ConfidenceInterval.failure(confidence, reason))
-    d_i_j1, d_i_j2, d_j1_j2 = row.derivs[0].tolist()
-    est = TripleEstimate(tuple(triple), p_hat=float(row.p_hat[0]), dev=float(row.dev[0]),
-                         d_i_j1=d_i_j1, d_i_j2=d_i_j2, d_j1_j2=d_j1_j2,
-                         clamped=bool(row.clamped[0]))
-    z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    return est, ConfidenceInterval(confidence=confidence, estimate=est.p_hat,
-                                   half_width=z * est.dev)
+                    np.where(usable[:, None], g, np.nan))
 
 
 def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1) -> np.ndarray:
@@ -414,7 +364,7 @@ def build_worker_system(ds: ResponseDataset, workers: Sequence[str],
     # (that worker's triples x tasks).
     c3 = np.concatenate([np.empty(0, dtype=np.intp)] + [
         ds.triple_overlap_by_index(block[0, 0], block[:, 1], block[:, 2]) for block in paired])
-    rows = _evaluate_triples(ds, index, c3)
+    rows = _estimate_triples(ds, index, c3)
     usable = np.equal(rows.reason, None)
     systems = []
     stop = 0
@@ -476,13 +426,13 @@ def _worker_report(ds: ResponseDataset, system: _WorkerSystem, confidence: float
         except EstimationFailure as exc:
             reason = exc.reason
     if reason is not None:
-        return WorkerReport(system.worker, ConfidenceInterval.failure(confidence, reason),
-                            method, used, system.triple_failures)
-    z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    interval = ConfidenceInterval(confidence=confidence, estimate=estimate, half_width=z * dev)
-    return WorkerReport(system.worker, interval, method, used, system.triple_failures,
-                        weights=tuple(float(w) for w in weights), dev=dev,
-                        clamped=clamped, weight_fallback=fallback)
+        return WorkerReport(system.worker, confidence, reason, method, used,
+                            system.triple_failures)
+    half_width = abs(normal_quantile((1.0 - confidence) / 2.0)) * dev
+    return WorkerReport(system.worker, confidence, None, method, used, system.triple_failures,
+                        estimate=estimate, lower=estimate - half_width,
+                        upper=estimate + half_width, weights=tuple(float(w) for w in weights),
+                        dev=dev, clamped=clamped, weight_fallback=fallback)
 
 
 def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,

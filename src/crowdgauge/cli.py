@@ -230,7 +230,7 @@ def cmd_evaluate(args) -> int:
         proxies = _proxy_error_rates(ds, gold)
     reports = evaluate_all(ds, confidence, args.weighting, args.min_overlap)
     records = []
-    for report in reports:
+    for report in sorted(reports, key=lambda r: r.worker):
         record: dict[str, object] = {
             "worker": report.worker,
             "failed": report.failed,
@@ -242,11 +242,11 @@ def cmd_evaluate(args) -> int:
             record["triple_failures"] = report.triple_failures
         record["method"] = report.method
         if report.failed:
-            record["reason"] = report.interval.reason
+            record["reason"] = report.reason
         else:
-            record["estimate"] = _round9(report.interval.estimate)
-            record["lower"] = _round9(report.interval.lower)
-            record["upper"] = _round9(report.interval.upper)
+            record["estimate"] = _round9(report.estimate)
+            record["lower"] = _round9(report.lower)
+            record["upper"] = _round9(report.upper)
             record["weights"] = [_round9(w) for w in report.weights]
             if report.clamped:
                 record["clamped"] = True
@@ -256,7 +256,7 @@ def cmd_evaluate(args) -> int:
             proxy = proxies[report.worker]
             record["proxy_error_rate"] = None if proxy is None else _round9(proxy)
             record["covered"] = (None if proxy is None or report.failed
-                                 else report.interval.covers(proxy))
+                                 else report.lower <= proxy <= report.upper)
         records.append(record)
     _atomic_write(Path(args.output), json.dumps(records, indent=2) + "\n")
     failed = sum(1 for r in records if r["failed"])
@@ -280,8 +280,11 @@ def cmd_evaluate_kary(args) -> int:
     elif args.auto_triples is not None:
         if args.auto_triples < 1:
             raise UsageError("--auto-triples needs a threshold of at least 1")
+        # Positions in id order: each triple seats its workers in id order,
+        # and the triples come in id order, whatever the order of the rows.
+        by_id = sorted(range(ds.num_workers), key=ds.workers.__getitem__)
         triples = [tuple(ds.workers[x] for x in abc)
-                   for abc in combinations(range(ds.num_workers), 3)
+                   for abc in combinations(by_id, 3)
                    if ds.triple_overlap_by_index(*abc) >= args.auto_triples]
         if not triples:
             raise InsufficientConnectivityError(

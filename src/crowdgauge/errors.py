@@ -37,10 +37,6 @@ class GoldLabelError(CrowdGaugeError):
     """A gold-label file is malformed or references unknown tasks."""
 
 
-class InsufficientOverlapError(CrowdGaugeError):
-    """A required worker pair shares no tasks."""
-
-
 class InsufficientConnectivityError(CrowdGaugeError):
     """Too few workers, or no disjoint worker pairs can be formed."""
 
@@ -48,8 +44,9 @@ class InsufficientConnectivityError(CrowdGaugeError):
 class EstimationFailure(CrowdGaugeError):
     """A soft estimator failure carrying a machine-readable reason code.
 
-    Raised by the response-probability pipeline and converted by callers
-    into failed reports; `reason` is one of the REASON_* constants below.
+    Raised by the binary and response-probability pipelines and converted
+    by callers into failed reports; `reason` is one of the REASON_*
+    constants below.
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -1,5 +1,7 @@
-"""Shared numeric kernel: normal quantiles, linearized confidence intervals,
-matrix inversion, eigendecomposition, and minimum-variance weights.
+"""Shared numeric kernel: normal quantiles, propagated deviations of
+linearized statistics, matrix inversion, eigendecomposition, and
+minimum-variance weights. The binary and k-ary reports build their
+intervals from these: the estimate less and plus z times its deviation.
 
 Every routine is deterministic. Tolerances are module constants so tests can
 reference them directly.
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,61 +35,6 @@ SYMMETRY_DETECTION_TOL = 1e-12
 RIDGE_SCALE = 1e-10
 
 _STANDARD_NORMAL = statistics.NormalDist()
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A symmetric two-sided interval, or a failure record.
-
-    When `failed` is True the numeric fields are None and `reason` holds a
-    short machine-readable cause; otherwise the interval is
-    [estimate - half_width, estimate + half_width].
-    """
-
-    confidence: float
-    estimate: float | None = None
-    half_width: float | None = None
-    failed: bool = False
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.failed:
-            if self.estimate is not None or self.half_width is not None:
-                raise ValueError("a failed interval carries no numeric fields")
-        else:
-            if self.estimate is None or self.half_width is None:
-                raise ValueError("a successful interval needs estimate and half_width")
-            if self.half_width < 0.0:
-                raise ValueError("half_width must be nonnegative")
-
-    @staticmethod
-    def failure(confidence: float, reason: str) -> "ConfidenceInterval":
-        return ConfidenceInterval(confidence=confidence, failed=True, reason=reason)
-
-    @property
-    def lower(self) -> float | None:
-        if self.failed:
-            return None
-        return self.estimate - self.half_width
-
-    @property
-    def upper(self) -> float | None:
-        if self.failed:
-            return None
-        return self.estimate + self.half_width
-
-    @property
-    def width(self) -> float | None:
-        if self.failed:
-            return None
-        return 2.0 * self.half_width
-
-    def covers(self, value: float) -> bool:
-        if self.failed:
-            return False
-        return self.lower <= value <= self.upper
 
 
 def normal_quantile(t: float) -> float:

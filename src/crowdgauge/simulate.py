@@ -69,8 +69,9 @@ class SimConfig:
 
     `density` is a scalar attempt probability, the string "ramp" (worker i
     of m attempts with probability (0.5 i + (m - i)) / m), or one value per
-    worker. Binary worker error rates are drawn uniformly from `rates`;
-    k-ary worker models are drawn uniformly from the `fixture` matrix set.
+    worker. Binary worker error rates are drawn uniformly from
+    DEFAULT_BINARY_RATES; k-ary worker models are drawn uniformly from the
+    `fixture` matrix set.
     """
 
     n: int
@@ -80,7 +81,6 @@ class SimConfig:
     replications: int = 500
     seed: int = 0
     weighting: str = "optimal"
-    rates: tuple[float, ...] = DEFAULT_BINARY_RATES
     fixture: str | None = None
 
     def __post_init__(self):
@@ -97,9 +97,6 @@ class SimConfig:
                 raise ValueError(f"confidence levels must lie in (0, 1), got {c}")
         if self.weighting not in ("uniform", "optimal"):
             raise ValueError(f"weighting must be 'uniform' or 'optimal', got {self.weighting!r}")
-        for r in self.rates:
-            if not 0.0 < r < 1.0:
-                raise ValueError(f"error rates must lie in (0, 1), got {r}")
         if self.fixture is not None and self.fixture not in WORKER_MATRIX_FIXTURES:
             raise ValueError(
                 f"unknown fixture {self.fixture!r}; "
@@ -259,7 +256,7 @@ def _metadata(cfg: SimConfig, **extra: object) -> tuple[tuple[str, str], ...]:
         "n": cfg.n, "m": cfg.m, "arity": cfg.arity, "density": cfg.density,
         "replications": cfg.replications, "seed": cfg.seed,
         "weighting": cfg.weighting, "fixture": cfg.fixture,
-        "rates": cfg.rates, **extra,
+        "rates": DEFAULT_BINARY_RATES, **extra,
     }
     return tuple((key, repr(value)) for key, value in items.items())
 
@@ -275,7 +272,7 @@ def _binary_rep(cfg: SimConfig, rep: int, weightings: Sequence[str]):
     succeeds.
     """
     rng = substream(cfg.seed, rep)
-    rates = gen_binary_workers(cfg.m, rng, cfg.rates)
+    rates = gen_binary_workers(cfg.m, rng)
     ds, _ = gen_binary_responses(rates, cfg.n, _density_vector(cfg), rng)
     est = np.full((len(weightings), cfg.m), np.nan)
     dev = np.full((len(weightings), cfg.m), np.nan)

@@ -4,6 +4,7 @@ import time
 import weakref
 from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from crowdgauge.binary import (
     METHOD_M_WORKER_OPTIMAL,
     METHOD_M_WORKER_UNIFORM,
     METHOD_THREE_WORKER,
-    TripleEstimate,
+    _estimate_triples,
     agreement_covariances,
     aggregate_system,
     build_worker_system,
     cross_triple_covariances,
     error_rate_from_agreements,
     evaluate_all,
-    evaluate_triple,
     evaluate_worker,
     f_derivatives,
     greedy_pairs,
@@ -28,8 +28,8 @@ from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientConnectivityError,
-    InsufficientOverlapError,
     REASON_INSUFFICIENT_CONNECTIVITY,
+    REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT,
     REASON_NO_USABLE_TRIPLES,
 )
@@ -188,8 +188,9 @@ def test_agreement_covariances_regular_reduction():
 
 
 def test_agreement_covariances_empty_pair():
-    with pytest.raises(InsufficientOverlapError):
+    with pytest.raises(EstimationFailure) as info:
         agreement_covariances((0.8, 0.8, 0.8), (40, 0, 40), 0, (0.1, 0.1, 0.1))
+    assert info.value.reason == REASON_INSUFFICIENT_OVERLAP
 
 
 def test_agreement_covariances_match_simulation():
@@ -226,19 +227,49 @@ def test_agreement_covariances_match_simulation():
             assert abs(empirical[r, s] - formula[r, s]) <= 3 * se, (r, s)
 
 
-# -- evaluate_triple ---------------------------------------------------------
+# -- one triple --------------------------------------------------------------
+
+
+class Triple(NamedTuple):
+    """One evaluated triple (i, j1, j2) of worker ids; `reason` is None on
+    a usable row, whose d_* fields are the derivatives of the estimate with
+    respect to q_i_j1, q_i_j2 and q_j1_j2."""
+
+    triple: tuple[str, str, str]
+    reason: str | None
+    p_hat: float
+    dev: float
+    d_i_j1: float
+    d_i_j2: float
+    d_j1_j2: float
+
+    @property
+    def failed(self):
+        return self.reason is not None
+
+
+def evaluate_row(ds, triple):
+    """The triple's row of a one-row `_estimate_triples` pass."""
+    index = np.array([[ds.worker_index(w) for w in triple]])
+    rows = _estimate_triples(ds, index, ds.triple_overlap_by_index(
+        index[:, 0], index[:, 1], index[:, 2]))
+    return Triple(tuple(triple), rows.reason[0], float(rows.p_hat[0]), float(rows.dev[0]),
+                  *rows.derivs[0].tolist())
 
 
 def test_evaluate_triple_recovers_simulated_rate():
     rng = np.random.default_rng(404)
     ds = simulate_binary((0.1, 0.1, 0.1), 100_000, rng)
-    est, ci = evaluate_triple(ds, ("w1", "w2", "w3"), 0.95)
-    assert not est.failed
-    assert est.p_hat == pytest.approx(0.1, abs=0.01)
-    assert ci.covers(0.1)
-    assert ci.half_width == pytest.approx(
-        abs(normal_quantile(0.025)) * est.dev, abs=1e-15)
-    assert est.d_i_j1 < 0 and est.d_i_j2 < 0 and est.d_j1_j2 > 0
+    report = evaluate_worker(ds, "w1", 0.95)
+    assert not report.failed
+    assert report.method == METHOD_THREE_WORKER
+    assert report.estimate == pytest.approx(0.1, abs=0.01)
+    assert report.lower <= 0.1 <= report.upper
+    half_width = abs(normal_quantile((1.0 - 0.95) / 2.0)) * report.dev
+    assert (report.lower, report.upper) == (report.estimate - half_width,
+                                            report.estimate + half_width)
+    row = evaluate_row(ds, ("w1", "w2", "w3"))
+    assert row.d_i_j1 < 0 and row.d_i_j2 < 0 and row.d_j1_j2 > 0
 
 
 def test_evaluate_triple_low_agreement_fails_without_exception():
@@ -248,10 +279,10 @@ def test_evaluate_triple_low_agreement_fails_without_exception():
         [1, 1, 2, 2],
     ])
     ds = ResponseDataset.from_matrix(matrix)
-    est, ci = evaluate_triple(ds, ("w1", "w2", "w3"), 0.9)
-    assert est.failed and ci.failed
-    assert est.reason == REASON_LOW_AGREEMENT
-    assert ci.reason == REASON_LOW_AGREEMENT
+    report = evaluate_worker(ds, "w1", 0.9)
+    assert report.failed
+    assert report.triple_failures == {REASON_LOW_AGREEMENT: 1}
+    assert (report.estimate, report.lower, report.upper) == (None, None, None)
 
 
 def test_evaluate_triple_clamps_noisy_radicand():
@@ -260,12 +291,11 @@ def test_evaluate_triple_clamps_noisy_radicand():
     matrix[1, 0] = 2
     matrix[2, 1] = 2
     ds = ResponseDataset.from_matrix(matrix)
-    est, ci = evaluate_triple(ds, ("w1", "w2", "w3"), 0.9)
-    assert not est.failed
-    assert est.clamped
-    assert est.p_hat == 0.0
-    assert ci.estimate == 0.0
-    assert ci.half_width > 0.0
+    assert evaluate_row(ds, ("w1", "w2", "w3")).p_hat == 0.0
+    report = evaluate_worker(ds, "w1", 0.9)
+    assert not report.failed
+    assert report.estimate == 0.0
+    assert report.upper > 0.0
 
 
 def test_evaluate_triple_empty_pair_raises():
@@ -275,17 +305,21 @@ def test_evaluate_triple_empty_pair_raises():
         [0, 0, 1],
     ])
     ds = ResponseDataset.from_matrix(matrix)
-    with pytest.raises(InsufficientOverlapError):
-        evaluate_triple(ds, ("w1", "w2", "w3"), 0.9)
+    with pytest.raises(EstimationFailure) as info:
+        evaluate_row(ds, ("w1", "w2", "w3"))
+    assert info.value.reason == REASON_INSUFFICIENT_OVERLAP
+    # pairing never forms that triple
+    assert evaluate_worker(ds, "w1", 0.9).reason == REASON_INSUFFICIENT_CONNECTIVITY
 
 
 def test_evaluate_triple_rejects_bad_arguments():
     rng = np.random.default_rng(1)
     ds = simulate_binary((0.1, 0.1, 0.1), 50, rng)
-    with pytest.raises(ValueError):
-        evaluate_triple(ds, ("w1", "w1", "w2"), 0.9)
-    with pytest.raises(ValueError):
-        evaluate_triple(ds, ("w1", "w2", "w3"), 1.5)
+    for confidence in (1.5, 0.0):
+        with pytest.raises(ValueError):
+            evaluate_worker(ds, "w1", confidence)
+        with pytest.raises(ValueError):
+            evaluate_all(ds, confidence)
 
 
 # -- greedy pairing ----------------------------------------------------------
@@ -394,8 +428,7 @@ def exact_triple_estimate(stats, triple, rates_by_name):
     cov = agreement_covariances(qs, tuple(c2[pair] for pair in pairs),
                                 c3[frozenset(triple)], p_hats)
     dev = propagated_deviation(derivs, cov)
-    return TripleEstimate(tuple(triple), p_hat=rates_by_name[i], dev=dev,
-                          d_i_j1=derivs[0], d_i_j2=derivs[1], d_j1_j2=derivs[2])
+    return Triple(tuple(triple), None, rates_by_name[i], dev, *map(float, derivs))
 
 
 def triple_arrays(triples):
@@ -516,13 +549,15 @@ def test_cross_triple_covariances_match_simulation():
 def test_evaluate_worker_single_triple_matches_evaluate_triple():
     rng = np.random.default_rng(8)
     ds = simulate_binary((0.1, 0.2, 0.3), 2000, rng)
-    est, ci = evaluate_triple(ds, ("w1", "w2", "w3"), 0.9)
+    row = evaluate_row(ds, ("w1", "w2", "w3"))
     report = evaluate_worker(ds, "w1", 0.9)
     assert report.method == METHOD_THREE_WORKER
     assert report.triples_used == 1
     assert report.weights == (1.0,)
-    assert report.interval.estimate == pytest.approx(ci.estimate, abs=1e-15)
-    assert report.interval.half_width == pytest.approx(ci.half_width, abs=1e-15)
+    z = abs(normal_quantile((1.0 - 0.9) / 2.0))
+    assert report.estimate == pytest.approx(row.p_hat, abs=1e-15)
+    assert report.upper - report.estimate == pytest.approx(z * row.dev, abs=1e-15)
+    assert report.estimate - report.lower == pytest.approx(z * row.dev, abs=1e-15)
 
 
 def test_evaluate_worker_weights_sum_to_one():
@@ -559,7 +594,7 @@ def test_evaluate_worker_all_triples_failed():
     ds = ResponseDataset.from_matrix(matrix)
     report = evaluate_worker(ds, "w1", 0.9)
     assert report.failed
-    assert report.interval.reason == REASON_NO_USABLE_TRIPLES
+    assert report.reason == REASON_NO_USABLE_TRIPLES
     assert report.triples_used == 0
     assert report.triples_failed == 1
 
@@ -573,7 +608,7 @@ def test_evaluate_worker_isolated_worker():
     ds = ResponseDataset.from_matrix(matrix)
     report = evaluate_worker(ds, "w4", 0.9)
     assert report.failed
-    assert report.interval.reason == REASON_INSUFFICIENT_CONNECTIVITY
+    assert report.reason == REASON_INSUFFICIENT_CONNECTIVITY
     for other in ("w1", "w2", "w3"):
         assert not evaluate_worker(ds, other, 0.9).failed
 
@@ -584,7 +619,7 @@ def test_evaluate_worker_min_overlap_respected():
     ds = simulate_binary((0.05, 0.05, 0.05), 5, rng, masks)
     report = evaluate_worker(ds, "w1", 0.9, min_overlap=6)
     assert report.failed
-    assert report.interval.reason == REASON_INSUFFICIENT_CONNECTIVITY
+    assert report.reason == REASON_INSUFFICIENT_CONNECTIVITY
 
 
 def test_evaluate_all_regular_m3():
@@ -594,7 +629,7 @@ def test_evaluate_all_regular_m3():
     assert [r.worker for r in reports] == ["w1", "w2", "w3"]
     for report, true_rate in zip(reports, (0.1, 0.2, 0.3)):
         assert report.method == METHOD_THREE_WORKER
-        assert report.interval.estimate == pytest.approx(true_rate, abs=0.05)
+        assert report.estimate == pytest.approx(true_rate, abs=0.05)
 
 
 def test_evaluate_all_rejects_tiny_crowds():
@@ -661,8 +696,7 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     assert not system.failed and system.partners.shape == (4, 2)
     stats = dataset_stats(ds)
     _, c2, c3 = stats
-    triples = [evaluate_triple(ds, ("w1", a, b), 0.9)[0]
-               for a, b in pair_names(ds, system.partners)]
+    triples = [evaluate_row(ds, ("w1", a, b)) for a, b in pair_names(ds, system.partners)]
     partners = [w for t in triples for w in t.triple[1:]]
     c3s = [c3[frozenset(("w1", x, y))] for x in partners for y in partners if x != y]
     assert 0 in c3s
@@ -722,7 +756,7 @@ def test_batched_triples_equal_one_row_calls_and_scalar_reference():
     assert [s.worker for s in batch.systems] == list(ds.workers)
     one_row_all = []
     for system in batch.systems:
-        one_row = [evaluate_triple(ds, (system.worker, a, b), 0.9)[0]
+        one_row = [evaluate_row(ds, (system.worker, a, b))
                    for a, b in pair_names(ds, greedy_pairs(ds, system.worker))]
         one_row_all += one_row
         usable = [t for t in one_row if not t.failed]

@@ -147,15 +147,22 @@ def test_evaluate_counts_failed_triples_by_reason(tmp_path):
             assert "triple_failures" not in record
 
 
+def shuffled_csv_rows(ds, seed):
+    """(header, rows, shuffled rows) of the dataset's CSV."""
+    lines = write_responses_csv(ds).splitlines(keepends=True)
+    header, lines = lines[:2], lines[2:]
+    shuffled = [lines[i] for i in np.random.default_rng(seed).permutation(len(lines))]
+    return header, lines, shuffled
+
+
 def test_evaluate_records_do_not_depend_on_the_order_of_the_rows(tmp_path):
     # A CSV lists workers in order of first appearance, so the round trip
     # and the shuffled rows give the workers other positions than the
     # in-memory dataset; greedy pairing breaks overlap ties by worker id, so
-    # every worker gets the same triples and the same record.
+    # every worker gets the same triples and the same record, and the
+    # records are written in worker-id order.
     ds = low_agreement_world()
-    lines = write_responses_csv(ds).splitlines(keepends=True)
-    header, lines = lines[:2], lines[2:]
-    shuffled = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+    header, lines, shuffled = shuffled_csv_rows(ds, 5)
     memory = sorted(evaluate_all(ds, 0.95), key=lambda r: r.worker)
     outputs = []
     for name, body in (("round_trip", lines), ("shuffled", shuffled)):
@@ -167,9 +174,11 @@ def test_evaluate_records_do_not_depend_on_the_order_of_the_rows(tmp_path):
         src.write_text(text)
         out = tmp_path / f"{name}.json"
         assert run_cli("evaluate", "--input", src, "--output", out) == 0
-        outputs.append(sorted(json.loads(out.read_text()), key=lambda r: r["worker"]))
+        outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert [r["triples_used"] for r in outputs[0]] == [r.triples_used for r in memory]
+    records = json.loads(outputs[0])
+    assert [r["worker"] for r in records] == [r.worker for r in memory]
+    assert [r["triples_used"] for r in records] == [r.triples_used for r in memory]
 
 
 def test_evaluate_exit_codes(tmp_path):
@@ -329,6 +338,38 @@ def test_evaluate_kary_auto_triples(tmp_path):
     # threshold no triple can meet -> connectivity failure
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--auto-triples", "10000") == 3
+
+
+def test_evaluate_kary_json_does_not_depend_on_the_order_of_the_rows(tmp_path):
+    # Four workers answer by the arity-3 fixture matrices. The round trip
+    # and the shuffled rows list them in two orders of first appearance;
+    # --auto-triples seats each triple's workers in id order and lists the
+    # triples in id order, so both give the same bytes.
+    rng = np.random.default_rng(11)
+    n = 1500
+    truth = rng.integers(0, 3, size=n)
+    pool = WORKER_MATRIX_FIXTURES["arity3"]
+    rows = []
+    for w in range(4):
+        cdf = np.cumsum(pool[w % len(pool)], axis=1)[truth]
+        rows.append(1 + np.minimum((rng.random(n)[:, None] > cdf).sum(axis=1), 2))
+    header, lines, shuffled = shuffled_csv_rows(
+        ResponseDataset.from_matrix(np.stack(rows), arity=3), 12)
+    outputs, orders = [], []
+    for name, body in (("round_trip", lines), ("shuffled", shuffled)):
+        text = "".join(header + body)
+        orders.append(load_responses(text, "csv").workers)
+        src = tmp_path / f"{name}.csv"
+        src.write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                       "--auto-triples", "1") == 0
+        outputs.append(out.read_bytes())
+    assert orders[0] != orders[1]
+    assert outputs[0] == outputs[1]
+    triples = [r["workers"] for r in json.loads(outputs[0])["triples"]]
+    assert triples == [["w1", "w2", "w3"], ["w1", "w2", "w4"], ["w1", "w3", "w4"],
+                       ["w2", "w3", "w4"]]
 
 
 def test_evaluate_kary_pair_without_shared_tasks_gets_the_overlap_code(tmp_path):

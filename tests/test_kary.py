@@ -31,7 +31,7 @@ from crowdgauge.kary import (
     prob_estimate,
     recover_selectivity,
 )
-from crowdgauge.numerics import ConfidenceInterval, normal_quantile
+from crowdgauge.numerics import normal_quantile
 from crowdgauge.simulate import WORKER_MATRIX_FIXTURES, _gen_kary_with_matrices
 
 ARITY2 = WORKER_MATRIX_FIXTURES["arity2"]
@@ -787,13 +787,15 @@ def test_kary_confidence_intervals_report_shape():
                                report.upper - report.midpoints, rtol=1e-9, atol=1e-15)
     assert report.selectivity.shape == (3,)
     assert sum(report.selectivity) == pytest.approx(1.0, abs=1e-9)
-    # the ends are the ones ConfidenceInterval gives, to the last bit
+    # the ends are the midpoint less and plus z times the deviation, in
+    # float64 scalar arithmetic, to the last bit
     devs = kary_deviations(counts)
     z = abs(normal_quantile(0.05))
     for cell in np.ndindex(3, 3, 3):
-        ci = ConfidenceInterval(confidence=0.9, estimate=float(devs.midpoints[cell]),
-                                half_width=z * float(devs.deviations[cell]))
-        assert (report.lower[cell], report.upper[cell]) == (ci.lower, ci.upper)
+        midpoint = float(devs.midpoints[cell])
+        half_width = z * float(devs.deviations[cell])
+        assert (report.lower[cell], report.upper[cell]) == (midpoint - half_width,
+                                                            midpoint + half_width)
 
 
 def test_kary_confidence_intervals_cover_truth_mostly():

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from crowdgauge.errors import EstimationFailure, REASON_EIGEN_NONCONVERGENCE
+from crowdgauge.binary import _WorkerSystem, _worker_report
+from crowdgauge.dataset import ResponseDataset
+from crowdgauge.errors import (
+    EstimationFailure,
+    REASON_EIGEN_NONCONVERGENCE,
+    REASON_NEGATIVE_VARIANCE,
+)
 from crowdgauge.numerics import (
-    ConfidenceInterval,
     eigendecompose_many,
     invert_matrices,
     normal_quantile,
@@ -85,50 +90,40 @@ def test_propagated_deviation_clamps_tiny_negatives():
     assert propagated_deviation([0.0, 1.0], cov) == 0.0
 
 
-def delta_method_ci(estimate, gradient, covariance, confidence):
-    """An interval built as the pipelines build theirs: estimate +- z sqrt(g'Cg)."""
-    try:
-        dev = propagated_deviation(gradient, covariance)
-    except EstimationFailure as exc:
-        return ConfidenceInterval.failure(confidence, exc.reason)
-    z = abs(normal_quantile((1.0 - confidence) / 2.0))
-    return ConfidenceInterval(confidence=confidence, estimate=estimate, half_width=z * dev)
+def delta_method_ci(p_hats, gradient, covariance, confidence):
+    """A worker report built as the binary pipeline builds one, from triple
+    estimates `p_hats` under uniform weights: estimate -+ z sqrt(g'Cg).
+    The gradient g is folded into the covariance, D C D with D = diag(2g),
+    so that the uniform weights (1/2, 1/2) propagate it."""
+    scale = 2.0 * np.asarray(gradient, dtype=float)
+    system = _WorkerSystem("w1", np.zeros((2, 2), dtype=np.intp), np.asarray(p_hats),
+                           scale[:, None] * np.asarray(covariance) * scale[None, :])
+    ds = ResponseDataset.from_matrix(np.ones((5, 1), dtype=int))
+    return _worker_report(ds, system, confidence, "uniform")
 
 
 def test_delta_method_ci_half_width():
     gradient = [1.0, 2.0]
     cov = np.array([[0.001, 0.0002], [0.0002, 0.002]])
-    ci = delta_method_ci(0.3, gradient, cov, 0.95)
+    report = delta_method_ci((0.3, 0.3), gradient, cov, 0.95)
     z = abs(quantile_by_bisection(0.025))
-    assert not ci.failed
-    assert ci.estimate == 0.3
-    assert ci.half_width == pytest.approx(z * math.sqrt(0.0098), abs=1e-9)
-    assert ci.lower == pytest.approx(0.3 - ci.half_width)
-    assert ci.upper == pytest.approx(0.3 + ci.half_width)
-    assert ci.width == pytest.approx(2 * ci.half_width)
-    assert ci.covers(0.3) and ci.covers(ci.lower) and ci.covers(ci.upper)
-    assert not ci.covers(ci.upper + 1e-9)
+    assert not report.failed and report.reason is None
+    assert report.confidence == 0.95
+    assert report.estimate == 0.3
+    half_width = abs(normal_quantile((1.0 - 0.95) / 2.0)) * report.dev
+    assert half_width == pytest.approx(z * math.sqrt(0.0098), abs=1e-9)
+    assert report.lower == 0.3 - half_width
+    assert report.upper == 0.3 + half_width
+    assert report.upper - report.lower == pytest.approx(2 * half_width)
+    assert report.lower <= 0.3 <= report.upper
 
 
 def test_delta_method_ci_failure_on_negative_variance():
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-    ci = delta_method_ci(0.3, [1.0, -1.0], cov, 0.95)
-    assert ci.failed
-    assert ci.estimate is None and ci.half_width is None
-    assert "negative variance" in ci.reason
-    assert not ci.covers(0.3)
-
-
-def test_confidence_interval_validation():
-    with pytest.raises(ValueError):
-        ConfidenceInterval(confidence=1.5, estimate=0.1, half_width=0.05)
-    with pytest.raises(ValueError):
-        ConfidenceInterval(confidence=0.9, estimate=0.1, half_width=-0.05)
-    with pytest.raises(ValueError):
-        ConfidenceInterval(confidence=0.9, estimate=None, half_width=0.05)
-    failure = ConfidenceInterval.failure(0.9, "why not")
-    assert failure.failed and failure.reason == "why not"
-    assert failure.lower is None and failure.upper is None
+    report = delta_method_ci((0.3, 0.3), [1.0, -1.0], cov, 0.95)
+    assert report.failed
+    assert report.reason == REASON_NEGATIVE_VARIANCE
+    assert (report.estimate, report.lower, report.upper, report.dev) == (None,) * 4
 
 
 def invert_one(matrix):

@@ -1,7 +1,9 @@
 """The package's public surface: exported names and importable modules."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import crowdgauge
 
@@ -18,3 +20,24 @@ def test_every_module_imports():
     assert modules
     for name in modules:
         importlib.import_module(f"crowdgauge.{name}")
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export, so its __all__ counts as a use.
+    unused = []
+    for path in sorted(Path(crowdgauge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(crowdgauge.__all__)
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

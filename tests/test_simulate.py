@@ -59,8 +59,6 @@ def test_simconfig_rejects_bad_values():
     with pytest.raises(ValueError):
         SimConfig(n=10, weighting="fancy")
     with pytest.raises(ValueError):
-        SimConfig(n=10, rates=(0.1, 1.0))
-    with pytest.raises(ValueError):
         SimConfig(n=10, fixture="arity9")
     with pytest.raises(ValueError):
         SimConfig(n=10, density=0.0)
