@@ -10,16 +10,12 @@ removal). Exit codes: 0 success (possibly with per-worker failure records),
 from __future__ import annotations
 
 import argparse
-import ast
 import json
-import math
-import operator
 import os
 import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -107,7 +103,7 @@ def _load_dataset(args) -> ResponseDataset:
     text, inferred = _read_input(args.input)
     fmt = getattr(args, "format", None) or inferred
     ds = load_responses(text, fmt)
-    if getattr(args, "map", None):
+    if args.map is not None:
         ds = reduce_arity(ds, parse_label_map(args.map))
     return ds
 
@@ -118,86 +114,27 @@ def _check_confidence(value: float) -> float:
     return value
 
 
-# -- label-map expressions ---------------------------------------------------
-
-_ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-                   ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
-                   ast.Mod: operator.mod}
-_ALLOWED_CALLS = {"floor": math.floor, "ceil": math.ceil, "round": round,
-                  "abs": abs, "min": min, "max": max}
-_VARIADIC_CALLS = {"min", "max"}
+# -- label maps --------------------------------------------------------------
 
 
-def _call_arity_ok(name: str, nargs: int) -> bool:
-    return nargs >= 2 if name in _VARIADIC_CALLS else nargs == 1
+def parse_label_map(text: str) -> dict[int, int]:
+    """Parse a label table like "1:1,2:1,3:2,4:2" into {label: new label}.
 
-
-def parse_label_map(expr: str) -> Callable[[int], int]:
-    """Compile a label-map expression like "g->floor((g-1)/2)+1".
-
-    The left side names the label variable; the right side may use integer
-    and float literals, + - * / // %, unary minus, parentheses,
-    floor/ceil/round/abs of one argument, and min/max of two or more. The
-    result must be integral for every applied label.
+    Items are comma-separated `label:new` pairs of integers; spaces around a
+    number are ignored. A malformed item, an empty table or a repeated label
+    is a usage error. `reduce_arity` checks the labels against the data.
     """
-    head, sep, body = expr.partition("->")
-    if not sep:
-        raise UsageError(f"label map {expr!r} must look like 'g->expression'")
-    var = head.strip()
-    if not var.isidentifier():
-        raise UsageError(f"label-map variable {var!r} is not an identifier")
-    try:
-        tree = ast.parse(body.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise UsageError(f"invalid label-map expression: {exc}") from exc
-
-    def compile_node(node: ast.AST) -> Callable[[int], int | float]:
-        # Validates node and its children now, so a bad expression fails at
-        # parse time, and returns the function that evaluates it.
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
-                and not isinstance(node.value, bool):
-            constant = node.value
-            return lambda value: constant
-        if isinstance(node, ast.Name):
-            if node.id != var:
-                raise UsageError(f"unknown name {node.id!r} in label map")
-            return lambda value: value
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            operand = compile_node(node.operand)
-            if isinstance(node.op, ast.USub):
-                return lambda value: -operand(value)
-            return operand
-        if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            op = _ALLOWED_BINOPS[type(node.op)]
-            left, right = compile_node(node.left), compile_node(node.right)
-
-            def binop(value):
-                try:
-                    return op(left(value), right(value))
-                except ZeroDivisionError:
-                    raise UsageError("label map divides by zero") from None
-            return binop
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _ALLOWED_CALLS \
-                and _call_arity_ok(node.func.id, len(node.args)) \
-                and not node.keywords:
-            fn = _ALLOWED_CALLS[node.func.id]
-            args = [compile_node(arg) for arg in node.args]
-            return lambda value: fn(*(arg(value) for arg in args))
-        raise UsageError(f"unsupported construct in label map: {ast.dump(node)}")
-
-    evaluate = compile_node(tree.body)
-
-    def mapper(label: int) -> int:
-        result = evaluate(label)
-        if isinstance(result, float):
-            if not result.is_integer():
-                raise LabelDomainError(
-                    f"label map sends {label} to non-integer {result}")
-            result = int(result)
-        return int(result)
-
-    return mapper
+    table: dict[int, int] = {}
+    for item in text.split(","):
+        label, _, new = item.partition(":")
+        try:
+            label, new = int(label), int(new)
+        except ValueError:
+            raise UsageError(f"label map item {item!r} is not 'label:new'") from None
+        if label in table:
+            raise UsageError(f"label {label} appears twice in the label map")
+        table[label] = new
+    return table
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -433,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", required=True, help="output file path")
     common.add_argument("--format", choices=("csv", "json"),
                         help="input format (default: by file extension)")
-    common.add_argument("--map", help="label-map expression, e.g. 'g->floor((g-1)/2)+1'")
+    common.add_argument("--map", help="label table, e.g. '1:1,2:1,3:2,4:2'")
 
     p_eval = sub.add_parser("evaluate", parents=[common],
                             help="per-worker binary error-rate intervals")

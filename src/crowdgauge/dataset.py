@@ -23,11 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class ResponseDataset:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.int32, copy=True)
+        given = np.asarray(self.matrix)
+        with np.errstate(invalid="ignore"):  # a NaN or inf label is refused below
+            mat = given.astype(np.int32)
         if mat.shape != (len(self.workers), len(self.tasks)):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match "
@@ -72,6 +75,8 @@ class ResponseDataset:
             raise ValueError("task ids must be unique")
         if self.arity < 2:
             raise LabelDomainError(f"arity must be at least 2, got {self.arity}")
+        if not np.array_equal(mat, given):
+            raise LabelDomainError("labels must be integers that fit in int32")
         if mat.size and (mat.min() < 0 or mat.max() > self.arity):
             raise LabelDomainError(
                 f"labels must lie in 0..{self.arity} (0 = not attempted)")
@@ -421,35 +426,29 @@ def write_responses_csv(ds: ResponseDataset) -> str:
 # -- transforms ------------------------------------------------------------
 
 
-def reduce_arity(ds: ResponseDataset,
-                 mapping: Mapping[int, int] | Callable[[int], int]) -> ResponseDataset:
-    """Collapse labels through a map and relabel the image to 1..k'.
+def reduce_arity(ds: ResponseDataset, mapping: Mapping[int, int]) -> ResponseDataset:
+    """Collapse labels through a {label: new label} table and relabel the
+    image to 1..k'.
 
-    `mapping` is a dict or callable defined on 1..arity. Any label actually
-    observed must be mapped, or LabelDomainError is raised; an exception a
-    callable raises on an observed label propagates, while one raised on an
-    unobserved label leaves that label unmapped. The image is renumbered in
-    ascending order; workers, tasks, and attempt sets are preserved.
+    A key outside 1..arity, or a value that is not an integer, raises
+    LabelDomainError, and so does an observed label missing from the table;
+    an unobserved label may be left out. The image is renumbered in
+    ascending order, with k' at least 2; workers, tasks, and attempt sets
+    are preserved.
     """
-    observed = set(np.unique(ds.matrix).tolist()) - {0}
+    domain = range(1, ds.arity + 1)
+    outside = [label for label in mapping if label not in domain]
+    if outside:
+        raise LabelDomainError(f"label map keys {outside} lie outside 1..{ds.arity}")
     image: dict[int, int] = {}
-    for label in range(1, ds.arity + 1):
-        if callable(mapping):
+    for label in domain:
+        if label in mapping:
             try:
-                value = mapping(label)
-            except Exception:
-                if label in observed:
-                    raise
-                continue
-        else:
-            if label not in mapping:
-                continue
-            value = mapping[label]
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise LabelDomainError(f"label {label} maps to non-integer {value}")
-            value = int(value)
-        image[label] = int(value)
+                image[label] = operator.index(mapping[label])
+            except TypeError:
+                raise LabelDomainError(
+                    f"label {label} maps to non-integer {mapping[label]!r}") from None
+    observed = set(np.unique(ds.matrix).tolist()) - {0}
     unmapped = sorted(lbl for lbl in observed if lbl not in image)
     if unmapped:
         raise LabelDomainError(f"observed labels {unmapped} are not mapped")

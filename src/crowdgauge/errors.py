@@ -26,7 +26,7 @@ class EmptyDatasetError(CrowdGaugeError):
 
 
 class LabelDomainError(CrowdGaugeError):
-    """A label lies outside the permitted range, or a label map is partial."""
+    """A label is not an integer in range, or a label map does not fit the data."""
 
 
 class UnknownWorkerError(CrowdGaugeError):

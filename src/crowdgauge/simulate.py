@@ -134,7 +134,7 @@ def _density_vector(cfg: SimConfig) -> np.ndarray:
                              f"got {cfg.density!r}")
         return ramp_densities(cfg.m)
     dens = _per_worker_densities(cfg.density, cfg.m)
-    if (dens <= 0).any() or (dens > 1).any():
+    if not ((dens > 0) & (dens <= 1)).all():
         raise ValueError("densities must lie in (0, 1]")
     return dens
 
@@ -219,8 +219,9 @@ def _gen_kary_with_matrices(matrices, n: int, density, selectivity, rng
         sel = np.full(k, 1.0 / k)
     else:
         sel = np.asarray(selectivity, dtype=float)
-        if sel.shape != (k,) or (sel < 0).any() or sel.sum() <= 0:
-            raise ValueError("selectivity must be a nonnegative length-k vector")
+        if sel.shape != (k,) or not np.isfinite(sel).all() or (sel < 0).any() \
+                or sel.sum() <= 0:
+            raise ValueError("selectivity must be a finite nonnegative length-k vector")
         sel = sel / sel.sum()
     dens = _per_worker_densities(density, 3)
     truth = 1 + np.searchsorted(np.cumsum(sel), rng.random(n), side="right")
@@ -256,8 +257,10 @@ def _metadata(cfg: SimConfig, **extra: object) -> tuple[tuple[str, str], ...]:
         "n": cfg.n, "m": cfg.m, "arity": cfg.arity, "density": cfg.density,
         "replications": cfg.replications, "seed": cfg.seed,
         "weighting": cfg.weighting, "fixture": cfg.fixture,
-        "rates": DEFAULT_BINARY_RATES, **extra,
     }
+    if cfg.fixture is None:  # only binary worlds draw error rates
+        items["rates"] = DEFAULT_BINARY_RATES
+    items.update(extra)
     return tuple((key, repr(value)) for key, value in items.items())
 
 

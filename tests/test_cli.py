@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -15,8 +17,7 @@ from crowdgauge.cli import main, parse_label_map
 from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
 from crowdgauge.errors import (
-    LabelDomainError, REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP,
-    REASON_LOW_AGREEMENT)
+    REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP, REASON_LOW_AGREEMENT)
 from crowdgauge.simulate import (
     WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses, substream)
 
@@ -230,25 +231,24 @@ def test_evaluate_non_binary_needs_label_map(tmp_path):
     out = tmp_path / "o.json"
     assert run_cli("evaluate", "--input", src, "--output", out) == 1
     rc = run_cli("evaluate", "--input", src, "--output", out,
-                 "--map", "g->floor((g-1)/2)+1")
+                 "--map", "1:1,2:1,3:2")
     assert rc == 0
     records = json.loads(out.read_text())
     assert len(records) == 3
 
 
 def test_label_map_parsing():
-    mapper = parse_label_map("g->floor((g-1)/2)+1")
-    assert [mapper(g) for g in (1, 2, 3, 4)] == [1, 1, 2, 2]
-    mapper = parse_label_map("x -> 5 - x")
-    assert mapper(2) == 3
-    mapper = parse_label_map("g->min(g, 2)")
-    assert [mapper(g) for g in (1, 2, 3, 4)] == [1, 2, 2, 2]
-    mapper = parse_label_map("g->max(min(g, 3), 2)")
-    assert [mapper(g) for g in (1, 2, 3, 4)] == [2, 2, 3, 3]
-    assert parse_label_map("g->round(g/3)+1")(4) == 2
-    assert parse_label_map("g->abs(g-3)+1")(1) == 3
-    with pytest.raises(LabelDomainError):
-        parse_label_map("g->g/2")(3)
+    # Each table is an expression of the former --map syntax written out
+    # over the labels 1..4, e.g. g->floor((g-1)/2)+1.
+    assert parse_label_map("1:1,2:1,3:2,4:2") == {1: 1, 2: 1, 3: 2, 4: 2}
+    assert parse_label_map("1:4,2:3,3:2,4:1")[2] == 3  # x -> 5 - x
+    assert parse_label_map("1:1,2:2,3:2,4:2") == {1: 1, 2: 2, 3: 2, 4: 2}  # min(g, 2)
+    assert parse_label_map("1:2,2:2,3:3,4:3") == {1: 2, 2: 2, 3: 3, 4: 3}
+    assert parse_label_map("1:1,2:2,3:2,4:2")[4] == 2  # round(g/3)+1
+    assert parse_label_map("1:3,2:2,3:1,4:2")[1] == 3  # abs(g-3)+1
+    assert parse_label_map(" 1 : 1 , 2:2 ,3: 1") == {1: 1, 2: 2, 3: 1}
+    with pytest.raises(cli.UsageError):  # g->g/2 sent 3 to 1.5
+        parse_label_map("1:0,2:1,3:1.5")
 
 
 def test_label_map_rejects_unsafe_expressions(tmp_path):
@@ -256,7 +256,8 @@ def test_label_map_rejects_unsafe_expressions(tmp_path):
     out = tmp_path / "o.json"
     for expr in ("g->__import__('os')", "noarrow", "g->open(g)",
                  "g->h+1", "g->g**2", "g->(1).bit_length()",
-                 "g->min(g)", "g->floor(g, 1)", "g->round(g, ndigits=0)"):
+                 "g->min(g)", "g->floor(g, 1)", "g->round(g, ndigits=0)",
+                 "", "1:", "1:1,1:2", "a:1", "1:1.5"):
         assert run_cli("evaluate", "--input", src, "--output", out,
                        "--map", expr) == 1
 
@@ -315,14 +316,18 @@ def test_evaluate_kary_worker_selection_errors(tmp_path):
                    "--workers", "w1,w2,w3", "--epsilon", "0.01") == 1
 
 
-def test_label_map_error_on_observed_label_is_a_usage_error(tmp_path, capsys):
+def test_label_map_missing_observed_label_is_a_data_error(tmp_path, capsys):
     world = gen_kary_responses("arity3", 300, 1.0, rng=6)
     src = tmp_path / "kary.csv"
     src.write_text(write_responses_csv(world.dataset))
     out = tmp_path / "o.json"
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
-                   "--auto-triples", "1", "--map", "g->1/(g-2)+1") == 1
-    assert "label map divides by zero" in capsys.readouterr().err
+                   "--auto-triples", "1", "--map", "1:1,2:2") == 2
+    assert "observed labels [3] are not mapped" in capsys.readouterr().err
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--auto-triples", "1", "--map", "1:1,2:2,3:2,4:2") == 2
+    assert "label map keys [4] lie outside 1..3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_kary_auto_triples(tmp_path):
@@ -488,6 +493,10 @@ def test_simulate_usage_errors(tmp_path):
                    "--output", tmp_path / "o.csv") == 1
     assert run_cli("simulate", "coverage", "--d", "steep",
                    "--output", tmp_path / "o.csv") == 1
+    for experiment in ("coverage", "kary-coverage"):
+        assert run_cli("simulate", experiment, "--d", "nan", "--reps", "3", "--n", "50",
+                       "--output", tmp_path / "o.csv") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_simulate_arity_and_workers_must_match_the_run(tmp_path):
@@ -614,6 +623,32 @@ def test_atomic_write_failure_removes_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         cli._atomic_write(tmp_path / "out.json", "lone surrogate \udc80")
     assert list(tmp_path.iterdir()) == []
+
+
+# -- README ------------------------------------------------------------------
+
+
+def test_readme_command_lines_parse():
+    # Every documented command line, and every documented --map table,
+    # must still be accepted by the current parser.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["crowdgauge"]:
+                commands.append(words[1:])
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    tables = re.findall(r"--map[ =]('[^']*'|\"[^\"]*\"|[^\s`]+)", text)
+    assert tables
+    for table in tables:
+        parse_label_map(shlex.split(table)[0])
 
 
 # -- console entry point -----------------------------------------------------

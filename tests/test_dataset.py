@@ -148,6 +148,16 @@ def test_from_matrix_default_ids():
     assert ds.response("w1", "t2") is None
 
 
+def test_from_matrix_rejects_labels_the_int32_copy_would_change():
+    for matrix in (np.array([[2**32 + 1, 1], [1, 1], [1, 2]]),
+                   np.array([[1.7, 1], [1, 1], [1, 2]]),
+                   np.array([[np.nan, 1], [1, 1], [1, 2]])):
+        with pytest.raises(LabelDomainError):
+            ResponseDataset.from_matrix(matrix, arity=2)
+    ds = ResponseDataset.from_matrix(np.array([[1.0, 2.0], [2.0, 0.0]]), arity=2)
+    assert ds.matrix.tolist() == [[1, 2], [2, 0]]
+
+
 def test_matrix_is_read_only():
     ds = load_responses(BASIC_CSV)
     with pytest.raises(ValueError):
@@ -430,7 +440,7 @@ def test_reduce_arity_with_expression():
     records = [("t1", "w1", 1), ("t2", "w1", 2), ("t3", "w1", 3),
                ("t4", "w1", 4), ("t5", "w1", 5), ("t6", "w1", 6)]
     ds = ResponseDataset.from_records(records, arity=6)
-    reduced = reduce_arity(ds, lambda g: (g - 1) // 2 + 1)
+    reduced = reduce_arity(ds, {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3})
     assert reduced.arity == 3
     got = [reduced.response("w1", f"t{i}") for i in range(1, 7)]
     assert got == [1, 1, 2, 2, 3, 3]
@@ -449,7 +459,7 @@ def test_reduce_arity_with_mapping_and_rank_compaction():
 def test_reduce_arity_eleven_to_two():
     records = [("t%d" % g, "w1", g) for g in range(1, 12)]
     ds = ResponseDataset.from_records(records, arity=11)
-    reduced = reduce_arity(ds, lambda g: 1 if g <= 5 else 2)
+    reduced = reduce_arity(ds, {g: 1 if g <= 5 else 2 for g in range(1, 12)})
     assert reduced.arity == 2
     assert reduced.response("w1", "t5") == 1
     assert reduced.response("w1", "t6") == 2
@@ -462,12 +472,20 @@ def test_reduce_arity_unmapped_observed_label():
     assert str(info.value) == "observed labels [2] are not mapped"
 
 
-def test_reduce_arity_map_error_on_observed_label_propagates():
+def test_reduce_arity_rejects_keys_outside_the_arity_and_non_integer_values():
     ds = ResponseDataset.from_records([("t1", "w1", 1), ("t2", "w1", 2)], arity=3)
-    with pytest.raises(ZeroDivisionError):
-        reduce_arity(ds, lambda g: 1 // (g - 2))
-    # An error on label 3, which nobody gave, leaves 3 unmapped.
-    reduced = reduce_arity(ds, lambda g: 1 // (3 - g))
+    with pytest.raises(LabelDomainError, match=r"keys \[4\] lie outside 1..3"):
+        reduce_arity(ds, {1: 1, 2: 2, 4: 1})
+    for value in (1.5, 2.0, "2", None):
+        with pytest.raises(LabelDomainError, match="non-integer"):
+            reduce_arity(ds, {1: 1, 2: value})
+    assert reduce_arity(ds, {1: np.int64(5), 2: 3}).matrix.tolist() == [[2, 1]]
+
+
+def test_reduce_arity_may_leave_out_unobserved_label():
+    ds = ResponseDataset.from_records([("t1", "w1", 1), ("t2", "w1", 2)], arity=3)
+    # Label 3, which nobody gave, is left out of the table.
+    reduced = reduce_arity(ds, {1: 0, 2: 1})
     assert reduced.arity == 2
     assert reduced.matrix.tolist() == [[1, 2]]
 

@@ -9,6 +9,7 @@ import pytest
 
 from crowdgauge.simulate import (
     CONFIDENCE_GRID,
+    DEFAULT_BINARY_RATES,
     DENSITY_GRID,
     ExperimentResult,
     SimConfig,
@@ -68,6 +69,10 @@ def test_simconfig_rejects_bad_values():
         SimConfig(n=10, density="steep")
     with pytest.raises(ValueError):
         SimConfig(n=10, m=4, density=(0.5, 0.5))
+    with pytest.raises(ValueError):
+        SimConfig(n=10, density=float("nan"))
+    with pytest.raises(ValueError):
+        SimConfig(n=10, m=3, density=(0.5, float("nan"), 0.5))
 
 
 def test_config_arity_follows_the_fixture():
@@ -83,6 +88,14 @@ def test_config_arity_follows_the_fixture():
             dataclasses.replace(cfg, replications=1)).metadata)["arity"] == str(k)
     with pytest.raises(ValueError, match="3 workers"):
         SimConfig(n=10, m=9, fixture="arity3")
+
+
+def test_rates_metadata_only_for_binary_configs():
+    # k-ary worlds draw no binary error rate, so they name none.
+    binary = run_coverage_experiment(SimConfig(n=10, replications=1))
+    assert dict(binary.metadata)["rates"] == repr(DEFAULT_BINARY_RATES)
+    kary = run_coverage_experiment(SimConfig(n=10, replications=1, fixture="arity3"))
+    assert "rates" not in dict(kary.metadata)
 
 
 def test_ramp_densities_endpoints_and_slope():
@@ -225,6 +238,8 @@ def test_gen_kary_rejects_bad_selectivity():
         gen_kary_responses("arity3", 10, selectivity=(0.5, 0.5))
     with pytest.raises(ValueError):
         gen_kary_responses("arity3", 10, selectivity=(-0.1, 0.6, 0.5))
+    with pytest.raises(ValueError):
+        gen_kary_responses("arity3", 10, selectivity=(float("nan"), 1, 1))
 
 
 # -- coverage experiment -----------------------------------------------------
