@@ -34,6 +34,7 @@ from .dataset import ResponseDataset
 from .errors import (
     EstimationFailure,
     InsufficientConnectivityError,
+    LabelDomainError,
     REASON_INSUFFICIENT_CONNECTIVITY,
     REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT,
@@ -343,10 +344,14 @@ def build_worker_system(ds: ResponseDataset, workers: Sequence[str],
     estimated in one array pass. Failed triples are dropped (and counted by
     reason); pairing or universal triple failure is reported through a
     system's `failure_reason` instead of an exception so whole-dataset
-    sweeps keep going. A min_overlap below 1 raises ValueError.
+    sweeps keep going. A min_overlap below 1 raises ValueError, and data of
+    arity other than 2 raises LabelDomainError.
     """
     if isinstance(workers, str):
         raise TypeError(f"workers must be a sequence of worker ids, got the id {workers!r}")
+    if ds.arity != 2:
+        raise LabelDomainError(f"binary estimation needs arity 2, got {ds.arity}; "
+                               "collapse labels first with reduce_arity")
     if ds.num_workers < 3:
         raise InsufficientConnectivityError(
             f"estimation needs at least 3 workers, got {ds.num_workers}")

@@ -97,6 +97,8 @@ def _read_input(path_str: str) -> tuple[str, str]:
         return path.read_text(encoding="utf-8"), fmt
     except OSError as exc:
         raise UsageError(f"cannot read {path_str}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ResponseParseError(f"{path_str} is not valid UTF-8: {exc}") from exc
 
 
 def _load_dataset(args) -> ResponseDataset:
@@ -263,57 +265,45 @@ def cmd_evaluate_kary(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
-_EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
-    "coverage": {"n": 100, "m": 7, "d": 0.8, "reps": 500},
-    "size-vs-density": {"n": 300, "m": 7, "d": 0.8, "reps": 500,
-                        "confidence": 0.8},
-    "weight-comparison": {"n": 100, "m": 7, "d": "ramp", "reps": 500},
-    "kary-coverage": {"n": 1000, "m": 3, "d": 1.0, "reps": 500, "fixture": "arity2"},
-    "kary-size": {"n": 500, "m": 3, "d": 0.8, "reps": 150, "fixture": "arity3",
-                  "confidence": 0.8},
+# name: (defaults, which of --arity and --weighting it takes, runner).
+# An `arity` makes the config k-ary, with that fixture.
+_EXPERIMENTS = {
+    "coverage": ({"n": 100, "m": 7, "d": 0.8, "reps": 500}, ("weighting",),
+                 run_coverage_experiment),
+    "size-vs-density": ({"n": 300, "m": 7, "d": 0.8, "reps": 500, "confidence": 0.8},
+                        ("weighting",), lambda cfg: run_size_experiment(cfg, DENSITY_GRID)),
+    "weight-comparison": ({"n": 100, "m": 7, "d": "ramp", "reps": 500}, (),
+                          compare_weighting),
+    "kary-coverage": ({"n": 1000, "m": 3, "d": 1.0, "reps": 500, "arity": 2}, ("arity",),
+                      run_coverage_experiment),
+    "kary-size": ({"n": 500, "m": 3, "d": 0.8, "reps": 150, "arity": 3, "confidence": 0.8},
+                  (), lambda cfg: run_size_experiment(cfg, arities=(2, 3, 4))),
 }
 
 
 def _parse_density(raw) -> float | str:
-    if raw is None or raw == "ramp":
+    if raw == "ramp":
         return raw
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise UsageError(f"--d must be a number or 'ramp', got {raw!r}") from None
 
 
 def cmd_simulate(args) -> int:
-    defaults = _EXPERIMENT_DEFAULTS[args.experiment]
-    n = args.n if args.n is not None else defaults["n"]
-    m = args.m if args.m is not None else defaults["m"]
-    density = _parse_density(args.d if args.d is not None else defaults["d"])
-    reps = args.reps if args.reps is not None else defaults["reps"]
-    fixture = defaults.get("fixture")
-    if args.arity is not None:
-        if args.experiment != "kary-coverage":
-            raise UsageError(f"--arity applies only to kary-coverage, not {args.experiment}")
-        fixture = f"arity{args.arity}"
-    if args.weighting is not None and args.experiment not in ("coverage", "size-vs-density"):
-        raise UsageError(f"--weighting applies only to coverage and size-vs-density, "
-                         f"not {args.experiment}")
-    confidence = args.confidence if args.confidence is not None \
-        else defaults.get("confidence")
-    if confidence is not None:
-        _check_confidence(confidence)
-    grid = (confidence,) if confidence is not None else CONFIDENCE_GRID
+    defaults, takes, runner = _EXPERIMENTS[args.experiment]
+    for flag in ("arity", "weighting"):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise UsageError(f"--{flag} does not apply to {args.experiment}")
+    opts = {**defaults, **{key: v for key, v in vars(args).items() if v is not None}}
+    confidence = opts.get("confidence")
+    grid = CONFIDENCE_GRID if confidence is None else (_check_confidence(confidence),)
     try:
-        cfg = SimConfig(n=int(n), m=int(m), confidence_grid=grid, density=density,
-                        replications=int(reps), seed=int(args.seed),
-                        weighting=args.weighting or "optimal", fixture=fixture)
-        if args.experiment in ("coverage", "kary-coverage"):
-            result = run_coverage_experiment(cfg)
-        elif args.experiment == "size-vs-density":
-            result = run_size_experiment(cfg, densities=DENSITY_GRID)
-        elif args.experiment == "kary-size":
-            result = run_size_experiment(cfg, arities=(2, 3, 4))
-        else:
-            result = compare_weighting(cfg)
+        cfg = SimConfig(n=opts["n"], m=opts["m"], confidence_grid=grid,
+                        density=_parse_density(opts["d"]), replications=opts["reps"],
+                        seed=args.seed, weighting=opts.get("weighting", "optimal"),
+                        fixture=f"arity{opts['arity']}" if "arity" in opts else None)
+        result = runner(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _write_result(result, Path(args.output))
@@ -391,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kary.set_defaults(func=cmd_evaluate_kary)
 
     p_sim = sub.add_parser("simulate", help="synthetic interval-quality experiments")
-    p_sim.add_argument("experiment", choices=tuple(_EXPERIMENT_DEFAULTS))
+    p_sim.add_argument("experiment", choices=tuple(_EXPERIMENTS))
     p_sim.add_argument("--output", required=True,
                        help="result path (.csv or .json)")
     p_sim.add_argument("--n", type=int, help="tasks per replication")

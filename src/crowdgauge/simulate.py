@@ -67,17 +67,17 @@ WORKER_MATRIX_FIXTURES: Mapping[str, tuple[np.ndarray, ...]] = {
 class SimConfig:
     """Parameters of one simulated experiment.
 
-    `density` is a scalar attempt probability, the string "ramp" (worker i
-    of m attempts with probability (0.5 i + (m - i)) / m), or one value per
-    worker. Binary worker error rates are drawn uniformly from
-    DEFAULT_BINARY_RATES; k-ary worker models are drawn uniformly from the
-    `fixture` matrix set.
+    `density` is one attempt probability in (0, 1] for every worker, or the
+    string "ramp": worker i of m attempts with probability
+    (0.5 i + (m - i)) / m. Binary worker error rates are drawn uniformly
+    from DEFAULT_BINARY_RATES; k-ary worker models are drawn uniformly from
+    the `fixture` matrix set.
     """
 
     n: int
     m: int = 3
     confidence_grid: tuple[float, ...] = CONFIDENCE_GRID
-    density: float | str | tuple[float, ...] = 0.8
+    density: float | str = 0.8
     replications: int = 500
     seed: int = 0
     weighting: str = "optimal"
@@ -120,23 +120,22 @@ def ramp_densities(m: int) -> np.ndarray:
 
 
 def _per_worker_densities(density, m: int) -> np.ndarray:
-    """One attempt density per worker, from a scalar or a length-m sequence."""
+    """One attempt density in (0, 1] per worker, from a scalar or a length-m
+    sequence; configs and generators all check densities here."""
     dens = np.full(m, float(density)) if np.isscalar(density) else np.asarray(density, float)
     if dens.shape != (m,):
         raise ValueError(f"need one density per worker ({m}), got {dens.shape}")
+    if not ((dens > 0) & (dens <= 1)).all():
+        raise ValueError(f"densities must lie in (0, 1], got {density!r}")
     return dens
 
 
 def _density_vector(cfg: SimConfig) -> np.ndarray:
-    if isinstance(cfg.density, str):
-        if cfg.density != "ramp":
-            raise ValueError(f"density must be a number, 'ramp', or a tuple, "
-                             f"got {cfg.density!r}")
+    if isinstance(cfg.density, str) and cfg.density == "ramp":
         return ramp_densities(cfg.m)
-    dens = _per_worker_densities(cfg.density, cfg.m)
-    if not ((dens > 0) & (dens <= 1)).all():
-        raise ValueError("densities must lie in (0, 1]")
-    return dens
+    if isinstance(cfg.density, str) or not np.isscalar(cfg.density):
+        raise ValueError(f"density must be a number or 'ramp', got {cfg.density!r}")
+    return _per_worker_densities(cfg.density, cfg.m)
 
 
 def substream(seed: int, rep: int) -> np.random.Generator:
@@ -260,6 +259,8 @@ def _metadata(cfg: SimConfig, **extra: object) -> tuple[tuple[str, str], ...]:
     }
     if cfg.fixture is None:  # only binary worlds draw error rates
         items["rates"] = DEFAULT_BINARY_RATES
+    else:  # and only they weight triples
+        del items["weighting"]
     items.update(extra)
     return tuple((key, repr(value)) for key, value in items.items())
 
@@ -378,34 +379,26 @@ def run_coverage_experiment(cfg: SimConfig) -> ExperimentResult:
 
 def run_size_experiment(cfg: SimConfig,
                         densities: Sequence[float] | None = None,
-                        confidences: Sequence[float] | None = None,
                         arities: Sequence[int] | None = None) -> ExperimentResult:
-    """Mean interval size along one sweep axis.
+    """Mean interval size along a sweep, at the one level in cfg.confidence_grid.
 
-    Exactly one mode: `densities` sweeps attempt density at the single
-    confidence level in cfg.confidence_grid; `confidences` sweeps the level
-    itself; `arities` (k-ary) crosses fixture arities with `densities`
-    (default DENSITY_GRID).
+    `densities` alone sweeps attempt density; `arities` (k-ary) crosses
+    fixture arities with `densities` (default DENSITY_GRID). The metadata
+    leaves out the config values the sweep replaces. (Size across levels is
+    the mean_size column of `run_coverage_experiment`.)
     """
-    if confidences is not None:
-        if densities is not None or arities is not None:
-            raise ValueError("choose one sweep axis")
-        rows = _grid_rows(cfg, tuple(confidences), (cfg.weighting,))
-        return ExperimentResult("size-vs-confidence", _GRID_COLUMNS,
-                                tuple(rows), _metadata(cfg))
     if arities is not None:
         densities = tuple(densities) if densities is not None else DENSITY_GRID
-        name, keys = "kary-size", ("arity", "density")
+        name, keys, swept = "kary-size", ("arity", "density"), ("arity", "fixture", "density")
         sweep = [((float(k), float(d)), replace(cfg, fixture=f"arity{k}", density=float(d)))
                  for k in arities for d in densities]
-        metadata = _metadata(cfg, arities=tuple(int(k) for k in arities),
-                             densities=densities)
+        extra = {"arities": tuple(int(k) for k in arities), "densities": densities}
     elif densities is not None:
-        name, keys = "size-vs-density", ("density",)
+        name, keys, swept = "size-vs-density", ("density",), ("density",)
         sweep = [((float(d),), replace(cfg, density=float(d))) for d in densities]
-        metadata = _metadata(cfg, densities=tuple(densities))
+        extra = {"densities": tuple(densities)}
     else:
-        raise ValueError("choose a sweep axis: densities, confidences, or arities")
+        raise ValueError("choose a sweep axis: densities or arities")
     if len(cfg.confidence_grid) != 1:
         raise ValueError(f"{name} sweep expects a single confidence level")
     level = cfg.confidence_grid[0]
@@ -413,6 +406,7 @@ def run_size_experiment(cfg: SimConfig,
     for key, sub in sweep:
         (_, *stats), = _grid_rows(sub, (level,), (sub.weighting,))
         rows.append((*key, float(level), *stats))
+    metadata = tuple(item for item in _metadata(cfg, **extra) if item[0] not in swept)
     return ExperimentResult(name, keys + _GRID_COLUMNS, tuple(rows), metadata)
 
 

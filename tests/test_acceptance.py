@@ -51,9 +51,10 @@ def test_criterion_01_binary_interval_size():
 
     Also asserts the 500-replication run finishes within a minute.
     """
-    cfg = SimConfig(n=100, m=3, density=1.0, replications=500, seed=0)
+    cfg = SimConfig(n=100, m=3, density=1.0, replications=500, seed=0,
+                    confidence_grid=(0.5,))
     start = time.perf_counter()
-    result = run_size_experiment(cfg, confidences=(0.5,))
+    result = run_coverage_experiment(cfg)
     elapsed = time.perf_counter() - start
     (confidence, accuracy, mean_size, failures, evaluations), = result.rows
     assert confidence == 0.5

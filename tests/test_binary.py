@@ -28,6 +28,7 @@ from crowdgauge.dataset import ResponseDataset
 from crowdgauge.errors import (
     EstimationFailure,
     InsufficientConnectivityError,
+    LabelDomainError,
     REASON_INSUFFICIENT_CONNECTIVITY,
     REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT,
@@ -544,6 +545,24 @@ def test_cross_triple_covariances_match_simulation():
 
 
 # -- worker aggregation ------------------------------------------------------
+
+
+def test_binary_estimation_refuses_non_binary_data():
+    # Six workers on 3-ary tasks, each wrong 10% of the time, uniformly over
+    # the two wrong labels. The binary model does not describe this data:
+    # read as binary, it gives rates of 0.104-0.121, and w1's interval
+    # [0.1077, 0.1342] misses 0.1. So it is refused, not estimated.
+    rng = np.random.default_rng(0)
+    truth = rng.integers(1, 4, size=2000)
+    wrong = rng.random((6, 2000)) < 0.1
+    shift = rng.integers(1, 3, size=(6, 2000))
+    matrix = np.where(wrong, (truth - 1 + shift) % 3 + 1, truth)
+    ds = ResponseDataset.from_matrix(matrix, arity=3)
+    for call in (lambda: build_worker_system(ds, ds.workers),
+                 lambda: evaluate_all(ds, 0.9),
+                 lambda: evaluate_worker(ds, "w1", 0.9)):
+        with pytest.raises(LabelDomainError, match="reduce_arity"):
+            call()
 
 
 def test_evaluate_worker_single_triple_matches_evaluate_triple():

@@ -13,17 +13,27 @@ import pytest
 
 from crowdgauge import cli
 from crowdgauge.binary import evaluate_all
-from crowdgauge.cli import main, parse_label_map
+from crowdgauge.cli import UsageError, main, parse_label_map
 from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
 from crowdgauge.errors import (
-    REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP, REASON_LOW_AGREEMENT)
+    REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP, REASON_LOW_AGREEMENT,
+    ResponseParseError)
 from crowdgauge.simulate import (
-    WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_kary_responses, substream)
+    DENSITY_GRID, WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_binary_workers,
+    gen_kary_responses, substream)
 
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def assert_refused(exc_type, code, *argv):
+    """The command raises exc_type, and main maps it to exit code `code`."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(exc_type):
+        args.func(args)
+    assert run_cli(*argv) == code
 
 
 def binary_csv(tmp_path, n=3000, rates=(0.1, 0.2, 0.3), seed=0, density=1.0):
@@ -202,6 +212,28 @@ def test_evaluate_exit_codes(tmp_path):
                    "--output", out) == 1
 
 
+@pytest.mark.parametrize("rep, worker, flag", [(31, "w5", "clamped"),
+                                                (58, "w6", "weight_fallback")])
+def test_evaluate_records_carry_clamp_and_weight_fallback_flags(tmp_path, rep, worker, flag):
+    # sparse worlds (n=100, m=7, d=0.25) drawn as the simulator draws them
+    rng = substream(11, rep)
+    ds, _ = gen_binary_responses(gen_binary_workers(7, rng), 100, 0.25, rng)
+    src = tmp_path / "r.csv"
+    src.write_text(write_responses_csv(ds))
+    out = tmp_path / "o.json"
+    assert run_cli("evaluate", "--input", src, "--output", out) == 0
+    flagged = [r["worker"] for r in json.loads(out.read_text()) if r.get(flag)]
+    assert flagged == [worker]
+
+
+def test_evaluate_input_that_is_not_utf8_is_a_parse_error(tmp_path):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"task_id,worker_id,response\nt1,w\xe9,1\n")
+    assert_refused(ResponseParseError, 2, "evaluate", "--input", src,
+                   "--output", tmp_path / "o.json")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_evaluate_min_overlap_below_one_is_a_usage_error(tmp_path, capsys):
     # w4 shares tasks only with w1. With no overlap floor it would be
     # paired with w2, a worker it shares no task with.
@@ -327,6 +359,16 @@ def test_label_map_missing_observed_label_is_a_data_error(tmp_path, capsys):
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--auto-triples", "1", "--map", "1:1,2:2,3:2,4:2") == 2
     assert "label map keys [4] lie outside 1..3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_kary_auto_triples_below_one_is_a_usage_error(tmp_path):
+    world = gen_kary_responses("arity2", 100, 1.0, rng=7)
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(world.dataset))
+    out = tmp_path / "o.json"
+    assert_refused(UsageError, 1, "evaluate-kary", "--input", src, "--output", out,
+                   "--auto-triples", "0")
     assert not out.exists()
 
 
@@ -532,6 +574,50 @@ def test_simulate_weighting_only_where_it_applies(tmp_path):
     assert "# weighting='optimal'" in out.read_text().splitlines()
 
 
+def test_simulate_kary_size_sweeps_three_arities_over_the_density_grid(tmp_path):
+    out = tmp_path / "sizes.json"
+    assert run_cli("simulate", "kary-size", "--n", "60", "--reps", "1",
+                   "--output", out) == 0
+    payload = json.loads(out.read_text())
+    assert payload["experiment"] == "kary-size"
+    assert payload["columns"][:3] == ["arity", "density", "confidence"]
+    rows = payload["rows"]
+    assert [row[0] for row in rows] == [2.0] * 10 + [3.0] * 10 + [4.0] * 10
+    assert [row[1] for row in rows[:10]] == list(DENSITY_GRID)
+    assert {row[2] for row in rows} == {0.8}
+
+
+_BINARY_KEYS = ["n", "m", "arity", "density", "replications", "seed", "weighting",
+                "fixture", "rates"]
+
+
+@pytest.mark.parametrize("experiment, keys", [
+    ("coverage", _BINARY_KEYS),
+    ("size-vs-density", ["n", "m", "arity", "replications", "seed", "weighting",
+                         "fixture", "rates", "densities"]),
+    ("weight-comparison", _BINARY_KEYS),
+    ("kary-coverage", ["n", "m", "arity", "density", "replications", "seed", "fixture"]),
+    ("kary-size", ["n", "m", "replications", "seed", "arities", "densities"]),
+])
+def test_simulate_metadata_names_only_values_the_run_used(tmp_path, experiment, keys):
+    # a sweep leaves out the config values it replaces, and k-ary runs
+    # weight no triples
+    out = tmp_path / "o.json"
+    assert run_cli("simulate", experiment, "--n", "60", "--reps", "1",
+                   "--confidence", "0.8", "--output", out) == 0
+    assert list(json.loads(out.read_text())["metadata"]) == keys
+
+
+def test_simulate_coverage_metadata_lines(tmp_path):
+    out = tmp_path / "o.csv"
+    assert run_cli("simulate", "coverage", "--n", "60", "--m", "3", "--d", "1.0",
+                   "--reps", "2", "--output", out) == 0
+    assert [line for line in out.read_text().splitlines() if line.startswith("#")] == [
+        "# experiment=coverage", "# n=60", "# m=3", "# arity=2", "# density=1.0",
+        "# replications=2", "# seed=0", "# weighting='optimal'", "# fixture=None",
+        "# rates=(0.1, 0.2, 0.3)"]
+
+
 def test_simulate_weight_comparison_columns(tmp_path):
     out = tmp_path / "w.csv"
     rc = run_cli("simulate", "weight-comparison", "--n", "80", "--reps", "4",
@@ -583,6 +669,15 @@ def test_prune_custom_removed_path_and_identity_threshold(tmp_path):
     assert pruned.num_workers == 5
     assert run_cli("prune", "--input", src, "--output", out,
                    "--threshold", "1.2") == 1
+
+
+def test_prune_non_binary_is_a_usage_error(tmp_path):
+    world = gen_kary_responses("arity3", 100, 1.0, rng=4)
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(world.dataset))
+    out = tmp_path / "kept.csv"
+    assert_refused(UsageError, 1, "prune", "--input", src, "--output", out)
+    assert not out.exists()
 
 
 def test_prune_output_feeds_evaluate(tmp_path):
@@ -649,6 +744,31 @@ def test_readme_command_lines_parse():
     assert tables
     for table in tables:
         parse_label_map(shlex.split(table)[0])
+
+
+def test_readme_simulate_table_matches_the_experiments():
+    # The README table is the one other copy of the simulate defaults.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("### `crowdgauge simulate`", 1)[1].split("\n### ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    names = {"n": "n", "m": "m", "d": "d", "c": "confidence"}
+    listed = {}
+    for name, _, defaults in rows[2:]:  # past the header and the rule
+        values = {}
+        for item in defaults.split(", "):
+            if item.endswith(" reps"):
+                values["reps"] = int(item.removesuffix(" reps"))
+            else:
+                key, _, value = item.partition("=")
+                values[names[key]] = value if value == "ramp" else float(value)
+        listed[name] = values
+    assert list(listed) == list(cli._EXPERIMENTS)
+    for name, values in listed.items():
+        table = cli._EXPERIMENTS[name][0]
+        assert values == {key: table[key] for key in values}, name
 
 
 # -- console entry point -----------------------------------------------------

@@ -102,6 +102,19 @@ def test_load_csv_empty():
         load_responses("task_id,worker_id,response\n")
 
 
+def test_load_csv_without_a_header_row():
+    for text in ("# arity=3\n\n", ""):
+        with pytest.raises(ResponseParseError, match="missing header row"):
+            load_responses(text)
+    with pytest.raises(ResponseParseError, match="expected header"):
+        load_responses("t1,w1,1\nt2,w1,2\n")
+
+
+def test_load_csv_bytes_that_are_not_utf8():
+    with pytest.raises(ResponseParseError, match="not valid UTF-8"):
+        load_responses(b"task_id,worker_id,response\nt1,w\xe9,1\n")
+
+
 def test_load_json_basic():
     records = [
         {"task": "t1", "worker": "w1", "response": 1},
@@ -122,6 +135,19 @@ def test_load_json_rejects_bool_and_reports_element():
 def test_load_json_missing_key():
     with pytest.raises(ResponseParseError):
         load_responses(json.dumps([{"task": "t1", "response": 1}]), fmt="json")
+
+
+def test_load_json_malformed_inputs():
+    with pytest.raises(ResponseParseError, match="invalid JSON"):
+        load_responses('[{"task": "t1",', fmt="json")
+    with pytest.raises(ResponseParseError, match="must be an array"):
+        load_responses('{"task": "t1", "worker": "w1", "response": 1}', fmt="json")
+    with pytest.raises(ResponseParseError, match="element 1 is not an object"):
+        load_responses('[{"task": "t1", "worker": "w1", "response": 1}, 3]', fmt="json")
+    with pytest.raises(LabelDomainError, match="element 0: label 0 is below 1"):
+        load_responses('[{"task": "t1", "worker": "w1", "response": 0}]', fmt="json")
+    with pytest.raises(EmptyDatasetError):
+        load_responses("[]", fmt="json")
 
 
 def test_load_unknown_format():
@@ -419,6 +445,23 @@ def test_load_gold():
         load_gold("task_id,response\nt1,1\nt1,2\n")  # conflicting gold
     with pytest.raises(GoldLabelError):
         load_gold("wrong,header\nt1,1\n")
+
+
+def test_load_gold_skips_blank_and_comment_rows():
+    gold = load_gold("# gold\n\ntask_id,response\n\nt1,1\n# t2,2\nt3,2\n")
+    assert gold.labels == {"t1": 1, "t3": 2}
+
+
+def test_load_gold_malformed_rows():
+    with pytest.raises(GoldLabelError, match="line 2: expected 2 fields, got 3"):
+        load_gold("task_id,response\nt1,1,2\n")
+    with pytest.raises(GoldLabelError, match="line 3: response 'yes' is not an integer"):
+        load_gold("task_id,response\nt1,1\nt2,yes\n")
+    with pytest.raises(LabelDomainError, match="line 2: label 0 is below 1"):
+        load_gold("task_id,response\nt1,0\n")
+    for text in ("task_id,response\n", "# only a comment\n", ""):
+        with pytest.raises(GoldLabelError, match="no gold labels found"):
+            load_gold(text)
 
 
 def test_load_gold_lone_carriage_return_is_a_gold_error():

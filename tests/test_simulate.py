@@ -163,6 +163,21 @@ def test_gen_binary_responses_respects_density_vector():
         assert abs(attempted - d) <= 3 * se + 1e-12
 
 
+def test_generators_and_configs_share_one_density_rule():
+    # A NaN or out-of-range density would give an empty world (or, at 1.7,
+    # a full one), so the generators refuse it as configs do.
+    for density in (float("nan"), 1.7, 0.0, -0.5, (0.5, float("nan"), 0.5)):
+        with pytest.raises(ValueError, match=r"densities must lie in \(0, 1\]"):
+            gen_binary_responses((0.1, 0.2, 0.3), 20, density, rng=0)
+        with pytest.raises(ValueError, match=r"densities must lie in \(0, 1\]"):
+            gen_kary_responses("arity3", 20, density, rng=0)
+    with pytest.raises(ValueError, match=r"densities must lie in \(0, 1\]"):
+        _gen_kary_with_matrices(WORKER_MATRIX_FIXTURES["arity2"], 20, 1.7, None, 0)
+    # configs take one number or "ramp", and no per-worker tuple
+    with pytest.raises(ValueError, match="a number or 'ramp'"):
+        SimConfig(n=10, m=3, density=(0.5, 0.6, 0.7))
+
+
 def test_gen_binary_responses_is_deterministic():
     a, ga = gen_binary_responses((0.1, 0.2, 0.3), 40, 0.7, rng=9)
     b, gb = gen_binary_responses((0.1, 0.2, 0.3), 40, 0.7, rng=9)
@@ -370,8 +385,6 @@ def test_size_experiment_requires_an_axis():
     cfg = SimConfig(n=50, m=3, replications=2, confidence_grid=(0.8,))
     with pytest.raises(ValueError):
         run_size_experiment(cfg)
-    with pytest.raises(ValueError):
-        run_size_experiment(cfg, densities=(0.8,), confidences=(0.5, 0.9))
 
 
 def test_size_experiment_density_mode_requires_single_level():
@@ -404,9 +417,10 @@ def test_size_shrinks_as_density_grows():
 
 
 def test_size_experiment_confidence_mode_monotone():
-    cfg = SimConfig(n=100, m=3, replications=20, seed=8, confidence_grid=(0.8,))
-    result = run_size_experiment(cfg, confidences=(0.5, 0.8, 0.95))
-    assert result.experiment == "size-vs-confidence"
+    # the size across levels is the coverage table's mean_size column
+    cfg = SimConfig(n=100, m=3, replications=20, seed=8, confidence_grid=(0.5, 0.8, 0.95))
+    result = run_coverage_experiment(cfg)
+    assert result.experiment == "coverage"
     sizes = result.column("mean_size")
     assert sizes[0] < sizes[1] < sizes[2]
 
