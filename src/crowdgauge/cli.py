@@ -209,14 +209,14 @@ def cmd_evaluate(args) -> int:
 def cmd_evaluate_kary(args) -> int:
     ds = _load_dataset(args)
     confidence = _check_confidence(args.confidence)
-    if args.workers:
+    if args.workers is not None:
         ids = [w.strip() for w in args.workers.split(",")]
         if len(ids) != 3 or len(set(ids)) != 3:
             raise UsageError("--workers needs exactly three distinct ids")
         for w in ids:
             ds.worker_index(w)  # raises UnknownWorkerError -> exit 2
         triples = [tuple(ids)]
-    elif args.auto_triples is not None:
+    else:
         if args.auto_triples < 1:
             raise UsageError("--auto-triples needs a threshold of at least 1")
         # Positions in id order: each triple seats its workers in id order,
@@ -228,8 +228,6 @@ def cmd_evaluate_kary(args) -> int:
         if not triples:
             raise InsufficientConnectivityError(
                 f"no worker triple shares {args.auto_triples} or more tasks")
-    else:
-        raise UsageError("one of --workers or --auto-triples is required")
     records = []
     for triple in triples:
         report = kary_confidence_intervals(build_counts(ds, triple), confidence)
@@ -375,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kary = sub.add_parser("evaluate-kary", parents=[common],
                             help="response-probability matrix intervals for triples")
     p_kary.add_argument("--confidence", type=float, default=0.95)
-    p_kary.add_argument("--workers", help="three comma-separated worker ids")
-    p_kary.add_argument("--auto-triples", type=int, default=None, metavar="T",
-                        help="evaluate every triple sharing at least T tasks")
+    triples = p_kary.add_mutually_exclusive_group(required=True)
+    triples.add_argument("--workers", help="three comma-separated worker ids")
+    triples.add_argument("--auto-triples", type=int, metavar="T",
+                         help="evaluate every triple sharing at least T tasks")
     p_kary.set_defaults(func=cmd_evaluate_kary)
 
     p_sim = sub.add_parser("simulate", help="synthetic interval-quality experiments")

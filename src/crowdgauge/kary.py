@@ -51,6 +51,7 @@ from .errors import (
 from .numerics import (
     COND_LIMIT,
     eigendecompose_many,
+    eigendecompose_symmetric,
     invert_matrices,
     normal_quantile,
 )
@@ -220,6 +221,14 @@ def _fail(reason: str) -> EstimationFailure:
     return EstimationFailure(reason, f"spectral recovery failed: {reason}")
 
 
+def _invert_one(matrix: np.ndarray, reason: str) -> np.ndarray:
+    """Inverse of one matrix; a singular one fails the recovery with `reason`."""
+    inverse, singular = invert_matrices(matrix[None])
+    if singular[0]:
+        raise _fail(reason)
+    return inverse[0]
+
+
 def _recover(tensor: np.ndarray, k: int) -> _Recovery:
     """Core spectral recovery of one (k+1, k+1, k+1) counts array.
 
@@ -234,14 +243,10 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
             raise EstimationFailure(REASON_INSUFFICIENT_OVERLAP,
                                     "each pair of the triple must share at least one task")
         r12, r23, r31 = (c / total for c, total in zip(freqs, pair_totals))
-        inv_r32, singular = invert_matrices(r23.T[None])
-        if singular[0]:
-            raise _fail(REASON_NONINVERTIBLE_FREQUENCY)
-        inv_r32 = inv_r32[0]
+        inv_r32 = _invert_one(r23.T, REASON_NONINVERTIBLE_FREQUENCY)
         gram = r12 @ inv_r32 @ r31
         gram = 0.5 * (gram + gram.T)
-        evecs, evals, _ = eigendecompose_many(gram[None])
-        evecs, evals = evecs[0], evals[0]
+        evecs, evals = eigendecompose_symmetric(gram)
         if evals.min() < -NEGATIVE_EIG_TOL_SCALE * max(np.abs(gram).max(), 1e-300):
             raise _fail(REASON_NEGATIVE_SPECTRUM)
         # The Gram matrix is exactly symmetric, so evecs is orthonormal and
@@ -251,10 +256,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
             raise _fail(REASON_SINGULAR_ESTIMATE)
         u1 = (evecs * roots) @ evecs.T
         u1_inv = (evecs / roots) @ evecs.T
-        u2_inv, singular = invert_matrices((u1_inv @ r12)[None])
-        if singular[0]:
-            raise _fail(REASON_SINGULAR_ESTIMATE)
-        u2_inv = u2_inv[0]
+        u2_inv = _invert_one(u1_inv @ r12, REASON_SINGULAR_ESTIMATE)
 
         # slices[j] holds the counts where worker 3 said j+1.
         slices = np.moveaxis(tensor[1:, 1:, 1:], -1, 0)
@@ -286,10 +288,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         v1_slices, dest = _order_rows_by_diagonal(v1_slices * signs[:, :, None])
         # Summed slice by slice, in slice order.
         v1 = sum(v1_slices) / len(v1_slices)
-        v1t_inv, singular = invert_matrices(v1.T[None])
-        if singular[0]:
-            raise _fail(REASON_SINGULAR_ESTIMATE)
-        v1t_inv = v1t_inv[0]
+        v1t_inv = _invert_one(v1.T, REASON_SINGULAR_ESTIMATE)
         v = np.stack([v1, v1t_inv @ r12, v1t_inv @ r31.T])
     return _Recovery(
         v=v, freqs=(r12, r23, r31), pair_totals=pair_totals, inv_r32=inv_r32,
@@ -468,23 +467,23 @@ def pattern_covariance(counts: CountsTensor, pattern: Sequence[int]) -> np.ndarr
 class KaryJacobian:
     """Derivatives of the scaled matrices V1..V3 against the count cells.
 
-    derivs[w, i1, i2, a, b, c] is the derivative of V_{w+1}(i1, i2) with
-    respect to the all-three cell counts[a+1, b+1, c+1]. usable[a, b, c] is
-    False where some derivative against that cell is not finite.
+    derivs[w, i1, i2, j] is the derivative of V_{w+1}(i1, i2) with respect
+    to the count cell whose (a, b, c) index is cells[j]. The cells run
+    pattern by pattern, each in row-major order: the k^3 all-three cells,
+    then the k^2 cells of each pair pattern of PAIR_PATTERNS that has tasks
+    (pair_perturbed[p]). A pair pattern with no tasks carries no sampling
+    variance, so it is not differentiated.
 
-    pair_derivs[p, w, i1, i2, x, y] is the derivative of V_{w+1}(i1, i2)
-    with respect to the cell of pair pattern PAIR_PATTERNS[p] where the
-    first answering worker said x+1 and the second y+1 (so for pattern
-    (1, 0, 1) that is counts[x+1, 0, y+1]), with pair_usable[p, x, y] its
-    flag. A pair pattern with no tasks carries no sampling variance, so it
-    is not differentiated: pair_perturbed[p] is False and its entries are
-    NaN.
+    usable[a, b, c] is False where some derivative against the all-three
+    cell counts[a+1, b+1, c+1] is not finite; pair_usable[p, x, y] is the
+    same flag for the cell of PAIR_PATTERNS[p] where the first answering
+    worker said x+1 and the second y+1, and False where p has no tasks.
     """
 
     arity: int
+    cells: np.ndarray
     derivs: np.ndarray
     usable: np.ndarray
-    pair_derivs: np.ndarray
     pair_usable: np.ndarray
     pair_perturbed: np.ndarray
 
@@ -503,26 +502,18 @@ def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
     counts, rec = estimate.counts, estimate.recovery
     k = counts.arity
     pair_perturbed = np.array([counts.pattern_total(p) > 0 for p in PAIR_PATTERNS])
-    pairs = np.flatnonzero(pair_perturbed)
-    cells = [cell for pattern in ((1, 1, 1), *(PAIR_PATTERNS[p] for p in pairs))
-             for cell in _pattern_cells(pattern, k)]
-    count = len(cells)
-    directions = np.zeros((count, k + 1, k + 1, k + 1))
-    directions[(np.arange(count),) + tuple(np.asarray(cells).T)] = 1.0
+    patterns = ((1, 1, 1), *(p for p, live in zip(PAIR_PATTERNS, pair_perturbed) if live))
+    cells = np.array([cell for pattern in patterns for cell in _pattern_cells(pattern, k)])
+    directions = np.zeros((len(cells), k + 1, k + 1, k + 1))
+    directions[(np.arange(len(cells)),) + tuple(cells.T)] = 1.0
     with np.errstate(all="ignore"):
-        all_derivs = np.moveaxis(_differential(rec, directions), 0, -1)
-    all_usable = np.isfinite(all_derivs).all(axis=(0, 1, 2))
-    pair_derivs = np.full((3, 3, k, k, k, k), np.nan)
+        derivs = np.moveaxis(_differential(rec, directions), 0, -1)
+    finite = np.isfinite(derivs).all(axis=(0, 1, 2))
     pair_usable = np.zeros((3, k, k), dtype=bool)
-    for n, p in enumerate(pairs):
-        block = slice(k ** 3 + n * k * k, k ** 3 + (n + 1) * k * k)
-        pair_derivs[p] = all_derivs[..., block].reshape(3, k, k, k, k)
-        pair_usable[p] = all_usable[block].reshape(k, k)
-    return KaryJacobian(arity=k,
-                        derivs=all_derivs[..., :k ** 3].reshape(3, k, k, k, k, k),
-                        usable=all_usable[:k ** 3].reshape(k, k, k),
-                        pair_derivs=pair_derivs, pair_usable=pair_usable,
-                        pair_perturbed=pair_perturbed)
+    pair_usable[pair_perturbed] = finite[k ** 3:].reshape(-1, k, k)
+    return KaryJacobian(arity=k, cells=cells, derivs=derivs,
+                        usable=finite[:k ** 3].reshape(k, k, k),
+                        pair_usable=pair_usable, pair_perturbed=pair_perturbed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,10 +538,10 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     The triple is recovered once, by prob_estimate; the Jacobian of V
     against the all-three cells and the nonempty pair patterns' cells
     differentiates that recovery, is carried through P = V / rowsum(V),
-    then contracted with the block-diagonal multinomial covariance of
-    those cells (one block per attempt pattern, see pattern_covariance) by
-    matrix products. Raises EstimationFailure when the recovery fails or
-    when a derivative is not finite (REASON_JACOBIAN_FAILURE).
+    then contracted by matrix products with the multinomial covariance of
+    those cells: each pattern's segment of the cell axis with that
+    pattern's block (see pattern_covariance). Raises EstimationFailure when
+    the recovery fails or a derivative is not finite (REASON_JACOBIAN_FAILURE).
     """
     estimate = prob_estimate(counts)
     jac = numerical_jacobian(estimate)
@@ -561,14 +552,15 @@ def kary_deviations(counts: CountsTensor) -> KaryDeviations:
     k = counts.arity
     v_all = estimate.recovery.v
     row_sums = v_all.sum(axis=2, keepdims=True)
-    blocks = [(jac.derivs, pattern_covariance(counts, (1, 1, 1)))]
-    blocks += [(jac.pair_derivs[p], pattern_covariance(counts, PAIR_PATTERNS[p]))
-               for p in np.flatnonzero(jac.pair_perturbed)]
     p_all = v_all / row_sums
     variances = np.zeros((3, k, k))
-    for derivs, block in blocks:
+    pairs = (p for p, live in zip(PAIR_PATTERNS, jac.pair_perturbed) if live)
+    start = 0
+    for pattern in ((1, 1, 1), *pairs):
+        block = pattern_covariance(counts, pattern)
+        dv = jac.derivs[..., start:start + len(block)]
+        start += len(block)
         # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
-        dv = derivs.reshape(3, k, k, -1)
         grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
         variances += ((grads @ block) * grads).sum(axis=-1)
     return KaryDeviations(

@@ -1,7 +1,8 @@
 """Shared numeric kernel: normal quantiles, propagated deviations of
-linearized statistics, matrix inversion, eigendecomposition, and
-minimum-variance weights. The binary and k-ary reports build their
-intervals from these: the estimate less and plus z times its deviation.
+linearized statistics, matrix inversion, eigendecomposition (stacks of
+general matrices, or one symmetric matrix), and minimum-variance weights.
+The binary and k-ary reports build their intervals from these: the
+estimate less and plus z times its deviation.
 
 Every routine is deterministic. Tolerances are module constants so tests can
 reference them directly.
@@ -29,10 +30,6 @@ Matrix = np.ndarray
 COND_LIMIT = 1e12
 # Quadratic forms more negative than this fail; values in [-tol, 0) clamp to 0.
 VARIANCE_CLAMP_TOL = 1e-12
-# A matrix counts as symmetric when max|M - M^T| < tol * max|M|.
-SYMMETRY_DETECTION_TOL = 1e-12
-# Diagonal ridge added (once) to a singular covariance before giving up.
-RIDGE_SCALE = 1e-10
 
 _STANDARD_NORMAL = statistics.NormalDist()
 
@@ -98,39 +95,36 @@ def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     Returns (E, D, max_imag) stacks: eigenvector columns E and eigenvalues D
     sorted by descending real part (ties by descending imaginary part), both
     with imaginary parts dropped, plus per item the largest imaginary
-    magnitude seen so callers can enforce realness. Symmetric items
-    (detected via SYMMETRY_DETECTION_TOL) take the symmetric path, get
-    orthonormal eigenvectors and report max_imag 0. A solver that does not
-    converge raises EstimationFailure(REASON_EIGEN_NONCONVERGENCE).
+    magnitude seen so callers can enforce realness. Symmetric items take
+    the general solver too (eigendecompose_symmetric gives an orthonormal
+    basis). A solver that does not converge raises
+    EstimationFailure(REASON_EIGEN_NONCONVERGENCE).
     """
-    m = np.array(stack, dtype=float)
-    count, n = m.shape[0], m.shape[-1]
-    scale = np.abs(m).max(axis=(1, 2))
-    asym = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2))
-    symmetric = (scale == 0.0) | (asym < SYMMETRY_DETECTION_TOL * scale)
-    vectors = np.empty((count, n, n))
-    values = np.empty((count, n))
-    max_imag = np.zeros(count)
     try:
-        if symmetric.any():
-            w, v = np.linalg.eigh(m[symmetric])
-            order = np.argsort(-w, axis=1, kind="stable")
-            values[symmetric] = np.take_along_axis(w, order, axis=1)
-            vectors[symmetric] = np.take_along_axis(v, order[:, None, :], axis=2)
-        if not symmetric.all():
-            w, v = np.linalg.eig(m[~symmetric])
+        w, v = np.linalg.eig(np.asarray(stack, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE,
                                 f"eigendecomposition failed: {exc}") from exc
-    if not symmetric.all():
-        w = np.asarray(w, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        max_imag[~symmetric] = np.maximum(np.abs(w.imag).max(axis=1),
-                                          np.abs(v.imag).max(axis=(1, 2)))
-        order = np.lexsort((-w.imag, -w.real), axis=1)
-        values[~symmetric] = np.take_along_axis(w, order, axis=1).real
-        vectors[~symmetric] = np.take_along_axis(v, order[:, None, :], axis=2).real
-    return vectors, values, max_imag
+    max_imag = np.maximum(np.abs(w.imag).max(axis=1), np.abs(v.imag).max(axis=(1, 2)))
+    order = np.lexsort((-w.imag, -w.real), axis=1)
+    return (np.take_along_axis(v, order[:, None, :], axis=2).real,
+            np.take_along_axis(w, order, axis=1).real, max_imag)
+
+
+def eigendecompose_symmetric(matrix: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvector columns and eigenvalues of one symmetric matrix.
+
+    Eigenvalues descend (a stable sort, so ties keep the solver's order). A
+    solver that does not converge raises
+    EstimationFailure(REASON_EIGEN_NONCONVERGENCE).
+    """
+    try:
+        values, vectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE,
+                                f"eigendecomposition failed: {exc}") from exc
+    order = np.argsort(-values, kind="stable")
+    return vectors[:, order], values[order]
 
 
 class WeightSolution(NamedTuple):
@@ -142,28 +136,21 @@ def optimal_weights(covariance: Matrix) -> WeightSolution:
     """Weights minimizing w^T C w subject to sum(w) = 1.
 
     Solves C^-1 1 and normalizes it to unit sum. A singular C (see
-    invert_matrices) gets one ridge-regularized retry (RIDGE_SCALE * mean
-    diagonal); if that also fails, or the entries of C^-1 1 cancel
-    (|sum| <= 1e-12 * sum of magnitudes), falls back to uniform weights
-    with the fallback flag set. Raises ValueError for a non-square or
-    non-finite C.
+    invert_matrices), or a C^-1 1 whose entries cancel (|sum| <= 1e-12 *
+    sum of magnitudes), gets uniform weights with the fallback flag set;
+    a singular C is never regularized into a solution. Raises ValueError
+    for a non-square or non-finite C.
     """
     c = np.asarray(covariance, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"covariance must be square, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("covariance entries must be finite")
-    size = c.shape[0]
-    ones = np.ones(size)
-    uniform = WeightSolution(ones / size, True)
+    ones = np.ones(c.shape[0])
     inverse, singular = invert_matrices(c[None])
-    if singular[0]:
-        ridge = RIDGE_SCALE * float(np.trace(c)) / size
-        inverse, singular = invert_matrices((c + ridge * np.eye(size))[None])
-        if singular[0]:
-            return uniform
-    base = inverse[0] @ ones
-    total = float(base.sum())
-    if abs(total) <= 1e-12 * float(np.abs(base).sum()):
-        return uniform
-    return WeightSolution(base / total, False)
+    if not singular[0]:
+        base = inverse[0] @ ones
+        total = float(base.sum())
+        if abs(total) > 1e-12 * float(np.abs(base).sum()):
+            return WeightSolution(base / total, False)
+    return WeightSolution(ones / ones.size, True)

@@ -415,7 +415,8 @@ def compare_weighting(cfg: SimConfig) -> ExperimentResult:
 
     Requires m >= 5 (at least two triples per worker); each replication is
     generated once and both weightings aggregate the same triple estimates.
-    A worker counts as evaluated only when both weightings succeed.
+    A worker counts as evaluated only when both weightings succeed. The
+    metadata leaves out cfg.weighting, which the comparison does not use.
     """
     if cfg.m < 5:
         raise ValueError(f"weighting comparison needs m >= 5, got {cfg.m}")
@@ -424,7 +425,8 @@ def compare_weighting(cfg: SimConfig) -> ExperimentResult:
                             ("confidence", "accuracy_uniform", "accuracy_optimal",
                              "mean_size_uniform", "mean_size_optimal",
                              "failures", "evaluations"),
-                            tuple(rows), _metadata(cfg))
+                            tuple(rows),
+                            tuple(item for item in _metadata(cfg) if item[0] != "weighting"))
 
 
 # -- serialization ----------------------------------------------------------

@@ -212,18 +212,42 @@ def test_evaluate_exit_codes(tmp_path):
                    "--output", out) == 1
 
 
-@pytest.mark.parametrize("rep, worker, flag", [(31, "w5", "clamped"),
-                                                (58, "w6", "weight_fallback")])
-def test_evaluate_records_carry_clamp_and_weight_fallback_flags(tmp_path, rep, worker, flag):
-    # sparse worlds (n=100, m=7, d=0.25) drawn as the simulator draws them
+def sparse_world_csv(tmp_path, rep):
+    """A sparse world (n=100, m=7, d=0.25) drawn as the simulator draws
+    replication `rep` of seed 11, written as CSV."""
     rng = substream(11, rep)
     ds, _ = gen_binary_responses(gen_binary_workers(7, rng), 100, 0.25, rng)
     src = tmp_path / "r.csv"
     src.write_text(write_responses_csv(ds))
+    return src
+
+
+@pytest.mark.parametrize("rep, workers, flag", [
+    (31, ["w5"], "clamped"),
+    # w6 has one triple, whose workers agree on every shared task: its
+    # variance is 0, so it prints [0, 0] and only the flag tells
+    (58, ["w4", "w6"], "weight_fallback"),
+], ids=["31-w5-clamped", "58-w4-w6-weight_fallback"])
+def test_evaluate_records_carry_clamp_and_weight_fallback_flags(tmp_path, rep, workers, flag):
     out = tmp_path / "o.json"
-    assert run_cli("evaluate", "--input", src, "--output", out) == 0
+    assert run_cli("evaluate", "--input", sparse_world_csv(tmp_path, rep),
+                   "--output", out) == 0
     flagged = [r["worker"] for r in json.loads(out.read_text()) if r.get(flag)]
-    assert flagged == [worker]
+    assert flagged == workers
+
+
+def test_evaluate_singular_triple_covariance_gets_uniform_weights(tmp_path):
+    # One of w2's two triples has zero variance, so their covariance is
+    # singular. Uniform weights keep the other triple's variance in the
+    # interval; a ridge-regularized solve gave that triple all the weight
+    # and printed a zero-width interval that never covers.
+    out = tmp_path / "o.json"
+    assert run_cli("evaluate", "--input", sparse_world_csv(tmp_path, 36),
+                   "--output", out, "--confidence", "0.8") == 0
+    (w2,) = [r for r in json.loads(out.read_text()) if r["worker"] == "w2"]
+    assert w2["weight_fallback"] is True
+    assert w2["weights"] == [0.5, 0.5]
+    assert w2["upper"] - w2["lower"] > 0.1
 
 
 def test_evaluate_input_that_is_not_utf8_is_a_parse_error(tmp_path):
@@ -343,6 +367,10 @@ def test_evaluate_kary_worker_selection_errors(tmp_path):
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--workers", "w1,w2,ghost") == 2
     assert run_cli("evaluate-kary", "--input", src, "--output", out) == 1
+    # a triple list and a threshold exclude each other
+    assert run_cli("evaluate-kary", "--input", src, "--output", out,
+                   "--workers", "w1,w2,w3", "--auto-triples", "5") == 1
+    assert not out.exists()
     # the finite-difference step is not an option
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--workers", "w1,w2,w3", "--epsilon", "0.01") == 1
@@ -569,9 +597,11 @@ def test_simulate_weighting_only_where_it_applies(tmp_path):
         assert run_cli("simulate", experiment, "--weighting", "uniform", "--n", "60",
                        "--reps", "1", "--confidence", "0.8", "--output", out) == 0
         assert "# weighting='uniform'" in out.read_text().splitlines()
+    # weight-comparison runs both, so its metadata names neither
     assert run_cli("simulate", "weight-comparison", "--n", "60", "--reps", "1",
                    "--confidence", "0.8", "--output", out) == 0
-    assert "# weighting='optimal'" in out.read_text().splitlines()
+    assert not [line for line in out.read_text().splitlines()
+                if line.startswith("# weighting=")]
 
 
 def test_simulate_kary_size_sweeps_three_arities_over_the_density_grid(tmp_path):
@@ -595,13 +625,14 @@ _BINARY_KEYS = ["n", "m", "arity", "density", "replications", "seed", "weighting
     ("coverage", _BINARY_KEYS),
     ("size-vs-density", ["n", "m", "arity", "replications", "seed", "weighting",
                          "fixture", "rates", "densities"]),
-    ("weight-comparison", _BINARY_KEYS),
+    ("weight-comparison", ["n", "m", "arity", "density", "replications", "seed",
+                           "fixture", "rates"]),
     ("kary-coverage", ["n", "m", "arity", "density", "replications", "seed", "fixture"]),
     ("kary-size", ["n", "m", "replications", "seed", "arities", "densities"]),
 ])
 def test_simulate_metadata_names_only_values_the_run_used(tmp_path, experiment, keys):
-    # a sweep leaves out the config values it replaces, and k-ary runs
-    # weight no triples
+    # a sweep leaves out the config values it replaces, k-ary runs weight
+    # no triples, and weight-comparison uses both weightings
     out = tmp_path / "o.json"
     assert run_cli("simulate", experiment, "--n", "60", "--reps", "1",
                    "--confidence", "0.8", "--output", out) == 0
@@ -722,13 +753,14 @@ def test_atomic_write_failure_removes_temp_file(tmp_path):
 
 # -- README ------------------------------------------------------------------
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
 
 def test_readme_command_lines_parse():
     # Every documented command line, and every documented --map table,
     # must still be accepted by the current parser.
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme, encoding="utf-8") as handle:
+    with open(README, encoding="utf-8") as handle:
         text = handle.read()
     commands = []
     for block in re.findall(r"```sh\n(.*?)```", text, re.S):
@@ -746,11 +778,23 @@ def test_readme_command_lines_parse():
         parse_label_map(shlex.split(table)[0])
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The one python block runs as written, next to a responses.csv, and
+    # prints one interval line per worker before the k-ary report.
+    with open(README, encoding="utf-8") as handle:
+        (block,) = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+    ds, _ = gen_binary_responses((0.1, 0.15, 0.2, 0.25, 0.3), 300, 1.0, rng=0)
+    (tmp_path / "responses.csv").write_text(write_responses_csv(ds))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:5]] == list(ds.workers)
+    assert all(len(line.split()) == 4 for line in lines[:5])
+
+
 def test_readme_simulate_table_matches_the_experiments():
     # The README table is the one other copy of the simulate defaults.
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme, encoding="utf-8") as handle:
+    with open(README, encoding="utf-8") as handle:
         section = handle.read().split("### `crowdgauge simulate`", 1)[1].split("\n### ", 1)[0]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in section.splitlines() if line.startswith("|")]

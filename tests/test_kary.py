@@ -498,25 +498,22 @@ def test_counts_covariances_match_multinomial_draws():
 # -- jacobian ----------------------------------------------------------------
 
 
-def jacobian_columns(jac):
-    """(3, k, k, D) derivatives: the all-three cells, then each differentiated pair pattern."""
-    k = jac.arity
-    blocks = [jac.derivs.reshape(3, k, k, -1)]
-    blocks += [jac.pair_derivs[p].reshape(3, k, k, -1)
-               for p in np.flatnonzero(jac.pair_perturbed)]
-    return np.concatenate(blocks, axis=-1)
+def oracle_cells(counts):
+    """The cells the recovery reads: all-three, then each nonempty pair pattern."""
+    k = counts.arity
+    patterns = [(1, 1, 1)] + [p for p in PAIR_PATTERNS if counts.pattern_total(p) > 0]
+    return [c for p in patterns for c in _pattern_cells(p, k)]
 
 
 def central_differences(counts, eps):
-    """Oracle for jacobian_columns: (V(c + eps) - V(c - eps)) / 2 eps per cell.
+    """Oracle for KaryJacobian.derivs: (V(c + eps) - V(c - eps)) / 2 eps per cell.
 
     Runs the recovery behind prob_estimate on the raw shifted arrays, since
     an empty cell shifted by -eps is no valid CountsTensor.
     """
     k = counts.arity
-    patterns = [(1, 1, 1)] + [p for p in PAIR_PATTERNS if counts.pattern_total(p) > 0]
     columns = []
-    for cell in (c for p in patterns for c in _pattern_cells(p, k)):
+    for cell in oracle_cells(counts):
         tensor = counts.counts.copy()
         tensor[cell] += eps
         plus = _recover(tensor, k).v
@@ -543,7 +540,9 @@ def test_jacobian_matches_central_differences():
     # differences' own O(eps^2) error is largest; there it falls about 100x
     # from eps 1e-2 to 1e-3
     for name, counts in oracle_cases():
-        closed = jacobian_columns(numerical_jacobian(prob_estimate(counts)))
+        jac = numerical_jacobian(prob_estimate(counts))
+        assert jac.cells.tolist() == [list(c) for c in oracle_cells(counts)], name
+        closed = jac.derivs
         scale = np.abs(closed).max()
         error = np.abs(closed - central_differences(counts, 1e-3)).max()
         bound = 1e-4 if counts.arity == 4 else 1e-6
@@ -566,7 +565,7 @@ def test_jacobian_step_halving():
     # central differences approach the closed form at O(eps^2): halving
     # the step quarters their error
     counts = expected_counts(ARITY3, (0.2, 0.5, 0.3))
-    closed = jacobian_columns(numerical_jacobian(prob_estimate(counts)))
+    closed = numerical_jacobian(prob_estimate(counts)).derivs
     coarse = np.abs(closed - central_differences(counts, 0.01)).max()
     fine = np.abs(closed - central_differences(counts, 0.005)).max()
     assert 3.5 < coarse / fine < 4.5
@@ -578,8 +577,10 @@ def test_jacobian_label_flip_symmetry():
     flip = [np.array([[0.8, 0.2], [0.2, 0.8]])] * 3
     counts = expected_counts(flip, (0.5, 0.5))
     jac = numerical_jacobian(prob_estimate(counts))
-    flipped = jac.derivs[:, ::-1, ::-1, ::-1, ::-1, ::-1]
-    assert np.abs(jac.derivs - flipped).max() < 1e-8
+    # full density: only the all-three cells, in row-major order
+    table = jac.derivs.reshape(3, 2, 2, 2, 2, 2)
+    flipped = table[:, ::-1, ::-1, ::-1, ::-1, ::-1]
+    assert np.abs(table - flipped).max() < 1e-8
 
 
 def test_jacobian_selectivity_chain_rule():
@@ -590,7 +591,7 @@ def test_jacobian_selectivity_chain_rule():
     jac = numerical_jacobian(est)
     row_sums = est.recovery.v[0].sum(axis=1)
     cell = (1, 1, 1)
-    d_rows = jac.derivs[0, :, :, 0, 0, 0].sum(axis=1)
+    d_rows = jac.derivs[0, :, :, jac.cells.tolist().index(list(cell))].sum(axis=1)
     chain = 2.0 * row_sums * d_rows
 
     eps = 0.005
@@ -606,8 +607,9 @@ def test_jacobian_selectivity_chain_rule():
 def test_jacobian_skips_empty_pair_patterns():
     # at full density no task is answered by exactly two workers
     jac = numerical_jacobian(prob_estimate(expected_counts(ARITY2, (0.5, 0.5))))
-    assert not jac.pair_perturbed.any()
-    assert np.isnan(jac.pair_derivs).all()
+    assert not jac.pair_perturbed.any() and not jac.pair_usable.any()
+    assert jac.cells.shape == (8, 3) and (jac.cells > 0).all()
+    assert jac.derivs.shape == (3, 2, 2, 8)
     assert jac.usable.all()
 
 
@@ -615,10 +617,11 @@ def test_jacobian_pair_cells_match_direct_differences():
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
     jac = numerical_jacobian(prob_estimate(counts))
     assert jac.pair_perturbed.all() and jac.pair_usable.all()
-    assert jac.pair_derivs.shape == (3, 3, 2, 2, 2, 2)
-    scale = np.abs(jac.pair_derivs).max()
-    # pattern (1, 0, 1): x is worker 1's label, y is worker 3's
-    p = PAIR_PATTERNS.index((1, 0, 1))
+    assert jac.derivs.shape == (3, 2, 2, 8 + 3 * 4)
+    scale = np.abs(jac.derivs[..., 8:]).max()
+    # pattern (1, 0, 1): worker 1 said 2 and worker 3 said 1
+    column = jac.cells.tolist().index([2, 0, 1])
+    assert column >= 8
     tensor = counts.counts.copy()
     tensor[2, 0, 1] += 1e-3
     plus = prob_estimate(CountsTensor(2, tensor)).recovery.v
@@ -626,7 +629,7 @@ def test_jacobian_pair_cells_match_direct_differences():
     minus = prob_estimate(CountsTensor(2, tensor)).recovery.v
     for w in range(3):
         direct = (plus[w] - minus[w]) / 2e-3
-        assert np.abs(jac.pair_derivs[p, w, :, :, 1, 0] - direct).max() < 1e-6 * scale
+        assert np.abs(jac.derivs[w, :, :, column] - direct).max() < 1e-6 * scale
     # a pair-only cell moves the estimate, so it carries real derivatives
     assert scale > 1e-4
 
@@ -708,18 +711,21 @@ def test_kary_deviations_delta_method_on_p():
 
 
 def einsum_deviations(counts):
-    """Reference deviations: the three-operand einsum over each pattern block."""
+    """Reference deviations: the three-operand einsum over each pattern block,
+    whose columns are picked out of the Jacobian by their cells' pattern."""
     est = prob_estimate(counts)
     jac = numerical_jacobian(est)
     k = counts.arity
-    blocks = [(jac.derivs, pattern_covariance(counts, (1, 1, 1)))]
-    blocks += [(jac.pair_derivs[p], pattern_covariance(counts, PAIR_PATTERNS[p]))
-               for p in np.flatnonzero(jac.pair_perturbed)]
     row_sums = est.recovery.v.sum(axis=2, keepdims=True)
     p_all = est.recovery.v / row_sums
     variances = np.zeros((3, k, k))
-    for derivs, block in blocks:
-        dv = derivs.reshape(3, k, k, -1)
+    for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
+        columns = ((jac.cells > 0) == pattern).all(axis=1)
+        block = pattern_covariance(counts, pattern)
+        if not columns.any():
+            assert not block.any()
+            continue
+        dv = jac.derivs[..., columns]
         grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     return np.sqrt(np.clip(variances, 0.0, None)), jac

@@ -12,6 +12,7 @@ from crowdgauge.errors import (
 )
 from crowdgauge.numerics import (
     eigendecompose_many,
+    eigendecompose_symmetric,
     invert_matrices,
     normal_quantile,
     optimal_weights,
@@ -202,15 +203,13 @@ def test_eigendecompose_many_matches_single_calls():
     assert max_imag[0] == 0.0 and max_imag[2] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("solver", ["eigh", "eig"])
-def test_eigendecompose_many_non_convergence_fails_with_the_reason_code(
-        monkeypatch, solver):
-    # symmetric items go to eigh and the others to eig; either solver's
-    # failure is an estimation failure, not a bare LinAlgError
+def test_eigendecompose_many_non_convergence_fails_with_the_reason_code(monkeypatch):
+    # every item goes to eig, symmetric or not; its failure is an
+    # estimation failure, not a bare LinAlgError
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, solver, no_convergence)
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
     stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [0.0, 3.0]]])
     with pytest.raises(EstimationFailure) as info:
         eigendecompose_many(stack)
@@ -225,6 +224,10 @@ def test_eigendecompose_symmetric():
     assert np.allclose(values, [3.0, 1.0], atol=1e-12)  # descending
     recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
     assert np.allclose(recon, m, atol=1e-12)
+    vectors, values = eigendecompose_symmetric(m)
+    assert np.allclose(values, [3.0, 1.0], atol=1e-12)
+    assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
+    assert np.allclose(vectors @ np.diag(values) @ vectors.T, m, atol=1e-12)
 
 
 def test_eigendecompose_general_reconstruction():
@@ -287,9 +290,12 @@ def test_optimal_weights_scale_invariant():
 
 
 def test_optimal_weights_uniform_fallback():
-    solution = optimal_weights(np.zeros((3, 3)))
-    assert solution.fallback
-    assert np.allclose(solution.weights, np.full(3, 1.0 / 3.0))
+    # a singular covariance gets uniform weights, never a regularized
+    # solution: a zero variance would otherwise take all the weight
+    for cov in (np.zeros((3, 3)), np.diag([0.0, 0.25])):
+        solution = optimal_weights(cov)
+        assert solution.fallback
+        assert solution.weights.tolist() == [1.0 / len(cov)] * len(cov)
 
 
 def test_optimal_weights_rejects_non_finite_covariance():
