@@ -9,24 +9,31 @@ first-order linearization. Workers with more than two peers get several
 disjoint triples whose estimates are combined with uniform or
 minimum-variance weights.
 
-Pairwise statistics are read by worker index from the arrays the dataset
-caches (`pair_overlap`, `pair_agreement`, `attempts`), so memory is O(m^2)
-in the number of workers m. Triples stay index and value arrays from
-pairing to weights: `greedy_pairs` returns partner positions,
-`build_worker_system` evaluates every triple (i, j1, j2) of the requested
-workers in one array pass (error rates, derivatives, agreement
-covariances, deviations and a failure reason per row), and each worker's
-system keeps its slice of those arrays and their covariance, one matrix
-product over the attempt rows of its 2T partners. The formulas take
-scalars or arrays alike. A `WorkerReport` carries each worker's interval as
-plain floats, with a reason code in place of the numbers on failure.
+Estimation runs on a `WorldStack`: W worlds with the same workers and
+number of tasks, each read by worker index from its pair statistics
+(`pair_overlap`, `pair_agreement`) and packed attempt rows, so memory is
+O(m^2) in the number of workers m. A dataset is a stack of one; the
+simulator stacks a chunk of replications. Triples stay index and value
+arrays from pairing to weights: `greedy_pairs` pairs every (world, worker)
+item in one vectorised loop, `build_worker_system` evaluates every triple
+(i, j1, j2) of the stack in one array pass (error rates, derivatives,
+agreement covariances, deviations and a failure reason per row), and each
+worker's system keeps its slice of those arrays and their covariance,
+whose C3 matrix product over the attempt rows of its 2T partners is built
+in groups that fit a byte budget. `aggregate_system` combines the systems
+with the same number of triples in one pass; minimum-variance weights and
+cross-triple covariances are solved one worker at a time. The formulas
+take scalars or arrays alike. A `WorkerReport` carries each worker's
+interval as plain floats, with a reason code in place of the numbers on
+failure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,13 +47,9 @@ from .errors import (
     REASON_LOW_AGREEMENT,
     REASON_NEGATIVE_VARIANCE,
     REASON_NO_USABLE_TRIPLES,
+    UnknownWorkerError,
 )
-from .numerics import (
-    VARIANCE_CLAMP_TOL,
-    normal_quantile,
-    optimal_weights,
-    propagated_deviation,
-)
+from .numerics import VARIANCE_CLAMP_TOL, normal_quantile, optimal_weights
 
 METHOD_THREE_WORKER = "three_worker"
 METHOD_M_WORKER_UNIFORM = "m_worker_uniform"
@@ -171,6 +174,77 @@ def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np
     return cov
 
 
+# Bytes that the temporaries of one group may take: triple overlaps are
+# counted, and C3 matrices built, one group of rows or systems at a time,
+# so a stack of many small worlds never holds them all at once. A system
+# whose 2T x n floats exceed the budget makes a group of its own.
+_GROUP_BYTES = 64 * 1024
+# Set bits of each byte value. Triple overlaps of packed attempt rows are
+# counted through it, because unpacking the rows first takes eight times
+# the memory.
+_BIT_COUNTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
+
+
+def _packed_triple_overlap(attempts: np.ndarray, a, b, c) -> np.ndarray:
+    """Tasks shared by packed attempt rows a, b and c."""
+    return _BIT_COUNTS[attempts[a] & attempts[b] & attempts[c]].sum(axis=-1, dtype=np.intp)
+
+
+class WorldStack(NamedTuple):
+    """W binary worlds with the same workers and number of tasks, stacked.
+
+    `pair_overlap` and `pair_agreement` are (W, m, m). `attempts` holds the
+    W * m attempt rows packed to bits along the tasks (np.packbits), world
+    by world: row w * m + i is worker i of world w. `triple_overlap(a, b,
+    c)` counts the tasks that attempt rows a, b and c share; the stack of
+    one dataset reads it from `ResponseDataset.triple_overlap_by_index`.
+    """
+
+    workers: tuple[str, ...]
+    num_tasks: int
+    pair_overlap: np.ndarray
+    pair_agreement: np.ndarray
+    attempts: np.ndarray
+    triple_overlap: Callable
+
+    @classmethod
+    def of(cls, ds: ResponseDataset) -> "WorldStack":
+        """The one-world stack of a dataset; arity other than 2 raises
+        LabelDomainError."""
+        if ds.arity != 2:
+            raise LabelDomainError(f"binary estimation needs arity 2, got {ds.arity}; "
+                                   "collapse labels first with reduce_arity")
+        return cls(ds.workers, ds.num_tasks, ds.pair_overlap[None], ds.pair_agreement[None],
+                   np.packbits(ds.attempts, axis=1), ds.triple_overlap_by_index)
+
+    @classmethod
+    def stack(cls, workers: tuple[str, ...], num_tasks: int, pair_overlap: np.ndarray,
+              pair_agreement: np.ndarray, attempts: np.ndarray) -> "WorldStack":
+        """Stack worlds from their statistics and packed attempt rows."""
+        return cls(workers, num_tasks, pair_overlap, pair_agreement, attempts,
+                   partial(_packed_triple_overlap, attempts))
+
+
+def _items(data: ResponseDataset | WorldStack, workers: Sequence[str]
+           ) -> tuple[WorldStack, np.ndarray, np.ndarray]:
+    """The stack of `data` and its (world, worker) items, world by world in
+    `workers` order, as arrays of worlds and of worker positions."""
+    if isinstance(workers, str):
+        raise TypeError(f"workers must be a sequence of worker ids, got the id {workers!r}")
+    stack = data if isinstance(data, WorldStack) else WorldStack.of(data)
+    if len(stack.workers) < 3:
+        raise InsufficientConnectivityError(
+            f"estimation needs at least 3 workers, got {len(stack.workers)}")
+    index = {w: i for i, w in enumerate(stack.workers)}
+    try:
+        centers = np.array([index[w] for w in workers], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownWorkerError(f"unknown worker {exc.args[0]!r}") from None
+    worlds = len(stack.pair_overlap)
+    return stack, np.repeat(np.arange(worlds), centers.size), np.tile(centers, worlds)
+
+
 class _Triples(NamedTuple):
     """Triples (i, j1, j2) evaluated in one pass, as parallel arrays over T rows.
 
@@ -187,9 +261,11 @@ class _Triples(NamedTuple):
     derivs: np.ndarray
 
 
-def _estimate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) -> _Triples:
+def _estimate_triples(stack: WorldStack, world: np.ndarray, index: np.ndarray,
+                      c3: np.ndarray) -> _Triples:
     """Estimate worker i's error rate from each row (i, j1, j2) of `index`.
 
+    Row t reads the pair statistics of world `world[t]` of the stack, and
     `c3` holds the rows' triple overlaps. Every formula runs once over all
     T rows. A row with an agreement rate at or below 1/2, or whose
     propagated variance is negative beyond VARIANCE_CLAMP_TOL (the rule of
@@ -198,8 +274,8 @@ def _estimate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) ->
     """
     i, j1, j2 = index.T
     pairs = ((i, j1), (i, j2), (j1, j2))
-    c2 = [ds.pair_overlap[x, y] for x, y in pairs]
-    q = [ds.pair_agreement[x, y] for x, y in pairs]
+    c2 = [stack.pair_overlap[world, x, y] for x, y in pairs]
+    q = [stack.pair_agreement[world, x, y] for x, y in pairs]
     low = np.minimum(np.minimum(q[0], q[1]), q[2]) <= 0.5
     # Low rows are evaluated at perfect agreement, a point inside the
     # domain, and masked out below.
@@ -218,49 +294,65 @@ def _estimate_triples(ds: ResponseDataset, index: np.ndarray, c3: np.ndarray) ->
                     np.where(usable[:, None], g, np.nan))
 
 
-def greedy_pairs(ds: ResponseDataset, worker: str, min_overlap: int = 1) -> np.ndarray:
-    """Pair the other workers into disjoint triples around `worker`.
+def greedy_pairs(data: ResponseDataset | WorldStack, workers: Sequence[str],
+                 min_overlap: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the other workers into disjoint triples around each worker.
 
-    Returns the partner pairs (j1, j2) as a (P, 2) array of worker
-    positions. Others are sorted by overlap with `worker` (descending, ties
-    by worker id, so the pairs do not depend on the order of the input
-    rows); the head of the list is paired with the first later worker that
-    shares at least `min_overlap` tasks with both. Unpairable heads are
-    skipped, a leftover single is dropped. Raises
-    InsufficientConnectivityError when no pair can be formed, and
+    `data` is a dataset or a stack of worlds, and the items are the
+    (world, worker) pairs, world by world in `workers` order. Returns
+    (partners, count): item k's pairs (j1, j2) are the worker positions
+    partners[k, :count[k]]. Around each worker the others are sorted by
+    overlap with it (descending, ties by worker id, so the pairs do not
+    depend on the order of the input rows); the head of the list is paired
+    with the first later worker that shares at least `min_overlap` tasks
+    with both. Unpairable heads are skipped, a leftover single is dropped,
+    and once the head shares fewer than `min_overlap` tasks nobody is left
+    to pair. All items take these steps together, over an "alive" mask.
+    Raises InsufficientConnectivityError when no item forms a pair, and
     ValueError for a min_overlap below 1: every pair of a triple must share
     a task.
     """
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be at least 1, got {min_overlap}")
-    if ds.num_workers < 3:
+    stack, world, center = _items(data, workers)
+    m = len(stack.workers)
+    overlap = stack.pair_overlap
+    rank = np.empty(m, dtype=np.int64)
+    rank[sorted(range(m), key=stack.workers.__getitem__)] = np.arange(m)
+    # One key orders by overlap (descending) and then by id; the worker
+    # itself sorts last and is cut off.
+    key = rank - m * overlap[world, center]
+    key[np.arange(center.size), center] = m
+    order = np.argsort(key, axis=1)[:, :-1]
+    # Sorted by overlap, so a head below min_overlap leaves no eligible
+    # partner after it: the break rule needs no step of its own.
+    eligible = np.take_along_axis(overlap[world, center], order, axis=1) >= min_overlap
+    alive = np.ones(order.shape, dtype=bool)
+    position = np.arange(m - 1)
+    partners = np.zeros((center.size, (m - 1) // 2, 2), dtype=np.intp)
+    count = np.zeros(center.size, dtype=np.intp)
+    for _ in range(m - 2):
+        live = np.flatnonzero(np.count_nonzero(alive, axis=1) >= 2)
+        if not live.size:
+            break
+        head = alive[live].argmax(axis=1)
+        head_worker = order[live, head]
+        linked = np.take_along_axis(overlap[world[live], head_worker], order[live],
+                                    axis=1) >= min_overlap
+        candidate = (alive[live] & eligible[live] & linked
+                     & (position > head[:, None]))
+        found = candidate.any(axis=1)
+        partner = candidate.argmax(axis=1)[found]
+        alive[live, head] = False
+        paired = live[found]
+        alive[paired, partner] = False
+        partners[paired, count[paired]] = np.column_stack(
+            (head_worker[found], order[paired, partner]))
+        count[paired] += 1
+    if not count.any():
         raise InsufficientConnectivityError(
-            f"estimation needs at least 3 workers, got {ds.num_workers}")
-    i = ds.worker_index(worker)
-    overlap = ds.pair_overlap
-    order = sorted((j for j in range(ds.num_workers) if j != i),
-                   key=lambda j: (-overlap[i, j], ds.workers[j]))
-    pairs: list[tuple[int, int]] = []
-    while len(order) >= 2:
-        head = order[0]
-        if overlap[i, head] < min_overlap:
-            break  # sorted descending: nobody left can anchor a pair
-        partner_pos = None
-        for pos in range(1, len(order)):
-            j = order[pos]
-            if overlap[i, j] >= min_overlap and overlap[head, j] >= min_overlap:
-                partner_pos = pos
-                break
-        if partner_pos is None:
-            order.pop(0)
-            continue
-        partner = order.pop(partner_pos)
-        order.pop(0)
-        pairs.append((head, partner))
-    if not pairs:
-        raise InsufficientConnectivityError(
-            f"no disjoint triples can be formed around worker {worker!r}")
-    return np.array(pairs, dtype=np.intp)
+            f"no disjoint triples can be formed around {', '.join(map(repr, workers))}")
+    return partners, count
 
 
 def cross_triple_covariances(derivs: np.ndarray, devs: np.ndarray, p_i_hat: float,
@@ -327,117 +419,180 @@ class _WorkerSystem:
 
 @dataclass(frozen=True)
 class _WorkerSystems:
-    """The systems of the requested workers, in request order; `triples`
-    is the (N, 3) index array of all their usable triples and
-    `triples_failed` the number of failed ones."""
+    """The systems of the requested workers, world by world in request
+    order; `triples` is the (N, 3) index array of all their usable triples
+    (worker positions, world by world) and `triples_failed` the number of
+    failed ones."""
 
     systems: tuple[_WorkerSystem, ...]
     triples: np.ndarray
     triples_failed: int
 
 
-def build_worker_system(ds: ResponseDataset, workers: Sequence[str],
+def _groups(members: np.ndarray, size: int) -> list[np.ndarray]:
+    return [members[start:start + size] for start in range(0, members.size, size)]
+
+
+def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[str],
                         min_overlap: int = 1) -> _WorkerSystems:
     """Evaluate every disjoint triple around each worker and their covariance.
 
-    `workers` is a sequence of worker ids; the triples of all of them are
-    estimated in one array pass. Failed triples are dropped (and counted by
-    reason); pairing or universal triple failure is reported through a
-    system's `failure_reason` instead of an exception so whole-dataset
-    sweeps keep going. A min_overlap below 1 raises ValueError, and data of
-    arity other than 2 raises LabelDomainError.
+    `data` is a dataset or a stack of worlds, and `workers` a sequence of
+    worker ids; the systems are built for every world, world by world. The
+    triples of all of them are estimated in one array pass, and their
+    triple overlaps and C3 matrices in groups that fit _GROUP_BYTES.
+    Failed triples are dropped (and counted by reason); pairing or
+    universal triple failure is reported through a system's
+    `failure_reason` instead of an exception so whole-dataset sweeps keep
+    going. A min_overlap below 1 raises ValueError, and a dataset of arity
+    other than 2 raises LabelDomainError.
     """
-    if isinstance(workers, str):
-        raise TypeError(f"workers must be a sequence of worker ids, got the id {workers!r}")
-    if ds.arity != 2:
-        raise LabelDomainError(f"binary estimation needs arity 2, got {ds.arity}; "
-                               "collapse labels first with reduce_arity")
-    if ds.num_workers < 3:
-        raise InsufficientConnectivityError(
-            f"estimation needs at least 3 workers, got {ds.num_workers}")
-    blocks: list[np.ndarray | None] = []
-    for worker in workers:
-        try:
-            pairs = greedy_pairs(ds, worker, min_overlap)
-        except InsufficientConnectivityError:
-            blocks.append(None)
-            continue
-        blocks.append(np.column_stack((np.full(len(pairs), ds.worker_index(worker)), pairs)))
-    paired = [block for block in blocks if block is not None]
-    index = np.concatenate([np.empty((0, 3), dtype=np.intp)] + paired)
-    # One triple-overlap call per worker keeps the temporary at
-    # (that worker's triples x tasks).
+    stack, item_world, item_center = _items(data, workers)
+    try:
+        partners, count = greedy_pairs(stack, workers, min_overlap)
+    except InsufficientConnectivityError:
+        partners = np.empty((item_center.size, 0, 2), dtype=np.intp)
+        count = np.zeros(item_center.size, dtype=np.intp)
+    m, n = len(stack.workers), stack.num_tasks
+    paired = np.arange(partners.shape[1]) < count[:, None]
+    row_item = np.nonzero(paired)[0]
+    index = np.column_stack((item_center[row_item], partners[paired]))
+    world = item_world[row_item]
+    attempt_rows = world[:, None] * m + index
     c3 = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        ds.triple_overlap_by_index(block[0, 0], block[:, 1], block[:, 2]) for block in paired])
-    rows = _estimate_triples(ds, index, c3)
+        stack.triple_overlap(*attempt_rows[group].T)
+        for group in _groups(np.arange(len(index)), max(1, _GROUP_BYTES // max(n, 1)))])
+    rows = _estimate_triples(stack, world, index, c3)
     usable = np.equal(rows.reason, None)
-    systems = []
-    stop = 0
-    for worker, block in zip(workers, blocks):
-        if block is None:
-            systems.append(_WorkerSystem(worker,
-                                         failure_reason=REASON_INSUFFICIENT_CONNECTIVITY))
-            continue
-        start, stop = stop, stop + len(block)
-        failures = Counter(r for r in rows.reason[start:stop] if r is not None)
-        keep = start + np.flatnonzero(usable[start:stop])
-        if not keep.size:
-            systems.append(_WorkerSystem(worker, triple_failures=failures,
-                                         failure_reason=REASON_NO_USABLE_TRIPLES))
-            continue
-        i = block[0, 0]
-        partners = rows.index[keep, 1:]
-        p_hats = rows.p_hat[keep]
+    failures: dict[int, Counter] = {}
+    for row in np.flatnonzero(~usable).tolist():
+        failures.setdefault(int(row_item[row]), Counter())[rows.reason[row]] += 1
+    kept = np.flatnonzero(usable)
+    kept_partners, kept_p = index[kept, 1:], rows.p_hat[kept]
+    kept_derivs, kept_dev = rows.derivs[kept, :2], rows.dev[kept]
+    used = np.bincount(row_item[kept], minlength=count.size)
+    starts = np.cumsum(used) - used
+    covariances: dict[int, np.ndarray] = {}
+    for size in sorted(set(used.tolist()) - {0}):
         # C3 = B B^T in float64, exact for counts, where B = A_P o A_i is
         # the partners' attempt rows masked by worker i's. A_i is 0/1, so
         # this is (A_P o A_i) A_P^T from a single float array.
-        flat = partners.ravel()
-        shared = (ds.attempts[flat] & ds.attempts[i]).astype(float)
-        cov = cross_triple_covariances(
-            rows.derivs[keep, :2], rows.dev[keep], float(np.mean(p_hats)),
-            ds.pair_overlap[i, flat], ds.pair_agreement[flat][:, flat], shared @ shared.T)
-        systems.append(_WorkerSystem(worker, partners, p_hats, cov, failures))
+        for group in _groups(np.flatnonzero(used == size),
+                             max(1, _GROUP_BYTES // (16 * size * n))):
+            own = starts[group][:, None] + np.arange(size)
+            part = kept_partners[own].reshape(len(group), 2 * size)
+            w, i = item_world[group], item_center[group]
+            shared = np.unpackbits(stack.attempts[w[:, None] * m + part]
+                                   & stack.attempts[w * m + i][:, None],
+                                   axis=-1, count=n).astype(float)
+            c3_group = shared @ shared.transpose(0, 2, 1)
+            del shared
+            c2 = stack.pair_overlap[w[:, None], i[:, None], part]
+            q = stack.pair_agreement[w[:, None, None], part[:, :, None], part[:, None, :]]
+            p_mean = kept_p[own].mean(axis=1)
+            for k, item in enumerate(group.tolist()):
+                own_rows = slice(starts[item], starts[item] + size)
+                covariances[item] = cross_triple_covariances(
+                    kept_derivs[own_rows], kept_dev[own_rows], float(p_mean[k]),
+                    c2[k], q[k], c3_group[k])
+    systems = []
+    for item, center in enumerate(item_center.tolist()):
+        worker = stack.workers[center]
+        if not count[item]:
+            systems.append(_WorkerSystem(worker,
+                                         failure_reason=REASON_INSUFFICIENT_CONNECTIVITY))
+        elif not used[item]:
+            systems.append(_WorkerSystem(worker, triple_failures=failures[item],
+                                         failure_reason=REASON_NO_USABLE_TRIPLES))
+        else:
+            own = slice(starts[item], starts[item] + used[item])
+            systems.append(_WorkerSystem(worker, kept_partners[own], kept_p[own],
+                                         covariances[item], failures.get(item, Counter())))
     return _WorkerSystems(tuple(systems), index[usable], int((~usable).sum()))
 
 
-def aggregate_system(system: _WorkerSystem, weighting: str
-               ) -> tuple[float, float, np.ndarray, bool, bool]:
-    """Combine a worker system into (estimate, dev, weights, fallback, clamped)."""
-    count = len(system.p_hats)
-    if weighting == "optimal":
-        solution = optimal_weights(system.covariance)
-        weights, fallback = solution.weights, solution.fallback
-    elif weighting == "uniform":
-        weights, fallback = np.full(count, 1.0 / count), False
-    else:
+class _Aggregates(NamedTuple):
+    """Aggregates of a sequence of worker systems, aligned with it: the
+    estimate cut back into [0, 1], its deviation, the weights (None where
+    the system failed), whether minimum-variance weighting fell back to
+    uniform, whether the estimate was clamped, and each system's failure
+    reason (None when it aggregated)."""
+
+    estimate: np.ndarray
+    dev: np.ndarray
+    weights: list
+    fallback: np.ndarray
+    clamped: np.ndarray
+    reason: list
+
+
+def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggregates:
+    """Combine each worker system into an estimate and its deviation.
+
+    The systems with the same number T of usable triples are combined in
+    one array pass: estimates w . p, quadratic forms w^T C w and clamps.
+    Minimum-variance weights are solved one covariance at a time
+    (optimal_weights). A quadratic form below -VARIANCE_CLAMP_TOL fails its
+    system with REASON_NEGATIVE_VARIANCE (the rule of
+    propagated_deviation), and a failed system keeps its reason.
+    """
+    if weighting not in ("uniform", "optimal"):
         raise ValueError(f"weighting must be 'uniform' or 'optimal', got {weighting!r}")
-    estimate = float(weights @ system.p_hats)
-    dev = propagated_deviation(weights, system.covariance)
-    clamped = estimate < 0.0 or estimate > 1.0
-    return min(max(estimate, 0.0), 1.0), dev, weights, fallback, clamped
+    count = len(systems)
+    estimate, dev = np.full(count, np.nan), np.full(count, np.nan)
+    fallback, clamped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    weights: list = [None] * count
+    reason = [system.failure_reason for system in systems]
+    sizes: dict[int, list[int]] = {}
+    for k, system in enumerate(systems):
+        if not system.failed:
+            sizes.setdefault(len(system.p_hats), []).append(k)
+    for size, members in sizes.items():
+        p_hats = np.stack([systems[k].p_hats for k in members])
+        cov = np.stack([systems[k].covariance for k in members])
+        if weighting == "optimal":
+            solutions = [optimal_weights(c) for c in cov]
+            w = np.stack([solution.weights for solution in solutions])
+            fallback[members] = [solution.fallback for solution in solutions]
+        else:
+            w = np.full(p_hats.shape, 1.0 / size)
+        raw = (w[:, None, :] @ p_hats[:, :, None])[:, 0, 0]
+        var = (w[:, None, :] @ cov @ w[:, :, None])[:, 0, 0]
+        estimate[members] = np.minimum(np.maximum(raw, 0.0), 1.0)
+        clamped[members] = (raw < 0.0) | (raw > 1.0)
+        dev[members] = np.sqrt(np.maximum(var, 0.0))
+        for k, row, negative in zip(members, w, (var < -VARIANCE_CLAMP_TOL).tolist()):
+            weights[k] = row
+            if negative:
+                reason[k] = REASON_NEGATIVE_VARIANCE
+    return _Aggregates(estimate, dev, weights, fallback, clamped, reason)
 
 
-def _worker_report(ds: ResponseDataset, system: _WorkerSystem, confidence: float,
-                   weighting: str) -> WorkerReport:
+def _worker_reports(num_workers: int, systems: Sequence[_WorkerSystem], confidence: float,
+                    weighting: str) -> list[WorkerReport]:
     # A one-triple aggregate cannot fail (its weight is 1 and its variance
     # a square), so a failed m-worker report always names its weighting.
-    used = len(system.p_hats)
-    method = (METHOD_THREE_WORKER if ds.num_workers == 3 or used == 1 else
-              METHOD_M_WORKER_UNIFORM if weighting == "uniform" else METHOD_M_WORKER_OPTIMAL)
-    reason = system.failure_reason
-    if reason is None:
-        try:
-            estimate, dev, weights, fallback, clamped = aggregate_system(system, weighting)
-        except EstimationFailure as exc:
-            reason = exc.reason
-    if reason is not None:
-        return WorkerReport(system.worker, confidence, reason, method, used,
-                            system.triple_failures)
-    half_width = abs(normal_quantile((1.0 - confidence) / 2.0)) * dev
-    return WorkerReport(system.worker, confidence, None, method, used, system.triple_failures,
-                        estimate=estimate, lower=estimate - half_width,
-                        upper=estimate + half_width, weights=tuple(float(w) for w in weights),
-                        dev=dev, clamped=clamped, weight_fallback=fallback)
+    aggregates = aggregate_system(systems, weighting)
+    z = abs(normal_quantile((1.0 - confidence) / 2.0))
+    reports = []
+    for k, system in enumerate(systems):
+        used = len(system.p_hats)
+        method = (METHOD_THREE_WORKER if num_workers == 3 or used == 1 else
+                  METHOD_M_WORKER_UNIFORM if weighting == "uniform" else
+                  METHOD_M_WORKER_OPTIMAL)
+        reason = aggregates.reason[k]
+        if reason is not None:
+            reports.append(WorkerReport(system.worker, confidence, reason, method, used,
+                                        system.triple_failures))
+            continue
+        estimate, dev = float(aggregates.estimate[k]), float(aggregates.dev[k])
+        half_width = z * dev
+        reports.append(WorkerReport(
+            system.worker, confidence, None, method, used, system.triple_failures,
+            estimate=estimate, lower=estimate - half_width, upper=estimate + half_width,
+            weights=tuple(aggregates.weights[k].tolist()), dev=dev,
+            clamped=bool(aggregates.clamped[k]), weight_fallback=bool(aggregates.fallback[k])))
+    return reports
 
 
 def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
@@ -451,8 +606,9 @@ def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    system, = build_worker_system(ds, (worker,), min_overlap).systems
-    return _worker_report(ds, system, confidence, weighting)
+    report, = _worker_reports(ds.num_workers, build_worker_system(
+        ds, (worker,), min_overlap).systems, confidence, weighting)
+    return report
 
 
 def evaluate_all(ds: ResponseDataset, confidence: float,
@@ -464,5 +620,5 @@ def evaluate_all(ds: ResponseDataset, confidence: float,
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return [_worker_report(ds, system, confidence, weighting)
-            for system in build_worker_system(ds, ds.workers, min_overlap).systems]
+    return _worker_reports(ds.num_workers, build_worker_system(
+        ds, ds.workers, min_overlap).systems, confidence, weighting)

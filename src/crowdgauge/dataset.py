@@ -27,7 +27,7 @@ import operator
 import re
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +44,23 @@ from .errors import (
 _ARITY_COMMENT = re.compile(r"#\s*arity\s*=\s*(\d+)\s*$")
 _CSV_HEADER = ["task_id", "worker_id", "response"]
 _GOLD_HEADER = ["task_id", "response"]
+
+
+def _shared_counts(rows: np.ndarray) -> np.ndarray:
+    """Columns that each pair of rows of a boolean matrix share (int64).
+
+    The product runs in float64, exact for counts below 2^53, because
+    numpy multiplies integer matrices without BLAS, many times slower.
+    """
+    a = rows.astype(float)
+    return (a @ a.T).astype(np.int64)
+
+
+@lru_cache(maxsize=4)
+def _default_ids(prefix: str, count: int) -> tuple[str, ...]:
+    """The ids prefix1 .. prefix<count>, built once per size: simulations
+    wrap thousands of matrices of one shape."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +172,9 @@ class ResponseDataset:
         if mat.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
         if workers is None:
-            workers = tuple(f"w{i + 1}" for i in range(mat.shape[0]))
+            workers = _default_ids("w", mat.shape[0])
         if tasks is None:
-            tasks = tuple(f"t{j + 1}" for j in range(mat.shape[1]))
+            tasks = _default_ids("t", mat.shape[1])
         if arity is None:
             arity = max(int(mat.max(initial=0)), 2)
         return ResponseDataset(tuple(workers), tuple(tasks), int(arity), mat)
@@ -212,8 +229,7 @@ class ResponseDataset:
     @cached_property
     def pair_overlap(self) -> np.ndarray:
         """Worker-by-worker counts of shared tasks, c_ab (int64)."""
-        a = self.attempts.astype(np.int64)
-        return a @ a.T
+        return _shared_counts(self.attempts)
 
     @cached_property
     def pair_agreement(self) -> np.ndarray:
@@ -221,8 +237,7 @@ class ResponseDataset:
         pairs that share none)."""
         agree = np.zeros((self.num_workers, self.num_workers), dtype=np.int64)
         for label in range(1, self.arity + 1):
-            hits = (self.matrix == label).astype(np.int64)
-            agree += hits @ hits.T
+            agree += _shared_counts(self.matrix == label)
         overlap = self.pair_overlap
         return np.divide(agree, overlap, out=np.full(overlap.shape, np.nan), where=overlap > 0)
 

@@ -4,11 +4,15 @@ Every experiment is driven by a frozen SimConfig; replication r of a run
 with seed s uses the deterministic substream seeded by (s, r), so identical
 configs give bit-identical results.
 
-One loop, `_grid_rows`, runs the replications of every experiment. In
-binary worlds it aggregates each worker's triple system once per requested
-weighting: coverage and the size sweeps request the configured one, and
-the weighting comparison requests both on the same systems. k-ary configs
-(those with a `fixture`) simulate three workers.
+One loop, `_grid_rows`, runs the replications of every experiment. Binary
+replications are drawn one world at a time and estimated in chunks of
+worlds that fit _CHUNK_BYTES, one `build_worker_system` pass per chunk;
+each chunk is freed before the next one is drawn, and the outputs do not
+depend on the chunk size. Each worker's triple system is aggregated once
+per requested weighting: coverage and the size sweeps request the
+configured one, and the weighting comparison requests both on the same
+systems. k-ary configs (those with a `fixture`) simulate three workers,
+one replication at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binary import aggregate_system, build_worker_system
+from .binary import WorldStack, aggregate_system, build_worker_system
 from .dataset import GoldLabels, ResponseDataset
 from .errors import EstimationFailure
 from .kary import build_counts, kary_deviations
@@ -28,6 +32,10 @@ from .numerics import normal_quantile
 CONFIDENCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DENSITY_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BINARY_RATES = (0.1, 0.2, 0.3)
+# Bytes that one chunk of binary replications may take: its worlds' packed
+# attempt rows and pair statistics, and their triple rows while the chunk
+# is estimated.
+_CHUNK_BYTES = 128 * 1024
 
 
 def _fixture_matrix(rows) -> np.ndarray:
@@ -268,29 +276,62 @@ def _metadata(cfg: SimConfig, **extra: object) -> tuple[tuple[str, str], ...]:
 # -- per-replication estimation --------------------------------------------
 
 
-def _binary_rep(cfg: SimConfig, rep: int, weightings: Sequence[str]):
-    """One binary world: (true rates, estimates, deviations, ok mask).
-
-    Estimates and deviations hold one row per weighting, each aggregating
-    the same worker systems. A worker is ok only when every weighting
-    succeeds.
-    """
+def _draw_binary_world(cfg: SimConfig, rep: int, densities: np.ndarray):
+    """Replication `rep`'s true rates, and the statistics and packed attempt
+    rows its estimation reads; the dataset itself is not kept."""
     rng = substream(cfg.seed, rep)
     rates = gen_binary_workers(cfg.m, rng)
-    ds, _ = gen_binary_responses(rates, cfg.n, _density_vector(cfg), rng)
-    est = np.full((len(weightings), cfg.m), np.nan)
-    dev = np.full((len(weightings), cfg.m), np.nan)
-    ok = np.zeros(cfg.m, dtype=bool)
-    for w, system in enumerate(build_worker_system(ds, ds.workers).systems):
-        if system.failed:
-            continue
-        try:
-            for i, weighting in enumerate(weightings):
-                est[i, w], dev[i, w], _, _, _ = aggregate_system(system, weighting)
-        except EstimationFailure:
-            continue
-        ok[w] = True
-    return rates, est, dev, ok
+    ds, _ = gen_binary_responses(rates, cfg.n, densities, rng)
+    return (rates, ds.workers, ds.pair_overlap, ds.pair_agreement,
+            np.packbits(ds.attempts, axis=1))
+
+
+def _binary_chunk(cfg: SimConfig, reps: range, weightings: Sequence[str]):
+    """The binary worlds of replications `reps`: (true rates, estimates,
+    deviations, ok mask).
+
+    The worlds are drawn one by one and estimated in one
+    build_worker_system pass. Rates and the ok mask are (worlds, m);
+    estimates and deviations hold one (worlds, m) block per weighting,
+    each aggregating the same worker systems. A worker is ok only when
+    every weighting succeeds.
+    """
+    densities = _density_vector(cfg)
+    rates, workers, overlap, agreement, attempts = zip(
+        *(_draw_binary_world(cfg, rep, densities) for rep in reps))
+    stack = WorldStack.stack(workers[0], cfg.n, np.stack(overlap), np.stack(agreement),
+                             np.concatenate(attempts))
+    systems = build_worker_system(stack, stack.workers).systems
+    est = np.empty((len(weightings), len(systems)))
+    dev = np.empty((len(weightings), len(systems)))
+    ok = np.ones(len(systems), dtype=bool)
+    for i, weighting in enumerate(weightings):
+        aggregates = aggregate_system(systems, weighting)
+        est[i], dev[i] = aggregates.estimate, aggregates.dev
+        ok &= np.equal(aggregates.reason, None)
+    shape = (len(weightings), len(reps), cfg.m)
+    return np.stack(rates), est.reshape(shape), dev.reshape(shape), ok.reshape(shape[1:])
+
+
+def _chunk_worlds(m: int, n: int) -> int:
+    """Binary worlds of m workers and n tasks that fit one chunk."""
+    # Per world: m packed attempt rows, two m x m statistics, and about
+    # m^2 / 2 triple rows of a few hundred bytes in the estimation pass.
+    return max(1, _CHUNK_BYTES // (m * (n // 8 + 1) + 200 * m * m))
+
+
+def _binary_chunks(cfg: SimConfig, weightings: Sequence[str]):
+    """Yield the binary replications chunk by chunk, in replication order,
+    as `_binary_chunk` returns them.
+
+    A chunk holds the worlds whose arrays fit _CHUNK_BYTES, and it is freed
+    before the next one is drawn. Each world's draws and estimates do not
+    depend on the chunk size.
+    """
+    step = _chunk_worlds(cfg.m, cfg.n)
+    for start in range(0, cfg.replications, step):
+        yield _binary_chunk(cfg, range(start, min(start + step, cfg.replications)),
+                            weightings)
 
 
 def _kary_rep(cfg: SimConfig, rep: int):
@@ -326,9 +367,8 @@ def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str])
     size_sum = np.zeros((len(weightings), len(grid)))
     total = 0
     failures = 0
-    kary = cfg.fixture is not None
-    for rep in range(cfg.replications):
-        if kary:
+    if cfg.fixture is not None:
+        for rep in range(cfg.replications):
             outcome = _kary_rep(cfg, rep)
             if outcome is None:
                 failures += 1
@@ -342,16 +382,16 @@ def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str])
             hi = np.clip(mid_flat[None, :] + half, 0.0, 1.0)
             size_sum += 0.5 * (hi - lo).sum(axis=1)
             total += err.size
-        else:
-            rates, est, dev, ok = _binary_rep(cfg, rep, weightings)
+    else:
+        for rates, est, dev, ok in _binary_chunks(cfg, weightings):
             failures += int((~ok).sum())
-            if not ok.any():
-                continue
-            err = np.abs(est[:, ok] - rates[ok])
-            dev_ok = dev[:, ok]
-            covered += (err[:, None, :] <= z[None, :, None] * dev_ok[:, None, :]).sum(axis=2)
             total += int(ok.sum())
-            size_sum += z[None, :] * dev_ok.sum(axis=1)[:, None]
+            within = np.abs(est - rates)[:, None] <= z[None, :, None, None] * dev[:, None]
+            covered += (within & ok).sum(axis=(2, 3))
+            # Sizes are summed world by world in replication order, so the
+            # float sums keep their bits whatever the chunk size.
+            for w in np.flatnonzero(ok.any(axis=1)).tolist():
+                size_sum += z[None, :] * dev[:, w, ok[w]].sum(axis=1)[:, None]
     rows = []
     for idx, c in enumerate(grid):
         if total:

@@ -13,6 +13,7 @@ from crowdgauge.binary import (
     METHOD_M_WORKER_OPTIMAL,
     METHOD_M_WORKER_UNIFORM,
     METHOD_THREE_WORKER,
+    WorldStack,
     _estimate_triples,
     agreement_covariances,
     aggregate_system,
@@ -35,6 +36,7 @@ from crowdgauge.errors import (
     REASON_NO_USABLE_TRIPLES,
 )
 from crowdgauge.numerics import normal_quantile, propagated_deviation
+from crowdgauge.simulate import gen_binary_responses, gen_binary_workers, ramp_densities, substream
 
 
 def true_agreement(p_a, p_b):
@@ -252,8 +254,8 @@ class Triple(NamedTuple):
 def evaluate_row(ds, triple):
     """The triple's row of a one-row `_estimate_triples` pass."""
     index = np.array([[ds.worker_index(w) for w in triple]])
-    rows = _estimate_triples(ds, index, ds.triple_overlap_by_index(
-        index[:, 0], index[:, 1], index[:, 2]))
+    rows = _estimate_triples(WorldStack.of(ds), np.zeros(1, dtype=np.intp), index,
+                             ds.triple_overlap_by_index(index[:, 0], index[:, 1], index[:, 2]))
     return Triple(tuple(triple), rows.reason[0], float(rows.p_hat[0]), float(rows.dev[0]),
                   *rows.derivs[0].tolist())
 
@@ -333,8 +335,14 @@ def attempts_dataset(masks):
 
 
 def pair_names(ds, pairs):
-    """greedy_pairs' (P, 2) worker positions as pairs of worker ids."""
+    """(P, 2) worker positions as pairs of worker ids."""
     return [(ds.workers[a], ds.workers[b]) for a, b in pairs.tolist()]
+
+
+def pairs_around(ds, worker, min_overlap=1):
+    """greedy_pairs' (P, 2) partner positions around one worker."""
+    partners, count = greedy_pairs(ds, (worker,), min_overlap)
+    return partners[0, :count[0]]
 
 
 def test_greedy_pairs_descending_overlap_trace():
@@ -347,7 +355,7 @@ def test_greedy_pairs_descending_overlap_trace():
     masks[3, :8] = True
     masks[4, :6] = True
     ds = attempts_dataset(masks)
-    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3"), ("w4", "w5")]
+    assert pair_names(ds, pairs_around(ds, "w1")) == [("w2", "w3"), ("w4", "w5")]
 
 
 def test_greedy_pairs_skips_unpairable_head():
@@ -360,13 +368,13 @@ def test_greedy_pairs_skips_unpairable_head():
     masks[3, 8:13] = True
     masks[4, 13:14] = True
     ds = attempts_dataset(masks)
-    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w3", "w4")]
+    assert pair_names(ds, pairs_around(ds, "w1")) == [("w3", "w4")]
 
 
 def test_greedy_pairs_leftover_single_dropped():
     masks = np.ones((4, 6), dtype=bool)
     ds = attempts_dataset(masks)
-    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3")]
+    assert pair_names(ds, pairs_around(ds, "w1")) == [("w2", "w3")]
 
 
 def test_greedy_pairs_min_overlap_breaks_early():
@@ -378,16 +386,64 @@ def test_greedy_pairs_min_overlap_breaks_early():
     masks[3, 8:10] = True
     ds = attempts_dataset(masks)
     with pytest.raises(InsufficientConnectivityError):
-        greedy_pairs(ds, "w1", min_overlap=4)
+        greedy_pairs(ds, ("w1",), min_overlap=4)
 
 
 def test_greedy_pairs_needs_three_workers():
     ds = attempts_dataset(np.ones((2, 4), dtype=bool))
     with pytest.raises(InsufficientConnectivityError):
-        greedy_pairs(ds, "w1")
+        greedy_pairs(ds, ("w1",))
 
 
-# -- cross-triple covariances ------------------------------------------------
+
+def scalar_greedy_pairs(overlap, ids, i, min_overlap):
+    """Reference: the pairing loop around worker position i, one head at a
+    time over a list of the others sorted by (-overlap, id)."""
+    order = sorted((j for j in range(len(ids)) if j != i),
+                   key=lambda j: (-overlap[i, j], ids[j]))
+    pairs = []
+    while len(order) >= 2:
+        head = order[0]
+        if overlap[i, head] < min_overlap:
+            break  # sorted descending: nobody left can anchor a pair
+        partner_pos = next((pos for pos in range(1, len(order))
+                            if overlap[i, order[pos]] >= min_overlap
+                            and overlap[head, order[pos]] >= min_overlap), None)
+        if partner_pos is None:
+            order.pop(0)
+            continue
+        partner = order.pop(partner_pos)
+        order.pop(0)
+        pairs.append([head, partner])
+    return pairs
+
+
+def test_greedy_pairs_match_scalar_loop():
+    # Overlaps of 0..3 give many ties and zero overlaps; ids in shuffled
+    # positions, past w9, make the id tie-break differ from position order
+    # and from numeric order (w10 sorts before w2).
+    rng = np.random.default_rng(31)
+    unpaired = full = 0
+    for m in (3, 4, 5, 8, 11, 15):
+        ids = tuple(f"w{k + 1}" for k in rng.permutation(m))
+        overlap = np.triu(rng.integers(0, 4, size=(40, m, m)), 1)
+        overlap = overlap + overlap.transpose(0, 2, 1) + 3 * np.eye(m, dtype=np.int64)
+        stack = WorldStack.stack(ids, 1, overlap, np.full(overlap.shape, 0.75),
+                                 np.zeros((40 * m, 1), dtype=np.uint8))
+        requested = ids[::-1]
+        for min_overlap in (1, 2, 3):
+            try:
+                partners, count = greedy_pairs(stack, requested, min_overlap)
+            except InsufficientConnectivityError:  # raised only when no item pairs
+                partners = np.zeros((40 * m, 0, 2), dtype=np.intp)
+                count = np.zeros(40 * m, dtype=np.intp)
+            for item, (world, worker) in enumerate(
+                    (w, k) for w in range(40) for k in range(m)[::-1]):
+                want = scalar_greedy_pairs(overlap[world], ids, worker, min_overlap)
+                assert partners[item, :count[item]].tolist() == want, (m, min_overlap, item)
+            unpaired += int((count == 0).sum())
+            full += int((count == (m - 1) // 2).sum())
+    assert unpaired and full
 
 
 # Scalar statistics for the reference computations below: a tuple of plain
@@ -598,10 +654,10 @@ def test_optimal_weighting_never_beaten_by_uniform():
         system, = build_worker_system(ds, ("w1",)).systems
         if system.failed:
             continue
-        _, dev_opt, _, fallback, _ = aggregate_system(system, "optimal")
-        _, dev_uni, _, _, _ = aggregate_system(system, "uniform")
-        if not fallback:
-            assert dev_opt <= dev_uni + 1e-12
+        optimal = aggregate_system((system,), "optimal")
+        uniform = aggregate_system((system,), "uniform")
+        if not optimal.fallback[0]:
+            assert optimal.dev[0] <= uniform.dev[0] + 1e-12
 
 
 def test_evaluate_worker_all_triples_failed():
@@ -630,6 +686,12 @@ def test_evaluate_worker_isolated_worker():
     assert report.reason == REASON_INSUFFICIENT_CONNECTIVITY
     for other in ("w1", "w2", "w3"):
         assert not evaluate_worker(ds, other, 0.9).failed
+
+
+def test_evaluate_all_without_tasks_fails_every_worker():
+    ds = ResponseDataset.from_matrix(np.zeros((3, 0), dtype=int), arity=2)
+    reports = evaluate_all(ds, 0.9)
+    assert [r.reason for r in reports] == [REASON_INSUFFICIENT_CONNECTIVITY] * 3
 
 
 def test_evaluate_worker_min_overlap_respected():
@@ -776,7 +838,7 @@ def test_batched_triples_equal_one_row_calls_and_scalar_reference():
     one_row_all = []
     for system in batch.systems:
         one_row = [evaluate_row(ds, (system.worker, a, b))
-                   for a, b in pair_names(ds, greedy_pairs(ds, system.worker))]
+                   for a, b in pair_names(ds, pairs_around(ds, system.worker))]
         one_row_all += one_row
         usable = [t for t in one_row if not t.failed]
         assert pair_names(ds, system.partners) == [t.triple[1:] for t in usable]
@@ -807,6 +869,61 @@ def test_batched_triples_equal_one_row_calls_and_scalar_reference():
             (p_hat, *derivs, math.sqrt(var)), rtol=1e-12, atol=0.0)
 
 
+# Simulated configs (n, m, density, seed) for the stacking checks: full
+# and partial density, density ramps, ids past w9, and worlds whose
+# triples or workers fail.
+STACK_CONFIGS = ((500, 7, 0.8, 0), (100, 7, 0.25, 11), (100, 9, "ramp", 11),
+                 (100, 15, 0.8, 0), (40, 12, 0.4, 3), (30, 3, 0.3, 5), (100, 7, "ramp", 0))
+
+
+def simulated_datasets(n, m, density, seed, count):
+    """The datasets of replications 0..count-1 of a simulated binary config."""
+    densities = ramp_densities(m) if density == "ramp" else density
+    datasets = []
+    for rep in range(count):
+        rng = substream(seed, rep)
+        datasets.append(gen_binary_responses(gen_binary_workers(m, rng), n, densities, rng)[0])
+    return datasets
+
+
+def test_stacked_worlds_equal_one_world_calls():
+    failed_systems = failed_triples = 0
+    for config in STACK_CONFIGS:
+        datasets = simulated_datasets(*config, count=12)
+        stack = WorldStack.stack(
+            datasets[0].workers, datasets[0].num_tasks,
+            np.stack([ds.pair_overlap for ds in datasets]),
+            np.stack([ds.pair_agreement for ds in datasets]),
+            np.concatenate([np.packbits(ds.attempts, axis=1) for ds in datasets]))
+        stacked = build_worker_system(stack, stack.workers)
+        alone = [build_worker_system(ds, ds.workers) for ds in datasets]
+        systems = [system for one in alone for system in one.systems]
+        assert len(stacked.systems) == len(systems)
+        for got, want in zip(stacked.systems, systems):
+            assert (got.worker, got.failure_reason) == (want.worker, want.failure_reason)
+            assert got.triple_failures == want.triple_failures
+            assert got.partners.tolist() == want.partners.tolist()
+            # bit for bit: repr tells every float apart, -0.0 from 0.0 too
+            assert repr(got.p_hats.tolist()) == repr(want.p_hats.tolist())
+            assert repr(getattr(got.covariance, "tolist", list)()) == \
+                repr(getattr(want.covariance, "tolist", list)())
+        assert stacked.triples.tolist() == [row for one in alone for row in one.triples.tolist()]
+        assert stacked.triples_failed == sum(one.triples_failed for one in alone)
+        failed_systems += sum(system.failed for system in systems)
+        failed_triples += stacked.triples_failed
+        for weighting in ("uniform", "optimal"):
+            together = aggregate_system(stacked.systems, weighting)
+            for k, system in enumerate(systems):
+                one = aggregate_system((system,), weighting)
+                assert repr((together.estimate[k], together.dev[k], together.fallback[k],
+                             together.clamped[k], together.reason[k])) == \
+                    repr((one.estimate[0], one.dev[0], one.fallback[0], one.clamped[0],
+                          one.reason[0]))
+                assert repr(getattr(together.weights[k], "tolist", list)()) == \
+                    repr(getattr(one.weights[0], "tolist", list)())
+    assert failed_systems and failed_triples
+
+
 def test_min_overlap_below_one_is_rejected():
     # w4 shares tasks only with w1; an overlap floor of 0 would pair it
     # with w2, a worker it shares no task with.
@@ -814,14 +931,14 @@ def test_min_overlap_below_one_is_rejected():
     matrix[:3, 30:] = 0
     matrix[3, :30] = 0
     ds = ResponseDataset.from_matrix(matrix)
-    calls = (lambda: greedy_pairs(ds, "w4", min_overlap=0),
+    calls = (lambda: greedy_pairs(ds, ("w4",), min_overlap=0),
              lambda: build_worker_system(ds, ds.workers, min_overlap=-1),
              lambda: evaluate_worker(ds, "w4", 0.9, min_overlap=0),
              lambda: evaluate_all(ds, 0.9, min_overlap=0))
     for call in calls:
         with pytest.raises(ValueError, match="min_overlap must be at least 1"):
             call()
-    assert pair_names(ds, greedy_pairs(ds, "w1")) == [("w2", "w3")]
+    assert pair_names(ds, pairs_around(ds, "w1")) == [("w2", "w3")]
     with pytest.raises(TypeError):
         build_worker_system(ds, "w1")
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdgauge.binary import _WorkerSystem, _worker_report
-from crowdgauge.dataset import ResponseDataset
+from crowdgauge.binary import _WorkerSystem, _worker_reports
 from crowdgauge.errors import (
     EstimationFailure,
     REASON_EIGEN_NONCONVERGENCE,
@@ -99,8 +98,8 @@ def delta_method_ci(p_hats, gradient, covariance, confidence):
     scale = 2.0 * np.asarray(gradient, dtype=float)
     system = _WorkerSystem("w1", np.zeros((2, 2), dtype=np.intp), np.asarray(p_hats),
                            scale[:, None] * np.asarray(covariance) * scale[None, :])
-    ds = ResponseDataset.from_matrix(np.ones((5, 1), dtype=int))
-    return _worker_report(ds, system, confidence, "uniform")
+    report, = _worker_reports(5, (system,), confidence, "uniform")
+    return report
 
 
 def test_delta_method_ci_half_width():

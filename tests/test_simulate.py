@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from crowdgauge.simulate import (
     run_size_experiment,
     substream,
 )
-from crowdgauge.simulate import _gen_kary_with_matrices
+from crowdgauge import simulate
+from crowdgauge.simulate import _gen_kary_with_matrices, _grid_rows
 from crowdgauge.numerics import normal_quantile
 
 
@@ -313,6 +315,49 @@ def test_coverage_failures_are_rare_on_easy_worlds():
     result = run_coverage_experiment(cfg)
     (_, _, _, failures, evaluations), = result.rows
     assert failures / (failures + evaluations) < 0.02
+
+
+# Binary configs (n, m, density, seed): full and partial density, density
+# ramps, ids past w9, and runs where triples or workers fail.
+CHUNK_CONFIGS = ((500, 7, 0.8, 0), (100, 7, 0.25, 11), (100, 9, "ramp", 11),
+                 (100, 15, 0.8, 0), (40, 12, 0.4, 3), (30, 3, 0.3, 5), (100, 7, "ramp", 0))
+
+
+@pytest.mark.parametrize("n, m, density, seed", CHUNK_CONFIGS)
+def test_binary_rows_do_not_depend_on_the_chunk_size(monkeypatch, n, m, density, seed):
+    cfg = SimConfig(n=n, m=m, density=density, seed=seed, replications=30)
+    weightings = [("uniform",), ("optimal",)] + ([("uniform", "optimal")] if m >= 5 else [])
+    default = [_grid_rows(cfg, CONFIDENCE_GRID, w) for w in weightings]
+    for budget, worlds in ((1, 1), (1 << 40, cfg.replications)):
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", budget)
+        assert min(simulate._chunk_worlds(m, n), cfg.replications) == worlds
+        # repr tells every float apart, and NaN equals NaN
+        assert repr([_grid_rows(cfg, CONFIDENCE_GRID, w) for w in weightings]) == repr(default)
+
+
+def test_binary_chunks_hold_several_worlds_and_failures_are_counted():
+    assert 1 < simulate._chunk_worlds(7, 500) < 500
+    cfg = SimConfig(n=30, m=3, density=0.3, seed=5, replications=30, confidence_grid=(0.5,))
+    (_, _, _, failures, evaluations), = run_coverage_experiment(cfg).rows
+    assert failures and evaluations and failures + evaluations == 90
+
+
+def test_binary_simulation_memory_stays_bounded():
+    # Replications are drawn and estimated chunk by chunk, each chunk freed
+    # before the next is drawn, so ten times the replications take about
+    # the same peak memory.
+    small, large = (SimConfig(n=100, m=7, density=0.8, replications=reps, seed=1)
+                    for reps in (40, 400))
+    _grid_rows(large, (0.5, 0.9), ("optimal",))  # lazy imports and numpy's caches
+    peaks = []
+    for cfg in (small, large):
+        tracemalloc.start()
+        try:
+            _grid_rows(cfg, (0.5, 0.9), ("optimal",))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * 1024, peaks
 
 
 def test_kary_coverage_experiment_named_and_shaped():
