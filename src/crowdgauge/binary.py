@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import ResponseDataset
+from .dataset import ResponseDataset, packed_triple_overlap
 from .errors import (
     EstimationFailure,
     InsufficientConnectivityError,
@@ -49,7 +49,7 @@ from .errors import (
     REASON_NO_USABLE_TRIPLES,
     UnknownWorkerError,
 )
-from .numerics import VARIANCE_CLAMP_TOL, normal_quantile, optimal_weights
+from .numerics import normal_quantile, optimal_weights, propagated_deviations
 
 METHOD_THREE_WORKER = "three_worker"
 METHOD_M_WORKER_UNIFORM = "m_worker_uniform"
@@ -179,16 +179,6 @@ def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np
 # so a stack of many small worlds never holds them all at once. A system
 # whose 2T x n floats exceed the budget makes a group of its own.
 _GROUP_BYTES = 64 * 1024
-# Set bits of each byte value. Triple overlaps of packed attempt rows are
-# counted through it, because unpacking the rows first takes eight times
-# the memory.
-_BIT_COUNTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8)
-
-
-def _packed_triple_overlap(attempts: np.ndarray, a, b, c) -> np.ndarray:
-    """Tasks shared by packed attempt rows a, b and c."""
-    return _BIT_COUNTS[attempts[a] & attempts[b] & attempts[c]].sum(axis=-1, dtype=np.intp)
 
 
 class WorldStack(NamedTuple):
@@ -216,14 +206,14 @@ class WorldStack(NamedTuple):
             raise LabelDomainError(f"binary estimation needs arity 2, got {ds.arity}; "
                                    "collapse labels first with reduce_arity")
         return cls(ds.workers, ds.num_tasks, ds.pair_overlap[None], ds.pair_agreement[None],
-                   np.packbits(ds.attempts, axis=1), ds.triple_overlap_by_index)
+                   ds.packed_attempts, ds.triple_overlap_by_index)
 
     @classmethod
     def stack(cls, workers: tuple[str, ...], num_tasks: int, pair_overlap: np.ndarray,
               pair_agreement: np.ndarray, attempts: np.ndarray) -> "WorldStack":
         """Stack worlds from their statistics and packed attempt rows."""
         return cls(workers, num_tasks, pair_overlap, pair_agreement, attempts,
-                   partial(_packed_triple_overlap, attempts))
+                   partial(packed_triple_overlap, attempts))
 
 
 def _items(data: ResponseDataset | WorldStack, workers: Sequence[str]
@@ -246,15 +236,13 @@ def _items(data: ResponseDataset | WorldStack, workers: Sequence[str]
 
 
 class _Triples(NamedTuple):
-    """Triples (i, j1, j2) evaluated in one pass, as parallel arrays over T rows.
+    """The T triple rows of one `_estimate_triples` pass, as parallel arrays.
 
-    `index` holds the (T, 3) worker positions and `reason` each row's
-    failure reason, None on a usable row. `p_hat`, `dev` and the (T, 3)
-    `derivs` (with respect to q_i_j1, q_i_j2, q_j1_j2) are NaN on failed
-    rows; a `p_hat` of 0 is an estimate cut off at 0.
+    `reason` holds each row's failure reason, None on a usable row. `p_hat`,
+    `dev` and the (T, 3) `derivs` (with respect to q_i_j1, q_i_j2, q_j1_j2)
+    are NaN on failed rows; a `p_hat` of 0 is an estimate cut off at 0.
     """
 
-    index: np.ndarray
     reason: np.ndarray
     p_hat: np.ndarray
     dev: np.ndarray
@@ -268,9 +256,9 @@ def _estimate_triples(stack: WorldStack, world: np.ndarray, index: np.ndarray,
     Row t reads the pair statistics of world `world[t]` of the stack, and
     `c3` holds the rows' triple overlaps. Every formula runs once over all
     T rows. A row with an agreement rate at or below 1/2, or whose
-    propagated variance is negative beyond VARIANCE_CLAMP_TOL (the rule of
-    propagated_deviation), fails with that reason; a pair sharing no task
-    raises EstimationFailure(REASON_INSUFFICIENT_OVERLAP).
+    propagated variance is negative (propagated_deviations), fails with
+    that reason; a pair sharing no task raises
+    EstimationFailure(REASON_INSUFFICIENT_OVERLAP).
     """
     i, j1, j2 = index.T
     pairs = ((i, j1), (i, j2), (j1, j2))
@@ -285,13 +273,12 @@ def _estimate_triples(stack: WorldStack, world: np.ndarray, index: np.ndarray,
               error_rate_from_agreements(q_ij2, q_j1j2, q_ij1))
     cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), c2, c3, p_hats)
     g = np.stack(f_derivatives(q_ij1, q_ij2, q_j1j2), axis=1)
-    var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
+    dev, negative, _ = propagated_deviations(g, cov)
     reason = np.where(low, REASON_LOW_AGREEMENT,
-                      np.where(var < -VARIANCE_CLAMP_TOL, REASON_NEGATIVE_VARIANCE, None))
+                      np.where(negative, REASON_NEGATIVE_VARIANCE, None))
     usable = np.equal(reason, None)
-    return _Triples(index, reason, np.where(usable, p_hats[0], np.nan),
-                    np.where(usable, np.sqrt(np.maximum(var, 0.0)), np.nan),
-                    np.where(usable[:, None], g, np.nan))
+    return _Triples(reason, np.where(usable, p_hats[0], np.nan),
+                    np.where(usable, dev, np.nan), np.where(usable[:, None], g, np.nan))
 
 
 def greedy_pairs(data: ResponseDataset | WorldStack, workers: Sequence[str],
@@ -459,9 +446,10 @@ def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[st
     index = np.column_stack((item_center[row_item], partners[paired]))
     world = item_world[row_item]
     attempt_rows = world[:, None] * m + index
+    row_bytes = stack.attempts.shape[1]
     c3 = np.concatenate([np.empty(0, dtype=np.intp)] + [
         stack.triple_overlap(*attempt_rows[group].T)
-        for group in _groups(np.arange(len(index)), max(1, _GROUP_BYTES // max(n, 1)))])
+        for group in _groups(np.arange(len(index)), max(1, _GROUP_BYTES // max(row_bytes, 1)))])
     rows = _estimate_triples(stack, world, index, c3)
     usable = np.equal(rows.reason, None)
     failures: dict[int, Counter] = {}
@@ -532,9 +520,9 @@ def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggre
     The systems with the same number T of usable triples are combined in
     one array pass: estimates w . p, quadratic forms w^T C w and clamps.
     Minimum-variance weights are solved one covariance at a time
-    (optimal_weights). A quadratic form below -VARIANCE_CLAMP_TOL fails its
-    system with REASON_NEGATIVE_VARIANCE (the rule of
-    propagated_deviation), and a failed system keeps its reason.
+    (optimal_weights). A quadratic form that propagated_deviations flags
+    negative fails its system with REASON_NEGATIVE_VARIANCE, and a failed
+    system keeps its reason.
     """
     if weighting not in ("uniform", "optimal"):
         raise ValueError(f"weighting must be 'uniform' or 'optimal', got {weighting!r}")
@@ -557,11 +545,10 @@ def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggre
         else:
             w = np.full(p_hats.shape, 1.0 / size)
         raw = (w[:, None, :] @ p_hats[:, :, None])[:, 0, 0]
-        var = (w[:, None, :] @ cov @ w[:, :, None])[:, 0, 0]
+        dev[members], negatives, _ = propagated_deviations(w, cov)
         estimate[members] = np.minimum(np.maximum(raw, 0.0), 1.0)
         clamped[members] = (raw < 0.0) | (raw > 1.0)
-        dev[members] = np.sqrt(np.maximum(var, 0.0))
-        for k, row, negative in zip(members, w, (var < -VARIANCE_CLAMP_TOL).tolist()):
+        for k, row, negative in zip(members, w, negatives.tolist()):
             weights[k] = row
             if negative:
                 reason[k] = REASON_NEGATIVE_VARIANCE

@@ -48,6 +48,7 @@ from .simulate import (
     compare_weighting,
     result_to_csv,
     result_to_json,
+    round9,
     run_coverage_experiment,
     run_size_experiment,
 )
@@ -63,10 +64,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise UsageError(message)
-
-
-def _round9(x: float) -> float:
-    return float(format(float(x), ".9g"))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -183,17 +180,17 @@ def cmd_evaluate(args) -> int:
         if report.failed:
             record["reason"] = report.reason
         else:
-            record["estimate"] = _round9(report.estimate)
-            record["lower"] = _round9(report.lower)
-            record["upper"] = _round9(report.upper)
-            record["weights"] = [_round9(w) for w in report.weights]
+            record["estimate"] = round9(report.estimate)
+            record["lower"] = round9(report.lower)
+            record["upper"] = round9(report.upper)
+            record["weights"] = [round9(w) for w in report.weights]
             if report.clamped:
                 record["clamped"] = True
             if report.weight_fallback:
                 record["weight_fallback"] = True
         if proxies is not None:
             proxy = proxies[report.worker]
-            record["proxy_error_rate"] = None if proxy is None else _round9(proxy)
+            record["proxy_error_rate"] = None if proxy is None else round9(proxy)
             record["covered"] = (None if proxy is None or report.failed
                                  else report.lower <= proxy <= report.upper)
         records.append(record)
@@ -235,20 +232,20 @@ def cmd_evaluate_kary(args) -> int:
         if report.failed:
             record["reason"] = report.reason
         else:
-            record["selectivity"] = [_round9(s) for s in report.selectivity]
+            record["selectivity"] = [round9(s) for s in report.selectivity]
             k = report.arity
             record["matrices"] = [
                 {"worker": triple[w],
-                 "rows": [[{"estimate": _round9(report.midpoints[w, r, c]),
-                            "lower": _round9(report.lower[w, r, c]),
-                            "upper": _round9(report.upper[w, r, c])}
+                 "rows": [[{"estimate": round9(report.midpoints[w, r, c]),
+                            "lower": round9(report.lower[w, r, c]),
+                            "upper": round9(report.upper[w, r, c])}
                            for c in range(k)]
                           for r in range(k)]}
                 for w in range(3)]
             diag = report.diagnostics
             record["diagnostics"] = {
                 "slice_failures": [list(f) for f in diag.slice_failures],
-                "max_imag": _round9(diag.max_imag),
+                "max_imag": round9(diag.max_imag),
                 "rows_permuted": diag.rows_permuted,
                 "rows_sign_fixed": diag.rows_sign_fixed,
                 "clamped": diag.clamped,
@@ -336,7 +333,7 @@ def cmd_prune(args) -> int:
     removed_path = Path(args.removed) if args.removed \
         else Path(args.output + ".removed.json")
     payload = [{"worker": r.worker,
-                "disagreement_rate": _round9(r.disagreement_rate)}
+                "disagreement_rate": round9(r.disagreement_rate)}
                for r in removed]
     _atomic_write(removed_path, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}: kept {pruned.num_workers} of {ds.num_workers} "

@@ -12,10 +12,10 @@ worker code (first-appearance indices) and the label. JSON input and
 identical duplicates, rejects conflicting ones and fills the matrix.
 
 Pairwise statistics live on the dataset as worker-indexed arrays, computed
-once on first use: `attempts`, `pair_overlap` and `pair_agreement` (m x m,
-so memory is O(m^2) in the number of workers m), plus
-`triple_overlap_by_index` for one triple or for arrays of triples. The
-estimators index them by worker position.
+once on first use: `attempts` (also bit-packed), `pair_overlap` and
+`pair_agreement` (m x m, so memory is O(m^2) in the number of workers m),
+plus `triple_overlap_by_index` for one triple or for arrays of triples.
+The estimators index them by worker position.
 """
 
 from __future__ import annotations
@@ -54,6 +54,24 @@ def _shared_counts(rows: np.ndarray) -> np.ndarray:
     """
     a = rows.astype(float)
     return (a @ a.T).astype(np.int64)
+
+
+# Set bits of each byte value. Triple overlaps of packed attempt rows are
+# counted through it, because unpacking the rows first takes eight times
+# the memory.
+_BIT_COUNTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
+
+
+def packed_triple_overlap(packed: np.ndarray, a, b, c):
+    """Tasks shared by rows a, b and c of attempt rows packed to bits
+    (np.packbits along the tasks).
+
+    With row positions as ints the result is an int; with index arrays
+    (ints broadcast) it is an integer array of the broadcast shape.
+    """
+    counts = _BIT_COUNTS[packed[a] & packed[b] & packed[c]].sum(axis=-1, dtype=np.intp)
+    return counts if np.ndim(counts) else int(counts)
 
 
 @lru_cache(maxsize=4)
@@ -227,6 +245,12 @@ class ResponseDataset:
         return self.matrix > 0
 
     @cached_property
+    def packed_attempts(self) -> np.ndarray:
+        """`attempts` packed to bits along the tasks (np.packbits), the rows
+        that triple overlaps are counted from."""
+        return np.packbits(self.attempts, axis=1)
+
+    @cached_property
     def pair_overlap(self) -> np.ndarray:
         """Worker-by-worker counts of shared tasks, c_ab (int64)."""
         return _shared_counts(self.attempts)
@@ -242,14 +266,9 @@ class ResponseDataset:
         return np.divide(agree, overlap, out=np.full(overlap.shape, np.nan), where=overlap > 0)
 
     def triple_overlap_by_index(self, a, b, c):
-        """Number of tasks attempted by all three workers, c_abc.
-
-        With worker positions as ints the result is an int; with index
-        arrays (ints broadcast) it is an integer array of the broadcast shape.
-        """
-        att = self.attempts
-        counts = np.count_nonzero(att[a] & att[b] & att[c], axis=-1)
-        return counts if np.ndim(counts) else int(counts)
+        """Tasks attempted by workers a, b and c, c_abc: packed_triple_overlap
+        of `packed_attempts` (an int, or an array for index arrays)."""
+        return packed_triple_overlap(self.packed_attempts, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -303,8 +322,9 @@ def load_responses(source, fmt: str = "csv") -> ResponseDataset:
 
     CSV: header `task_id,worker_id,response`, one response per row, optional
     `# arity=K` comment. JSON: array of {"task", "worker", "response"}
-    objects. Duplicate identical responses deduplicate; conflicting ones
-    raise ResponseConflictError.
+    objects, whose ids are non-blank strings or integers and whose response
+    is an integer. Duplicate identical responses deduplicate; conflicting
+    ones raise ResponseConflictError.
     """
     text = _as_text(source)
     if fmt == "csv":
@@ -364,6 +384,16 @@ def _load_csv(text: str) -> ResponseDataset:
                                        worker_codes, labels, declared_arity)
 
 
+def _json_id(entry: dict, key: str, idx: int) -> str:
+    """The `key` id of JSON element `idx`: a non-blank string, or an integer
+    (not a bool, as for the response) as its decimal string."""
+    value = entry[key]
+    if isinstance(value, str) and value.strip() or type(value) is int:
+        return str(value)
+    raise ResponseParseError(
+        f"element {idx}: {key} must be a non-blank string or an integer, got {value!r}")
+
+
 def _load_json(text: str) -> ResponseDataset:
     try:
         payload = json.loads(text)
@@ -379,11 +409,11 @@ def _load_json(text: str) -> ResponseDataset:
         if missing:
             raise ResponseParseError(f"element {idx} is missing keys {missing}")
         label = entry["response"]
-        if isinstance(label, bool) or not isinstance(label, int):
+        if type(label) is not int:  # a bool is not a label
             raise ResponseParseError(f"element {idx}: response must be an integer")
         if label < 1:
             raise LabelDomainError(f"element {idx}: label {label} is below 1")
-        records.append((str(entry["task"]), str(entry["worker"]), label))
+        records.append((_json_id(entry, "task", idx), _json_id(entry, "worker", idx), label))
     if not records:
         raise EmptyDatasetError("no response rows found")
     return ResponseDataset.from_records(records)

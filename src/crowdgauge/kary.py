@@ -9,7 +9,8 @@ The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
 `prob_estimate` returns one record per triple: P1..P3 as a (3, k, k)
 stack, the selectivity, one `KaryDiagnostics` record that the interval
 report passes on unchanged, and the counts and the recovery's
-intermediates (V1..V3 among them) that the Jacobian needs.
+intermediates (V1..V3 among them) that the Jacobian needs. That P is the
+one the interval report and the simulator use.
 
 Entrywise confidence intervals for P_w follow from the delta method: the
 closed-form Jacobian of V against every count cell the recovery reads (the
@@ -19,8 +20,9 @@ covariance of the counts within each attempt pattern. The Jacobian
 differentiates each step of the recovery in closed form, from that
 recovery's own intermediates: the frequency matrices, the inversions, the
 Gram square root, the slice eigensystems and the slice average. A triple
-is recovered once: that one recovery feeds the estimate, the Jacobian and
-the covariance contraction.
+is recovered once, by `prob_estimate`; `kary_deviations(estimate)`
+differentiates that recovery (`numerical_jacobian`) and contracts the
+result with the covariance, reading P and the row sums from the estimate.
 
 Every way a triple can fail, a pair that shares no task included, raises
 EstimationFailure with one of the REASON_* codes of `errors`, and
@@ -189,8 +191,8 @@ class _Recovery(NamedTuple):
     1), conditionals and slice_totals their normalized counts and task
     totals, vectors, inverses and values the eigensystem of their X, and
     signs and dest the row signs and row destinations applied to
-    inverses @ u1. v1t_inv is (V1^T)^-1. The last four fields feed
-    KaryDiagnostics.
+    inverses @ u1. v1t_inv is (V1^T)^-1. slice_failures and max_imag, with
+    signs and dest, feed KaryDiagnostics.
     """
 
     v: np.ndarray
@@ -213,8 +215,6 @@ class _Recovery(NamedTuple):
     v1t_inv: np.ndarray
     slice_failures: tuple[tuple[int, str], ...]
     max_imag: float
-    rows_permuted: bool
-    rows_sign_fixed: bool
 
 
 def _fail(reason: str) -> EstimationFailure:
@@ -298,9 +298,7 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         values=values[live], signs=signs, dest=dest, v1t_inv=v1t_inv,
         slice_failures=tuple((j + 1, why) for j, why in enumerate(failures)
                              if why is not None),
-        max_imag=max_imag,
-        rows_permuted=bool((dest != np.arange(k)).any()),
-        rows_sign_fixed=bool((signs < 0).any()))
+        max_imag=max_imag)
 
 
 def _differential(rec: _Recovery, directions: np.ndarray) -> np.ndarray:
@@ -377,9 +375,10 @@ class ResponseProbEstimate:
     """Recovered response-probability matrices for a worker triple.
 
     recovery.v[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order
-    shared by the three workers, and p_matrices[w] its row normalization;
-    a matrix with an entry outside [0, 1] is clipped and renormalized
-    (diagnostics.clamped). Both are (3, k, k) arrays. selectivity is the
+    shared by the three workers, and p_matrices[w] = V_{w+1} / rowsum(V_{w+1})
+    its row normalization; both are (3, k, k) arrays. Each row of P sums to
+    1 up to rounding, and an entry may lie outside [0, 1]
+    (diagnostics.clamped says whether one does). selectivity is the
     recovered truth distribution. counts is the tensor the triple was
     recovered from (counts.arity is k) and recovery that one recovery's
     intermediates: numerical_jacobian differentiates them and
@@ -423,16 +422,11 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     if (np.abs(sums) < 1e-12).any():
         raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
     p = v / sums
-    outside = ((p < 0.0) | (p > 1.0)).any(axis=(1, 2))
-    # Only a matrix that left [0, 1] is renormalized: dividing an in-range
-    # matrix by its row sums again would move its last bits.
-    if outside.any():
-        clipped = np.clip(p[outside], 0.0, 1.0)
-        p[outside] = clipped / clipped.sum(axis=2, keepdims=True)
     diagnostics = KaryDiagnostics(
         slice_failures=rec.slice_failures, max_imag=rec.max_imag,
-        rows_permuted=rec.rows_permuted, rows_sign_fixed=rec.rows_sign_fixed,
-        clamped=bool(outside.any()))
+        rows_permuted=bool((rec.dest != np.arange(counts.arity)).any()),
+        rows_sign_fixed=bool((rec.signs < 0).any()),
+        clamped=bool(((p < 0.0) | (p > 1.0)).any()))
     return ResponseProbEstimate(p_matrices=p, selectivity=recover_selectivity(v[0]),
                                 diagnostics=diagnostics, counts=counts, recovery=rec)
 
@@ -480,7 +474,6 @@ class KaryJacobian:
     worker said x+1 and the second y+1, and False where p has no tasks.
     """
 
-    arity: int
     cells: np.ndarray
     derivs: np.ndarray
     usable: np.ndarray
@@ -511,62 +504,40 @@ def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
     finite = np.isfinite(derivs).all(axis=(0, 1, 2))
     pair_usable = np.zeros((3, k, k), dtype=bool)
     pair_usable[pair_perturbed] = finite[k ** 3:].reshape(-1, k, k)
-    return KaryJacobian(arity=k, cells=cells, derivs=derivs,
+    return KaryJacobian(cells=cells, derivs=derivs,
                         usable=finite[:k ** 3].reshape(k, k, k),
                         pair_usable=pair_usable, pair_perturbed=pair_perturbed)
 
 
-@dataclass(frozen=True, eq=False)
-class KaryDeviations:
-    """Row-normalized midpoints and their linearized deviations, pre-interval.
+def kary_deviations(estimate: ResponseProbEstimate) -> np.ndarray:
+    """Linearized deviations of every entry of an estimate's P, as (3, k, k).
 
-    midpoints[w] is P_{w+1}: the rows of V_{w+1} divided by their own sums,
-    so each row sums to 1. deviations[w] are the delta-method standard
-    deviations of those P entries, with the sampling variance of both the
-    all-three and the pair-only count cells. Confidence intervals at any
-    level follow as midpoint +- z * deviation.
+    The Jacobian of V against the all-three cells and the nonempty pair
+    patterns' cells differentiates the estimate's own recovery, is carried
+    through P = V / rowsum(V), then contracted by matrix products with the
+    multinomial covariance of those cells: each pattern's segment of the
+    cell axis with that pattern's block (see pattern_covariance). An
+    interval at any level is P +- z * deviation. A derivative that is not
+    finite raises EstimationFailure(REASON_JACOBIAN_FAILURE).
     """
-
-    midpoints: np.ndarray
-    deviations: np.ndarray
-    estimate: ResponseProbEstimate
-
-
-def kary_deviations(counts: CountsTensor) -> KaryDeviations:
-    """Spectral recovery plus linearized deviations of every P entry.
-
-    The triple is recovered once, by prob_estimate; the Jacobian of V
-    against the all-three cells and the nonempty pair patterns' cells
-    differentiates that recovery, is carried through P = V / rowsum(V),
-    then contracted by matrix products with the multinomial covariance of
-    those cells: each pattern's segment of the cell axis with that
-    pattern's block (see pattern_covariance). Raises EstimationFailure when
-    the recovery fails or a derivative is not finite (REASON_JACOBIAN_FAILURE).
-    """
-    estimate = prob_estimate(counts)
     jac = numerical_jacobian(estimate)
     bad = int((~jac.usable).sum() + (~jac.pair_usable[jac.pair_perturbed]).sum())
     if bad:
         raise EstimationFailure(
             REASON_JACOBIAN_FAILURE, f"{bad} count cells have non-finite derivatives")
-    k = counts.arity
-    v_all = estimate.recovery.v
-    row_sums = v_all.sum(axis=2, keepdims=True)
-    p_all = v_all / row_sums
-    variances = np.zeros((3, k, k))
-    pairs = (p for p, live in zip(PAIR_PATTERNS, jac.pair_perturbed) if live)
+    counts, p = estimate.counts, estimate.p_matrices
+    row_sums = estimate.recovery.v.sum(axis=2, keepdims=True)
+    variances = np.zeros(p.shape)
+    pairs = (pair for pair, live in zip(PAIR_PATTERNS, jac.pair_perturbed) if live)
     start = 0
     for pattern in ((1, 1, 1), *pairs):
         block = pattern_covariance(counts, pattern)
         dv = jac.derivs[..., start:start + len(block)]
         start += len(block)
         # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
-        grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
+        grads = (dv - p[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
         variances += ((grads @ block) * grads).sum(axis=-1)
-    return KaryDeviations(
-        midpoints=p_all,
-        deviations=np.sqrt(np.clip(variances, 0.0, None)),
-        estimate=estimate)
+    return np.sqrt(np.clip(variances, 0.0, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,14 +575,15 @@ def kary_confidence_intervals(counts: CountsTensor, confidence: float) -> KaryRe
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     try:
-        devs = kary_deviations(counts)
+        estimate = prob_estimate(counts)
+        deviations = kary_deviations(estimate)
     except EstimationFailure as exc:
         return KaryReport(arity=counts.arity, confidence=confidence, reason=exc.reason,
                           midpoints=None, lower=None, upper=None, selectivity=None,
                           diagnostics=KaryDiagnostics())
-    half = abs(normal_quantile((1.0 - confidence) / 2.0)) * devs.deviations
+    p = estimate.p_matrices
+    half = abs(normal_quantile((1.0 - confidence) / 2.0)) * deviations
     return KaryReport(
-        arity=counts.arity, confidence=confidence, reason=None,
-        midpoints=devs.midpoints, lower=devs.midpoints - half,
-        upper=devs.midpoints + half, selectivity=devs.estimate.selectivity,
-        diagnostics=devs.estimate.diagnostics)
+        arity=counts.arity, confidence=confidence, reason=None, midpoints=p,
+        lower=p - half, upper=p + half, selectivity=estimate.selectivity,
+        diagnostics=estimate.diagnostics)

@@ -26,7 +26,7 @@ import numpy as np
 from .binary import WorldStack, aggregate_system, build_worker_system
 from .dataset import GoldLabels, ResponseDataset
 from .errors import EstimationFailure
-from .kary import build_counts, kary_deviations
+from .kary import build_counts, kary_deviations, prob_estimate
 from .numerics import normal_quantile
 
 CONFIDENCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -282,8 +282,7 @@ def _draw_binary_world(cfg: SimConfig, rep: int, densities: np.ndarray):
     rng = substream(cfg.seed, rep)
     rates = gen_binary_workers(cfg.m, rng)
     ds, _ = gen_binary_responses(rates, cfg.n, densities, rng)
-    return (rates, ds.workers, ds.pair_overlap, ds.pair_agreement,
-            np.packbits(ds.attempts, axis=1))
+    return rates, ds.workers, ds.pair_overlap, ds.pair_agreement, ds.packed_attempts
 
 
 def _binary_chunk(cfg: SimConfig, reps: range, weightings: Sequence[str]):
@@ -340,10 +339,11 @@ def _kary_rep(cfg: SimConfig, rep: int):
     world = gen_kary_responses(cfg.fixture, cfg.n, _density_vector(cfg), None, rng)
     counts = build_counts(world.dataset, world.dataset.workers)
     try:
-        devs = kary_deviations(counts)
+        estimate = prob_estimate(counts)
+        deviations = kary_deviations(estimate)
     except EstimationFailure:
         return None
-    return np.stack(world.matrices), devs.midpoints, devs.deviations
+    return np.stack(world.matrices), estimate.p_matrices, deviations
 
 
 def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str]):
@@ -472,8 +472,10 @@ def compare_weighting(cfg: SimConfig) -> ExperimentResult:
 # -- serialization ----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def round9(x: float) -> float:
+    """`x` at 9 significant digits, the precision of every number the
+    command line writes (NaN stays NaN)."""
+    return float(format(float(x), ".9g"))
 
 
 def result_to_csv(result: ExperimentResult) -> str:
@@ -481,21 +483,17 @@ def result_to_csv(result: ExperimentResult) -> str:
     lines = [f"# experiment={result.experiment}"]
     lines += [f"# {key}={value}" for key, value in result.metadata]
     lines.append(",".join(result.columns))
-    lines += [",".join(_fmt(x) for x in row) for row in result.rows]
+    # ".9g" writes each rounded value as it reads, without repr's ".0".
+    lines += [",".join(format(round9(x), ".9g") for x in row) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
 def result_to_json(result: ExperimentResult) -> str:
     """Render a result as JSON (floats at 9 significant digits, NaN as null)."""
-    def cell(x: float):
-        if x != x:
-            return None
-        return float(_fmt(x))
-
     payload = {
         "experiment": result.experiment,
         "metadata": dict(result.metadata),
         "columns": list(result.columns),
-        "rows": [[cell(x) for x in row] for row in result.rows],
+        "rows": [[None if x != x else round9(x) for x in row] for row in result.rows],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -14,6 +14,7 @@ from crowdgauge.binary import (
     METHOD_M_WORKER_UNIFORM,
     METHOD_THREE_WORKER,
     WorldStack,
+    _WorkerSystem,
     _estimate_triples,
     agreement_covariances,
     aggregate_system,
@@ -33,9 +34,10 @@ from crowdgauge.errors import (
     REASON_INSUFFICIENT_CONNECTIVITY,
     REASON_INSUFFICIENT_OVERLAP,
     REASON_LOW_AGREEMENT,
+    REASON_NEGATIVE_VARIANCE,
     REASON_NO_USABLE_TRIPLES,
 )
-from crowdgauge.numerics import normal_quantile, propagated_deviation
+from crowdgauge.numerics import VARIANCE_CLAMP_TOL, normal_quantile, propagated_deviation
 from crowdgauge.simulate import gen_binary_responses, gen_binary_workers, ramp_densities, substream
 
 
@@ -658,6 +660,39 @@ def test_optimal_weighting_never_beaten_by_uniform():
         uniform = aggregate_system((system,), "uniform")
         if not optimal.fallback[0]:
             assert optimal.dev[0] <= uniform.dev[0] + 1e-12
+
+
+def test_aggregate_deviation_is_propagated_deviation_of_its_weights():
+    # one clamp rule: aggregate_system's dev and negative-variance reason are
+    # what propagated_deviation gives for the weights it used and C
+    rng = np.random.default_rng(12)
+    systems = []
+    for size in (1, 2, 3, 5, 8) * 4:
+        a = rng.normal(size=(size, size + 2)) * 0.05
+        systems.append(_WorkerSystem("w", np.zeros((size, 2), dtype=np.intp),
+                                     rng.uniform(0.0, 0.5, size), a @ a.T / size))
+    # w^T C w for w = (1/2, 1/2) inside the band [-tol, 0), and below it
+    band, below = (np.array([[1.0, -1.0 - x], [-1.0 - x, 1.0]]) for x in (1e-12, 1e-6))
+    half = np.full(2, 0.5)
+    assert -VARIANCE_CLAMP_TOL <= half @ band @ half < 0.0
+    assert half @ below @ half < -VARIANCE_CLAMP_TOL
+    systems += [_WorkerSystem("w", np.zeros((2, 2), dtype=np.intp), np.full(2, 0.2), c)
+                for c in (band, below)]
+    seen = Counter()
+    for weighting in ("uniform", "optimal"):
+        aggregates = aggregate_system(systems, weighting)
+        for k, system in enumerate(systems):
+            try:
+                dev = propagated_deviation(aggregates.weights[k], system.covariance)
+            except EstimationFailure as exc:
+                assert exc.reason == REASON_NEGATIVE_VARIANCE
+                assert aggregates.reason[k] == REASON_NEGATIVE_VARIANCE
+                seen["negative"] += 1
+                continue
+            assert aggregates.reason[k] is None
+            assert aggregates.dev[k] == dev
+            seen["zero" if dev == 0.0 else "positive"] += 1
+    assert seen["negative"] and seen["zero"] and seen["positive"]
 
 
 def test_evaluate_worker_all_triples_failed():

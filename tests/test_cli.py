@@ -212,6 +212,17 @@ def test_evaluate_exit_codes(tmp_path):
                    "--output", out) == 1
 
 
+@pytest.mark.parametrize("value", (None, "", " ", ["t1"], {"id": "t1"}, True, 2.5), ids=repr)
+def test_evaluate_refuses_json_ids_that_are_not_strings_or_integers(tmp_path, value):
+    records = [{"task": "t1", "worker": "w1", "response": 1},
+               {"task": value, "worker": "w2", "response": 2}]
+    src = tmp_path / "responses.json"
+    src.write_text(json.dumps(records))
+    out = tmp_path / "o.json"
+    assert_refused(ResponseParseError, 2, "evaluate", "--input", src, "--output", out)
+    assert not out.exists()
+
+
 def sparse_world_csv(tmp_path, rep):
     """A sparse world (n=100, m=7, d=0.25) drawn as the simulator draws
     replication `rep` of seed 11, written as CSV."""

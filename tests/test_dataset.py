@@ -132,6 +132,30 @@ def test_load_json_rejects_bool_and_reports_element():
     assert "element 0" in str(info.value)
 
 
+BAD_JSON_IDS = (None, "", "   ", [], ["t1"], {}, {"id": "t1"}, True, False, 1.5)
+
+
+@pytest.mark.parametrize("key", ("task", "worker"))
+@pytest.mark.parametrize("value", BAD_JSON_IDS, ids=repr)
+def test_load_json_refuses_ids_that_are_not_strings_or_integers(key, value):
+    # a null used to become the id "None", and lists and objects their str()
+    records = [{"task": "t1", "worker": "w1", "response": 1},
+               {"task": "t2", "worker": "w2", "response": 2}]
+    records[1][key] = value
+    with pytest.raises(ResponseParseError,
+                       match=f"element 1: {key} must be a non-blank string or an integer"):
+        load_responses(json.dumps(records), fmt="json")
+
+
+def test_load_json_takes_integer_ids_as_their_decimal_strings():
+    records = [{"task": 7, "worker": "w1", "response": 1},
+               {"task": "t2", "worker": -3, "response": 2}]
+    ds = load_responses(json.dumps(records), fmt="json")
+    assert ds.tasks == ("7", "t2")
+    assert ds.workers == ("w1", "-3")
+    assert ds.response("-3", "t2") == 2
+
+
 def test_load_json_missing_key():
     with pytest.raises(ResponseParseError):
         load_responses(json.dumps([{"task": "t1", "response": 1}]), fmt="json")

@@ -285,14 +285,24 @@ def test_prob_estimate_noiseless_skewed_selectivity():
 
 
 def test_prob_estimate_rows_are_stochastic():
+    # P is V / rowsum(V), unclipped: the seed-61 sample has entries outside
+    # [0, 1] and the noiseless counts none. Either way the report's
+    # midpoints are that P, bit for bit.
     rng = np.random.default_rng(61)
-    counts = sample_counts(ARITY3, (1 / 3, 1 / 3, 1 / 3), 2000, rng)
-    est = prob_estimate(counts)
-    for p in est.p_matrices:
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
-        assert (p >= 0).all() and (p <= 1).all()
-    assert est.selectivity.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (est.selectivity >= 0).all()
+    sampled = sample_counts(ARITY3, (1 / 3, 1 / 3, 1 / 3), 2000, rng)
+    noiseless = expected_counts(ARITY2, (0.5, 0.5))
+    seen = []
+    for counts in (sampled, noiseless):
+        est = prob_estimate(counts)
+        report = kary_confidence_intervals(counts, 0.9)
+        assert report.midpoints.tobytes() == est.p_matrices.tobytes()
+        np.testing.assert_allclose(est.p_matrices.sum(axis=2), 1.0, rtol=0.0, atol=1e-9)
+        outside = bool(((est.p_matrices < 0.0) | (est.p_matrices > 1.0)).any())
+        assert est.diagnostics.clamped is outside
+        seen.append(outside)
+        assert est.selectivity.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (est.selectivity >= 0).all()
+    assert seen == [True, False]
 
 
 def test_prob_estimate_constant_worker_fails():
@@ -674,10 +684,11 @@ def test_non_finite_derivatives_fail_the_report(monkeypatch):
 def test_kary_deviations_normalized():
     rng = np.random.default_rng(66)
     counts = sample_counts(ARITY3, (1 / 3, 1 / 3, 1 / 3), 3000, rng)
-    devs = kary_deviations(counts)
-    assert devs.midpoints.shape == (3, 3, 3)
-    assert np.allclose(devs.midpoints.sum(axis=2), 1.0, atol=1e-9)
-    assert (devs.deviations >= 0).all()
+    est = prob_estimate(counts)
+    devs = kary_deviations(est)
+    assert devs.shape == est.p_matrices.shape == (3, 3, 3)
+    assert np.allclose(est.p_matrices.sum(axis=2), 1.0, atol=1e-9)
+    assert (devs >= 0).all()
 
 
 def test_kary_deviations_delta_method_on_p():
@@ -686,7 +697,7 @@ def test_kary_deviations_delta_method_on_p():
     # contracted pattern by pattern with the multinomial blocks
     counts = expected_counts(ARITY2, (0.4, 0.6), n=2000.0,
                              densities=(0.9, 0.8, 0.7))
-    devs = kary_deviations(counts)
+    devs = kary_deviations(prob_estimate(counts))
     eps = 0.01
 
     def p_stack(tensor):
@@ -707,7 +718,7 @@ def test_kary_deviations_delta_method_on_p():
         block = pattern_covariance(counts, pattern)
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     expected = np.sqrt(variances)
-    assert np.abs(devs.deviations - expected).max() < 1e-6 * expected.max()
+    assert np.abs(devs - expected).max() < 1e-6 * expected.max()
 
 
 def einsum_deviations(counts):
@@ -741,7 +752,7 @@ def test_kary_deviations_match_the_einsum_contraction():
             counts = build_counts(world.dataset, world.dataset.workers)
             expected, jac = einsum_deviations(counts)
             assert jac.pair_perturbed.all() == (dens[0] < 1.0)
-            np.testing.assert_allclose(kary_deviations(counts).deviations, expected,
+            np.testing.assert_allclose(kary_deviations(prob_estimate(counts)), expected,
                                        rtol=1e-12, atol=0.0, err_msg=str((k, dens)))
 
 
@@ -755,7 +766,7 @@ def test_one_recovery_per_triple(monkeypatch):
         return _recover(tensor, k)
 
     monkeypatch.setattr(kary, "_recover", spy)
-    kary_deviations(counts)
+    kary_deviations(prob_estimate(counts))
     assert calls == [3]
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
@@ -795,11 +806,12 @@ def test_kary_confidence_intervals_report_shape():
     assert sum(report.selectivity) == pytest.approx(1.0, abs=1e-9)
     # the ends are the midpoint less and plus z times the deviation, in
     # float64 scalar arithmetic, to the last bit
-    devs = kary_deviations(counts)
+    est = prob_estimate(counts)
+    devs = kary_deviations(est)
     z = abs(normal_quantile(0.05))
     for cell in np.ndindex(3, 3, 3):
-        midpoint = float(devs.midpoints[cell])
-        half_width = z * float(devs.deviations[cell])
+        midpoint = float(est.p_matrices[cell])
+        half_width = z * float(devs[cell])
         assert (report.lower[cell], report.upper[cell]) == (midpoint - half_width,
                                                             midpoint + half_width)
 
@@ -842,13 +854,13 @@ def test_report_diagnostics_are_the_estimates_and_clamped_reads_the_midpoints(
     seen = []
 
     def spy(counts):
-        seen.append(kary_deviations(counts))
+        seen.append(prob_estimate(counts))
         return seen[-1]
 
-    monkeypatch.setattr(kary, "kary_deviations", spy)
+    monkeypatch.setattr(kary, "prob_estimate", spy)
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
-    assert report.diagnostics is seen[0].estimate.diagnostics
+    assert report.diagnostics is seen[0].diagnostics
     midpoints = report.midpoints.reshape(-1).tolist()
     outside = any(m < 0.0 or m > 1.0 for m in midpoints)
     assert report.diagnostics.clamped is True
