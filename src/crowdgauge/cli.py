@@ -162,6 +162,8 @@ def cmd_evaluate(args) -> int:
     proxies = None
     if args.gold:
         gold = load_gold(_read_input(args.gold)[0])
+        if args.map is not None:
+            gold = gold.relabel(parse_label_map(args.map))
         gold.validate_for(ds)
         proxies = _proxy_error_rates(ds, gold)
     reports = evaluate_all(ds, confidence, args.weighting, args.min_overlap)

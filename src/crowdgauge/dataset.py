@@ -286,6 +286,16 @@ class GoldLabels:
             raise LabelDomainError(
                 f"gold labels outside 1..{ds.arity}: {sorted(bad.items())[:5]}")
 
+    def relabel(self, mapping: Mapping[int, int]) -> GoldLabels:
+        """The labels collapsed through a {label: new label} table, as
+        reduce_arity collapses responses; a label missing from the table
+        raises LabelDomainError."""
+        lookup = _label_lookup(mapping)
+        unmapped = sorted(set(self.labels.values()) - lookup.keys())
+        if unmapped:
+            raise LabelDomainError(f"gold labels {unmapped} are not mapped")
+        return GoldLabels({task: lookup[label] for task, label in self.labels.items()})
+
 
 class RemovedWorker(NamedTuple):
     worker: str
@@ -296,13 +306,15 @@ class RemovedWorker(NamedTuple):
 
 
 def _as_text(source) -> str:
+    """The text of str, bytes or file-like input, less one leading byte-order
+    mark, which spreadsheet tools often write."""
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ResponseParseError(f"input is not valid UTF-8: {exc}") from exc
-    return data
+    return data[1:] if data.startswith("\ufeff") else data
 
 
 def _csv_reader(text: str):
@@ -471,6 +483,23 @@ def write_responses_csv(ds: ResponseDataset) -> str:
 # -- transforms ------------------------------------------------------------
 
 
+def _label_lookup(mapping: Mapping[int, int]) -> dict[int, int]:
+    """{label: new label} of a label map, its image renumbered to 1..k'.
+
+    The image is renumbered in ascending order. A value that is not an
+    integer raises LabelDomainError.
+    """
+    image: dict[int, int] = {}
+    for label in sorted(mapping):
+        try:
+            image[label] = operator.index(mapping[label])
+        except TypeError:
+            raise LabelDomainError(
+                f"label {label} maps to non-integer {mapping[label]!r}") from None
+    ranks = {v: r + 1 for r, v in enumerate(sorted(set(image.values())))}
+    return {label: ranks[value] for label, value in image.items()}
+
+
 def reduce_arity(ds: ResponseDataset, mapping: Mapping[int, int]) -> ResponseDataset:
     """Collapse labels through a {label: new label} table and relabel the
     image to 1..k'.
@@ -481,28 +510,16 @@ def reduce_arity(ds: ResponseDataset, mapping: Mapping[int, int]) -> ResponseDat
     ascending order, with k' at least 2; workers, tasks, and attempt sets
     are preserved.
     """
-    domain = range(1, ds.arity + 1)
-    outside = [label for label in mapping if label not in domain]
+    outside = [label for label in mapping if label not in range(1, ds.arity + 1)]
     if outside:
         raise LabelDomainError(f"label map keys {outside} lie outside 1..{ds.arity}")
-    image: dict[int, int] = {}
-    for label in domain:
-        if label in mapping:
-            try:
-                image[label] = operator.index(mapping[label])
-            except TypeError:
-                raise LabelDomainError(
-                    f"label {label} maps to non-integer {mapping[label]!r}") from None
+    lookup = _label_lookup(mapping)
     observed = set(np.unique(ds.matrix).tolist()) - {0}
-    unmapped = sorted(lbl for lbl in observed if lbl not in image)
+    unmapped = sorted(observed - lookup.keys())
     if unmapped:
         raise LabelDomainError(f"observed labels {unmapped} are not mapped")
-    ranks = {v: r + 1 for r, v in enumerate(sorted(set(image.values())))}
-    lut = np.zeros(ds.arity + 1, dtype=np.int32)
-    for label, value in image.items():
-        lut[label] = ranks[value]
-    new_arity = max(len(ranks), 2)
-    return ResponseDataset(ds.workers, ds.tasks, new_arity, lut[ds.matrix])
+    lut = np.array([lookup.get(lbl, 0) for lbl in range(ds.arity + 1)], dtype=np.int32)
+    return ResponseDataset(ds.workers, ds.tasks, max([2, *lookup.values()]), lut[ds.matrix])
 
 
 def prune_spammers(ds: ResponseDataset, threshold: float = 0.4

@@ -8,21 +8,20 @@ conditional slices recovers each V_w up to a common row permutation.
 The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
 `prob_estimate` returns one record per triple: P1..P3 as a (3, k, k)
 stack, the selectivity, one `KaryDiagnostics` record that the interval
-report passes on unchanged, and the counts and the recovery's
-intermediates (V1..V3 among them) that the Jacobian needs. That P is the
-one the interval report and the simulator use.
+report passes on unchanged, and V1..V3 with their derivatives against the
+counts. That P is the one the interval report and the simulator use.
 
 Entrywise confidence intervals for P_w follow from the delta method: the
 closed-form Jacobian of V against every count cell the recovery reads (the
 all-three-answered cells and the cells answered by exactly two workers),
 carried through the row normalization, and contracted with the multinomial
-covariance of the counts within each attempt pattern. The Jacobian
-differentiates each step of the recovery in closed form, from that
-recovery's own intermediates: the frequency matrices, the inversions, the
-Gram square root, the slice eigensystems and the slice average. A triple
-is recovered once, by `prob_estimate`; `kary_deviations(estimate)`
-differentiates that recovery (`numerical_jacobian`) and contracts the
-result with the covariance, reading P and the row sums from the estimate.
+covariance of the counts within each attempt pattern. The recovery
+differentiates each of its steps in the same pass that computes it: the
+frequency matrices, the inversions, the Gram square root, the slice
+eigensystems and the slice average. A triple is recovered once, by
+`prob_estimate`; `kary_deviations(estimate)` contracts that recovery's
+derivatives with the covariance, reading P and the row sums from the
+estimate.
 
 Every way a triple can fail, a pair that shares no task included, raises
 EstimationFailure with one of the REASON_* codes of `errors`, and
@@ -180,41 +179,19 @@ def _order_rows_by_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Recovery(NamedTuple):
-    """A successful spectral recovery and the intermediates its derivative uses.
+    """A successful spectral recovery and its derivative.
 
-    v stacks V1..V3. freqs holds r12, r23, r31 and pair_totals their
-    denominators; inv_r32 is R32^-1. gram_vectors and roots are the
-    eigenvectors and the square roots of the eigenvalues of the Gram
-    matrix, u1 its square root and u1_inv the inverse of u1, and u2_inv is
-    (u1_inv r12)^-1. The kept conditional slices are stacked in slice
-    order: kept holds their 0-based indices (the third worker's label less
-    1), conditionals and slice_totals their normalized counts and task
-    totals, vectors, inverses and values the eigensystem of their X, and
-    signs and dest the row signs and row destinations applied to
-    inverses @ u1. v1t_inv is (V1^T)^-1. slice_failures and max_imag, with
-    signs and dest, feed KaryDiagnostics.
+    v stacks V1..V3 as (3, k, k) and dv[d] their derivative along the d-th
+    count direction. slice_failures, max_imag and the kept slices' row
+    signs and row destinations (dest) feed KaryDiagnostics.
     """
 
     v: np.ndarray
-    freqs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    pair_totals: tuple[np.ndarray, np.ndarray, np.ndarray]
-    inv_r32: np.ndarray
-    gram_vectors: np.ndarray
-    roots: np.ndarray
-    u1: np.ndarray
-    u1_inv: np.ndarray
-    u2_inv: np.ndarray
-    kept: np.ndarray
-    conditionals: np.ndarray
-    slice_totals: np.ndarray
-    vectors: np.ndarray
-    inverses: np.ndarray
-    values: np.ndarray
-    signs: np.ndarray
-    dest: np.ndarray
-    v1t_inv: np.ndarray
+    dv: np.ndarray
     slice_failures: tuple[tuple[int, str], ...]
     max_imag: float
+    signs: np.ndarray
+    dest: np.ndarray
 
 
 def _fail(reason: str) -> EstimationFailure:
@@ -229,8 +206,18 @@ def _invert_one(matrix: np.ndarray, reason: str) -> np.ndarray:
     return inverse[0]
 
 
-def _recover(tensor: np.ndarray, k: int) -> _Recovery:
-    """Core spectral recovery of one (k+1, k+1, k+1) counts array.
+def _recover(tensor: np.ndarray, k: int, directions: np.ndarray) -> _Recovery:
+    """Spectral recovery of one (k+1, k+1, k+1) counts array, differentiated.
+
+    directions is a (D, k+1, k+1, k+1) stack of changes to the counts, and
+    the recovery's dv stacks the matching dV as (D, 3, k, k). Each step is
+    followed by its differential at the same values: the frequency ratios;
+    the inversions, by dA^-1 = -A^-1 dA A^-1; the Gram square root, by the
+    Daleckii-Krein formula; each kept slice's eigenvectors, by
+    dR = R (F o (R^-1 dX R)) with F_ij = 1 / (l_j - l_i) (Magnus, "On
+    differentiating eigenvalues and eigenvectors", Econometric Theory
+    1985), less the part that would change their unit norm; then the row
+    signs, the row order and the average over slices.
 
     The k conditional slices are processed as one stack. Every failure, a
     pair sharing no task and an eigensolver that does not converge
@@ -243,9 +230,16 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
             raise EstimationFailure(REASON_INSUFFICIENT_OVERLAP,
                                     "each pair of the triple must share at least one task")
         r12, r23, r31 = (c / total for c, total in zip(freqs, pair_totals))
+        d_freqs, d_totals = _pair_counts(directions)
+        dr12, dr23, dr31 = ((dc - r * dt[:, None, None]) / total
+                            for dc, dt, r, total in zip(d_freqs, d_totals, (r12, r23, r31),
+                                                         pair_totals))
         inv_r32 = _invert_one(r23.T, REASON_NONINVERTIBLE_FREQUENCY)
+        d_inv_r32 = -inv_r32 @ dr23.transpose(0, 2, 1) @ inv_r32
         gram = r12 @ inv_r32 @ r31
         gram = 0.5 * (gram + gram.T)
+        dgram = dr12 @ inv_r32 @ r31 + r12 @ d_inv_r32 @ r31 + r12 @ inv_r32 @ dr31
+        dgram = 0.5 * (dgram + dgram.transpose(0, 2, 1))
         evecs, evals = eigendecompose_symmetric(gram)
         if evals.min() < -NEGATIVE_EIG_TOL_SCALE * max(np.abs(gram).max(), 1e-300):
             raise _fail(REASON_NEGATIVE_SPECTRUM)
@@ -255,8 +249,11 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         if not roots[-1] * COND_LIMIT > roots[0]:
             raise _fail(REASON_SINGULAR_ESTIMATE)
         u1 = (evecs * roots) @ evecs.T
+        du1 = evecs @ (evecs.T @ dgram @ evecs / (roots[:, None] + roots)) @ evecs.T
         u1_inv = (evecs / roots) @ evecs.T
+        du1_inv = -u1_inv @ du1 @ u1_inv
         u2_inv = _invert_one(u1_inv @ r12, REASON_SINGULAR_ESTIMATE)
+        du2_inv = -u2_inv @ (du1_inv @ r12 + u1_inv @ dr12) @ u2_inv
 
         # slices[j] holds the counts where worker 3 said j+1.
         slices = np.moveaxis(tensor[1:, 1:, 1:], -1, 0)
@@ -283,72 +280,40 @@ def _recover(tensor: np.ndarray, k: int) -> _Recovery:
         drop(singular, SLICE_SINGULAR)
         if not live.any():
             raise _fail(REASON_NO_USABLE_SLICES)
-        v1_slices = inverses[live] @ u1
+
+        # Only the kept slices are differentiated; they run along axis 1 of
+        # each differential.
+        kept = np.flatnonzero(live)
+        cond, vecs, invs, vals = conditionals[kept], vectors[kept], inverses[kept], values[kept]
+        d_slices = np.moveaxis(directions[:, 1:, 1:, 1:], -1, 1)[:, kept]
+        d_cond = (d_slices - cond * d_slices.sum(axis=(2, 3))[..., None, None]
+                  ) / slice_totals[kept][:, None, None]
+        dx = (du1_inv[:, None] @ cond @ u2_inv + u1_inv @ d_cond @ u2_inv
+              + u1_inv @ cond @ du2_inv[:, None])
+        off = ~np.eye(k, dtype=bool)
+        spread = vals[:, None, :] - vals[:, :, None]
+        coupling = np.where(off, 1.0 / np.where(off, spread, 1.0), 0.0)
+        d_vecs = vecs @ (coupling * (invs @ dx @ vecs))
+        d_vecs -= vecs * (vecs * d_vecs).sum(axis=2, keepdims=True)
+        v1_slices = invs @ u1
         signs = np.where(v1_slices.sum(axis=2) < 0, -1.0, 1.0)
+        d_v1_slices = (-invs @ d_vecs @ invs @ u1 + invs @ du1[:, None]) * signs[..., None]
         v1_slices, dest = _order_rows_by_diagonal(v1_slices * signs[:, :, None])
+        ordered = np.empty_like(d_v1_slices)
+        ordered[:, np.arange(len(kept))[:, None], dest] = d_v1_slices
         # Summed slice by slice, in slice order.
         v1 = sum(v1_slices) / len(v1_slices)
+        dv1 = ordered.mean(axis=1)
         v1t_inv = _invert_one(v1.T, REASON_SINGULAR_ESTIMATE)
+        dv1t_inv = -v1t_inv @ dv1.transpose(0, 2, 1) @ v1t_inv
         v = np.stack([v1, v1t_inv @ r12, v1t_inv @ r31.T])
+        dv = np.stack([dv1, dv1t_inv @ r12 + v1t_inv @ dr12,
+                       dv1t_inv @ r31.T + v1t_inv @ dr31.transpose(0, 2, 1)], axis=1)
     return _Recovery(
-        v=v, freqs=(r12, r23, r31), pair_totals=pair_totals, inv_r32=inv_r32,
-        gram_vectors=evecs, roots=roots, u1=u1, u1_inv=u1_inv, u2_inv=u2_inv,
-        kept=np.flatnonzero(live), conditionals=conditionals[live],
-        slice_totals=slice_totals[live], vectors=vectors[live], inverses=inverses[live],
-        values=values[live], signs=signs, dest=dest, v1t_inv=v1t_inv,
+        v=v, dv=dv,
         slice_failures=tuple((j + 1, why) for j, why in enumerate(failures)
                              if why is not None),
-        max_imag=max_imag)
-
-
-def _differential(rec: _Recovery, directions: np.ndarray) -> np.ndarray:
-    """Derivative of V along each count direction, from the recovery's parts.
-
-    directions is a (D, k+1, k+1, k+1) stack of changes to the counts; the
-    result stacks the matching dV as (D, 3, k, k). Each step differentiates
-    the same step of `_recover` at its base values: the frequency ratios;
-    the inversions, by dA^-1 = -A^-1 dA A^-1; the Gram square root, by the
-    Daleckii-Krein formula; each kept slice's eigenvectors, by
-    dR = R (F o (R^-1 dX R)) with F_ij = 1 / (l_j - l_i) (Magnus, "On
-    differentiating eigenvalues and eigenvectors", Econometric Theory
-    1985), less the part that would change their unit norm; then the row
-    signs, the row order and the average over slices.
-    """
-    r12, _, r31 = rec.freqs
-    k = r12.shape[0]
-    d_freqs, d_totals = _pair_counts(directions)
-    dr12, dr23, dr31 = ((dc - r * dt[:, None, None]) / total
-                        for dc, dt, r, total in zip(d_freqs, d_totals, rec.freqs,
-                                                     rec.pair_totals))
-    m = rec.inv_r32
-    dm = -m @ dr23.transpose(0, 2, 1) @ m
-    dgram = dr12 @ m @ r31 + r12 @ dm @ r31 + r12 @ m @ dr31
-    dgram = 0.5 * (dgram + dgram.transpose(0, 2, 1))
-    e, roots = rec.gram_vectors, rec.roots
-    du1 = e @ (e.T @ dgram @ e / (roots[:, None] + roots)) @ e.T
-    du1_inv = -rec.u1_inv @ du1 @ rec.u1_inv
-    du2_inv = -rec.u2_inv @ (du1_inv @ r12 + rec.u1_inv @ dr12) @ rec.u2_inv
-
-    # Kept slices run along axis 1 from here on.
-    cond = rec.conditionals
-    d_slices = np.moveaxis(directions[:, 1:, 1:, 1:], -1, 1)[:, rec.kept]
-    d_cond = (d_slices - cond * d_slices.sum(axis=(2, 3))[..., None, None]
-              ) / rec.slice_totals[:, None, None]
-    dx = (du1_inv[:, None] @ cond @ rec.u2_inv + rec.u1_inv @ d_cond @ rec.u2_inv
-          + rec.u1_inv @ cond @ du2_inv[:, None])
-    vecs, invs = rec.vectors, rec.inverses
-    off = ~np.eye(k, dtype=bool)
-    gaps = rec.values[:, None, :] - rec.values[:, :, None]
-    coupling = np.where(off, 1.0 / np.where(off, gaps, 1.0), 0.0)
-    d_vecs = vecs @ (coupling * (invs @ dx @ vecs))
-    d_vecs -= vecs * (vecs * d_vecs).sum(axis=2, keepdims=True)
-    d_v1_slices = (-invs @ d_vecs @ invs @ rec.u1 + invs @ du1[:, None]) * rec.signs[..., None]
-    ordered = np.empty_like(d_v1_slices)
-    ordered[:, np.arange(len(rec.kept))[:, None], rec.dest] = d_v1_slices
-    dv1 = ordered.mean(axis=1)
-    dv1t_inv = -rec.v1t_inv @ dv1.transpose(0, 2, 1) @ rec.v1t_inv
-    return np.stack([dv1, dv1t_inv @ r12 + rec.v1t_inv @ dr12,
-                     dv1t_inv @ r31.T + rec.v1t_inv @ dr31.transpose(0, 2, 1)], axis=1)
+        max_imag=max_imag, signs=signs, dest=dest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,16 +345,16 @@ class ResponseProbEstimate:
     1 up to rounding, and an entry may lie outside [0, 1]
     (diagnostics.clamped says whether one does). selectivity is the
     recovered truth distribution. counts is the tensor the triple was
-    recovered from (counts.arity is k) and recovery that one recovery's
-    intermediates: numerical_jacobian differentiates them and
-    kary_deviations contracts the result, so nothing recovers the triple
-    again.
+    recovered from (counts.arity is k) and recovery.dv[j] the derivative of
+    V against the count cell cells[j], from the pass that recovered V:
+    kary_deviations contracts it, so nothing recovers the triple again.
     """
 
     p_matrices: np.ndarray
     selectivity: np.ndarray
     diagnostics: KaryDiagnostics
     counts: CountsTensor
+    cells: np.ndarray
     recovery: _Recovery
 
 
@@ -411,12 +376,18 @@ def recover_selectivity(v1: np.ndarray) -> np.ndarray:
 def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     """Recover all three workers' response-probability matrices.
 
-    Every failure (a pair sharing no task, a singular frequency matrix, a
-    negative spectrum, an eigensolver that does not converge, no usable
-    slices, a zero row sum in some V) raises EstimationFailure with a
-    reason code.
+    The same pass differentiates V against every count cell the recovery
+    reads, in the order of KaryJacobian.cells. Every failure (a pair
+    sharing no task, a singular frequency matrix, a negative spectrum, an
+    eigensolver that does not converge, no usable slices, a zero row sum in
+    some V) raises EstimationFailure with a reason code.
     """
-    rec = _recover(counts.counts, counts.arity)
+    k = counts.arity
+    patterns = ((1, 1, 1), *(p for p in PAIR_PATTERNS if counts.pattern_total(p) > 0))
+    cells = np.array([cell for pattern in patterns for cell in _pattern_cells(pattern, k)])
+    directions = np.zeros((len(cells), k + 1, k + 1, k + 1))
+    directions[(np.arange(len(cells)),) + tuple(cells.T)] = 1.0
+    rec = _recover(counts.counts, k, directions)
     v = rec.v
     sums = v.sum(axis=2, keepdims=True)
     if (np.abs(sums) < 1e-12).any():
@@ -424,11 +395,12 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     p = v / sums
     diagnostics = KaryDiagnostics(
         slice_failures=rec.slice_failures, max_imag=rec.max_imag,
-        rows_permuted=bool((rec.dest != np.arange(counts.arity)).any()),
+        rows_permuted=bool((rec.dest != np.arange(k)).any()),
         rows_sign_fixed=bool((rec.signs < 0).any()),
         clamped=bool(((p < 0.0) | (p > 1.0)).any()))
     return ResponseProbEstimate(p_matrices=p, selectivity=recover_selectivity(v[0]),
-                                diagnostics=diagnostics, counts=counts, recovery=rec)
+                                diagnostics=diagnostics, counts=counts, cells=cells,
+                                recovery=rec)
 
 
 def pattern_covariance(counts: CountsTensor, pattern: Sequence[int]) -> np.ndarray:
@@ -482,29 +454,19 @@ class KaryJacobian:
 
 
 def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
-    """Differentiate an estimate's spectral recovery against every cell it reads.
+    """The derivatives of an estimate's V against every cell it reads.
 
-    Those are the k^3 all-three-answered cells and the k^2 cells of each
-    pair pattern in PAIR_PATTERNS (tasks answered by exactly two workers,
-    which enter the pairwise frequency matrices); cells answered by one
-    worker are never read. The derivatives are in closed form and nothing
-    is recovered again: every cell's unit direction is pushed through the
-    differential of each step of the estimate's own recovery in one
-    batched pass. Pair patterns with no tasks are skipped.
+    The recovery took them in closed form, in the pass that recovered V
+    (see prob_estimate); this lays them out by cell and flags the cells
+    whose derivatives are not finite.
     """
-    counts, rec = estimate.counts, estimate.recovery
-    k = counts.arity
+    counts, k = estimate.counts, estimate.counts.arity
     pair_perturbed = np.array([counts.pattern_total(p) > 0 for p in PAIR_PATTERNS])
-    patterns = ((1, 1, 1), *(p for p, live in zip(PAIR_PATTERNS, pair_perturbed) if live))
-    cells = np.array([cell for pattern in patterns for cell in _pattern_cells(pattern, k)])
-    directions = np.zeros((len(cells), k + 1, k + 1, k + 1))
-    directions[(np.arange(len(cells)),) + tuple(cells.T)] = 1.0
-    with np.errstate(all="ignore"):
-        derivs = np.moveaxis(_differential(rec, directions), 0, -1)
+    derivs = np.moveaxis(estimate.recovery.dv, 0, -1)
     finite = np.isfinite(derivs).all(axis=(0, 1, 2))
     pair_usable = np.zeros((3, k, k), dtype=bool)
     pair_usable[pair_perturbed] = finite[k ** 3:].reshape(-1, k, k)
-    return KaryJacobian(cells=cells, derivs=derivs,
+    return KaryJacobian(cells=estimate.cells, derivs=derivs,
                         usable=finite[:k ** 3].reshape(k, k, k),
                         pair_usable=pair_usable, pair_perturbed=pair_perturbed)
 
@@ -513,7 +475,7 @@ def kary_deviations(estimate: ResponseProbEstimate) -> np.ndarray:
     """Linearized deviations of every entry of an estimate's P, as (3, k, k).
 
     The Jacobian of V against the all-three cells and the nonempty pair
-    patterns' cells differentiates the estimate's own recovery, is carried
+    patterns' cells, taken by the estimate's own recovery, is carried
     through P = V / rowsum(V), then contracted by matrix products with the
     multinomial covariance of those cells: each pattern's segment of the
     cell axis with that pattern's block (see pattern_covariance). An

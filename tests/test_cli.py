@@ -18,7 +18,7 @@ from crowdgauge.dataset import (
     GoldLabels, ResponseDataset, load_responses, write_responses_csv)
 from crowdgauge.errors import (
     REASON_EIGEN_NONCONVERGENCE, REASON_INSUFFICIENT_OVERLAP, REASON_LOW_AGREEMENT,
-    ResponseParseError)
+    LabelDomainError, ResponseParseError)
 from crowdgauge.simulate import (
     DENSITY_GRID, WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_binary_workers,
     gen_kary_responses, substream)
@@ -269,6 +269,17 @@ def test_evaluate_input_that_is_not_utf8_is_a_parse_error(tmp_path):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_evaluate_reads_files_that_start_with_a_byte_order_mark(tmp_path):
+    src, _, gold = binary_csv(tmp_path, n=600, seed=2)
+    gpath = gold_csv(tmp_path, gold)
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    assert run_cli("evaluate", "--input", src, "--output", plain, "--gold", gpath) == 0
+    for path in (src, gpath):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli("evaluate", "--input", src, "--output", marked, "--gold", gpath) == 0
+    assert marked.read_bytes() == plain.read_bytes()
+
+
 def test_evaluate_min_overlap_below_one_is_a_usage_error(tmp_path, capsys):
     # w4 shares tasks only with w1. With no overlap floor it would be
     # paired with w2, a worker it shares no task with.
@@ -302,6 +313,36 @@ def test_evaluate_non_binary_needs_label_map(tmp_path):
     assert rc == 0
     records = json.loads(out.read_text())
     assert len(records) == 3
+
+
+def test_evaluate_maps_gold_labels_through_the_label_map(tmp_path):
+    # five workers answer four labels, right with probability 0.8 and
+    # otherwise uniformly wrong; --map collapses 1,2 -> 1 and 3,4 -> 2, and
+    # the gold file is written in the input's labels
+    rng = np.random.default_rng(3)
+    truth = rng.integers(1, 5, size=400)
+    wrong = (truth + rng.integers(1, 4, size=(5, 400)) - 1) % 4 + 1
+    matrix = np.where(rng.random((5, 400)) < 0.8, truth, wrong)
+    ds = ResponseDataset.from_matrix(matrix, arity=4)
+    src = tmp_path / "four.csv"
+    src.write_text(write_responses_csv(ds))
+    lut = np.array([0, 1, 1, 2, 2])
+    out = tmp_path / "o.json"
+    # all the gold tasks, then only those whose truth is 1 or 2, labels the
+    # binary data also has
+    for tasks in (np.arange(400), np.flatnonzero(truth <= 2)):
+        gpath = gold_csv(tmp_path, GoldLabels({ds.tasks[j]: int(truth[j]) for j in tasks}))
+        assert run_cli("evaluate", "--input", src, "--output", out, "--gold", gpath,
+                       "--map", "1:1,2:1,3:2,4:2") == 0
+        records = json.loads(out.read_text())
+        for record, row in zip(records, matrix):
+            rate = float(np.mean(lut[row[tasks]] != lut[truth[tasks]]))
+            assert record["proxy_error_rate"] == float(format(rate, ".9g"))
+            assert record["proxy_error_rate"] < 0.25
+    # a gold label the table lacks is a data error
+    gpath = gold_csv(tmp_path, GoldLabels({ds.tasks[0]: 5}))
+    assert_refused(LabelDomainError, 2, "evaluate", "--input", src, "--output", out,
+                   "--gold", gpath, "--map", "1:1,2:1,3:2,4:2")
 
 
 def test_label_map_parsing():

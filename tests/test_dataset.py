@@ -115,6 +115,31 @@ def test_load_csv_bytes_that_are_not_utf8():
         load_responses(b"task_id,worker_id,response\nt1,w\xe9,1\n")
 
 
+BOM = "\ufeff"  # spreadsheet tools often start a UTF-8 file with it
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_load_responses_ignores_one_leading_byte_order_mark(fmt, encode):
+    text = BASIC_CSV if fmt == "csv" else json.dumps(
+        [{"task": t, "worker": w, "response": r} for t, w, r in
+         load_responses(BASIC_CSV).iter_responses()])
+    plain = load_responses(text, fmt)
+    ds = load_responses(encode(BOM + text), fmt)
+    assert (ds.workers, ds.tasks, ds.arity) == (plain.workers, plain.tasks, plain.arity)
+    assert np.array_equal(ds.matrix, plain.matrix)
+    with pytest.raises(ResponseParseError):
+        load_responses(encode(BOM + BOM + text), fmt)
+
+
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_load_gold_ignores_one_leading_byte_order_mark(encode):
+    assert load_gold(encode(BOM + "task_id,response\nt1,1\nt2,2\n")).labels == {
+        "t1": 1, "t2": 2}
+    with pytest.raises(GoldLabelError, match="expected header"):
+        load_gold(encode(BOM + BOM + "task_id,response\nt1,1\n"))
+
+
 def test_load_json_basic():
     records = [
         {"task": "t1", "worker": "w1", "response": 1},
@@ -547,6 +572,15 @@ def test_reduce_arity_rejects_keys_outside_the_arity_and_non_integer_values():
         with pytest.raises(LabelDomainError, match="non-integer"):
             reduce_arity(ds, {1: 1, 2: value})
     assert reduce_arity(ds, {1: np.int64(5), 2: 3}).matrix.tolist() == [[2, 1]]
+
+
+def test_gold_relabel_follows_reduce_arity():
+    mapping = {1: 3, 2: 3, 3: 7, 4: 7}
+    ds = reduce_arity(ResponseDataset.from_matrix(np.array([[1, 2, 3, 4]]), arity=4), mapping)
+    gold = GoldLabels({task: label for task, label in zip(ds.tasks, (1, 2, 3, 4))})
+    assert list(gold.relabel(mapping).labels.values()) == ds.matrix[0].tolist() == [1, 1, 2, 2]
+    with pytest.raises(LabelDomainError, match=r"gold labels \[4\] are not mapped"):
+        GoldLabels({"t1": 4}).relabel({1: 1, 2: 1, 3: 2})
 
 
 def test_reduce_arity_may_leave_out_unobserved_label():

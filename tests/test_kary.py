@@ -78,8 +78,14 @@ def sample_counts(matrices, selectivity, n, rng):
 
 
 def frequency_matrices(counts):
-    """The pairwise frequency matrices (r12, r23, r31) the recovery reads."""
-    return _recover(counts.counts, counts.arity).freqs
+    """The pairwise frequency matrices (r12, r23, r31) the recovery reads.
+
+    Runs the recovery first, so counts it refuses raise its failure.
+    """
+    tensor = counts.counts
+    _recover(tensor, counts.arity, np.zeros((0,) + tensor.shape))
+    matrices, totals = kary._pair_counts(tensor)
+    return tuple(c / total for c, total in zip(matrices, totals))
 
 
 def scaled_truth(matrices, selectivity):
@@ -522,13 +528,14 @@ def central_differences(counts, eps):
     an empty cell shifted by -eps is no valid CountsTensor.
     """
     k = counts.arity
+    no_directions = np.zeros((0,) + counts.counts.shape)
     columns = []
     for cell in oracle_cells(counts):
         tensor = counts.counts.copy()
         tensor[cell] += eps
-        plus = _recover(tensor, k).v
+        plus = _recover(tensor, k, no_directions).v
         tensor[cell] -= 2 * eps
-        columns.append((plus - _recover(tensor, k).v) / (2 * eps))
+        columns.append((plus - _recover(tensor, k, no_directions).v) / (2 * eps))
     return np.stack(columns, axis=-1)
 
 
@@ -662,14 +669,13 @@ def test_non_finite_derivatives_fail_the_report(monkeypatch):
     # a derivative that overflows marks its cell unusable, and the report
     # fails with the Jacobian reason instead of printing a NaN interval
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
-    differential = kary._differential
 
-    def overflowing(rec, directions):
-        dv = differential(rec, directions)
-        dv[-1, 0, 0, 0] = np.inf
-        return dv
+    def overflowing(tensor, k, directions):
+        rec = _recover(tensor, k, directions)
+        rec.dv[-1, 0, 0, 0] = np.inf
+        return rec
 
-    monkeypatch.setattr(kary, "_differential", overflowing)
+    monkeypatch.setattr(kary, "_recover", overflowing)
     jac = numerical_jacobian(prob_estimate(counts))
     assert jac.usable.all()
     assert (~jac.pair_usable[jac.pair_perturbed]).sum() == 1
@@ -761,9 +767,9 @@ def test_one_recovery_per_triple(monkeypatch):
     counts = expected_counts(ARITY3, (0.2, 0.5, 0.3), densities=(0.9, 0.8, 0.7))
     calls = []
 
-    def spy(tensor, k):
+    def spy(tensor, k, directions):
         calls.append(k)
-        return _recover(tensor, k)
+        return _recover(tensor, k, directions)
 
     monkeypatch.setattr(kary, "_recover", spy)
     kary_deviations(prob_estimate(counts))

@@ -41,3 +41,28 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_module_level_name_is_used():
+    # A function, class or constant defined at module level must be read
+    # somewhere in the package, or be exported in __all__.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(crowdgauge.__file__).parent.glob("*.py"))}
+    used = set(crowdgauge.__all__)
+    for tree in trees.values():
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno}: {d}" for d in defined
+                     if d not in used and not (d.startswith("__") and d.endswith("__"))]
+    assert dead == []
