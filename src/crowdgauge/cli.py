@@ -43,7 +43,6 @@ from .kary import build_counts, kary_confidence_intervals
 from .simulate import (
     CONFIDENCE_GRID,
     DENSITY_GRID,
-    ExperimentResult,
     SimConfig,
     compare_weighting,
     result_to_csv,
@@ -288,6 +287,10 @@ def _parse_density(raw) -> float | str:
 
 
 def cmd_simulate(args) -> int:
+    output = Path(args.output)
+    writer = {".csv": result_to_csv, ".json": result_to_json}.get(output.suffix.lower())
+    if writer is None:
+        raise UsageError(f"--output must end in .csv or .json, got {output.name!r}")
     defaults, takes, runner = _EXPERIMENTS[args.experiment]
     for flag in ("arity", "weighting"):
         if getattr(args, flag) is not None and flag not in takes:
@@ -303,20 +306,10 @@ def cmd_simulate(args) -> int:
         result = runner(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_result(result, Path(args.output))
+    _atomic_write(output, writer(result))
     print(f"wrote {args.output}: {len(result.rows)} rows "
           f"({result.experiment}, seed {args.seed})")
     return 0
-
-
-def _write_result(result: ExperimentResult, path: Path) -> None:
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        _atomic_write(path, result_to_json(result))
-    elif suffix == ".csv":
-        _atomic_write(path, result_to_csv(result))
-    else:
-        raise UsageError(f"--output must end in .csv or .json, got {path.name!r}")
 
 
 # -- prune -------------------------------------------------------------------

@@ -132,10 +132,14 @@ class ResponseDataset:
         tasks: dict[str, int] = {}
         workers: dict[str, int] = {}
         task_codes, worker_codes, labels = array("q"), array("q"), array("q")
-        for task, worker, label in records:
-            task_codes.append(tasks.setdefault(task, len(tasks)))
-            worker_codes.append(workers.setdefault(worker, len(workers)))
-            labels.append(int(label))
+        try:
+            for task, worker, label in records:
+                task_codes.append(tasks.setdefault(task, len(tasks)))
+                worker_codes.append(workers.setdefault(worker, len(workers)))
+                labels.append(int(label))
+        except OverflowError:
+            raise LabelDomainError(
+                f"element {len(labels)}: label {label} is too large") from None
         if not labels:
             raise EmptyDatasetError("no responses provided")
         return ResponseDataset._from_codes(tuple(tasks), tuple(workers), task_codes,
@@ -388,6 +392,9 @@ def _load_csv(text: str) -> ResponseDataset:
             labels.append(label)
     except csv.Error as exc:
         raise ResponseParseError(f"malformed CSV: {exc}", reader.line_num) from None
+    except OverflowError:
+        raise LabelDomainError(
+            f"line {reader.line_num}: label {label} is too large") from None
     if not header_seen:
         raise ResponseParseError("missing header row")
     if not labels:

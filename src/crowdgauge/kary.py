@@ -11,17 +11,17 @@ stack, the selectivity, one `KaryDiagnostics` record that the interval
 report passes on unchanged, and V1..V3 with their derivatives against the
 counts. That P is the one the interval report and the simulator use.
 
-Entrywise confidence intervals for P_w follow from the delta method: the
-closed-form Jacobian of V against every count cell the recovery reads (the
-all-three-answered cells and the cells answered by exactly two workers),
-carried through the row normalization, and contracted with the multinomial
-covariance of the counts within each attempt pattern. The recovery
-differentiates each of its steps in the same pass that computes it: the
-frequency matrices, the inversions, the Gram square root, the slice
-eigensystems and the slice average. A triple is recovered once, by
-`prob_estimate`; `kary_deviations(estimate)` contracts that recovery's
-derivatives with the covariance, reading P and the row sums from the
-estimate.
+Entrywise confidence intervals for P_w follow from the delta method. The
+recovery differentiates each of its steps in the same pass that computes
+it (the frequency matrices, the inversions, the Gram square root, the
+slice eigensystems and the slice average), which gives the closed-form
+Jacobian of V against every count cell it reads: the all-three-answered
+cells and the cells answered by exactly two workers. A triple is recovered
+once, by `prob_estimate`. `kary_deviations(estimate)` carries that
+Jacobian through the row normalization to a gradient g and contracts it
+with the multinomial covariance of each attempt pattern's counts N in
+closed form: g^T (diag N - N N^T / n) g = sum N g^2 - (sum N g)^2 / n,
+for a pattern of n tasks.
 
 Every way a triple can fail, a pair that shares no task included, raises
 EstimationFailure with one of the REASON_* codes of `errors`, and
@@ -114,14 +114,9 @@ class CountsTensor:
 
         `pattern` has three 0/1 entries, one per worker position.
         """
-        return float(np.sum(self.counts[_pattern_index(pattern)]))
-
-
-def _pattern_index(pattern: Sequence[int]) -> tuple:
-    """Index selecting a pattern's cells: labels 1..k where flagged, else 0."""
-    if len(pattern) != 3 or not all(p in (0, 1) for p in pattern):
-        raise ValueError(f"pattern must be three 0/1 flags, got {pattern!r}")
-    return tuple(slice(1, None) if p else 0 for p in pattern)
+        if len(pattern) != 3 or not all(p in (0, 1) for p in pattern):
+            raise ValueError(f"pattern must be three 0/1 flags, got {pattern!r}")
+        return float(np.sum(self.counts[tuple(slice(1, None) if p else 0 for p in pattern)]))
 
 
 def _pattern_cells(pattern: Sequence[int], k: int) -> list[tuple[int, int, int]]:
@@ -403,32 +398,6 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
                                 recovery=rec)
 
 
-def pattern_covariance(counts: CountsTensor, pattern: Sequence[int]) -> np.ndarray:
-    """Covariance of one attempt pattern's count cells, row-major.
-
-    Cells with different attempt patterns (which worker positions are
-    nonzero) are uncorrelated, so the covariance of every cell is
-    block-diagonal with one such block per pattern. Within one pattern the
-    cells split that pattern's task total n multinomially:
-
-        Var(N_a)        = N_a (n - N_a) / n
-        Cov(N_a, N_b)   = -N_a N_b / n      (a != b)
-
-    The cells carry labels 1..k at the flagged positions and 0 elsewhere,
-    so a two-worker pattern gives a k^2 x k^2 block. A pattern whose total
-    is zero has zero covariance. The interval pipeline contracts the
-    all-three block and the three pair-only blocks of PAIR_PATTERNS, the
-    cells the spectral recovery reads.
-    """
-    cells = counts.counts[_pattern_index(pattern)].reshape(-1)
-    total = counts.pattern_total(pattern)
-    if total <= 0:
-        return np.zeros((cells.size, cells.size))
-    block = -np.outer(cells, cells) / total
-    block[np.diag_indices_from(block)] = cells * (total - cells) / total
-    return block
-
-
 @dataclass(frozen=True, eq=False)
 class KaryJacobian:
     """Derivatives of the scaled matrices V1..V3 against the count cells.
@@ -460,8 +429,9 @@ def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
     (see prob_estimate); this lays them out by cell and flags the cells
     whose derivatives are not finite.
     """
-    counts, k = estimate.counts, estimate.counts.arity
-    pair_perturbed = np.array([counts.pattern_total(p) > 0 for p in PAIR_PATTERNS])
+    k = estimate.counts.arity
+    patterns = estimate.cells > 0
+    pair_perturbed = (patterns[:, None] == PAIR_PATTERNS).all(axis=2).any(axis=0)
     derivs = np.moveaxis(estimate.recovery.dv, 0, -1)
     finite = np.isfinite(derivs).all(axis=(0, 1, 2))
     pair_usable = np.zeros((3, k, k), dtype=bool)
@@ -474,31 +444,35 @@ def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
 def kary_deviations(estimate: ResponseProbEstimate) -> np.ndarray:
     """Linearized deviations of every entry of an estimate's P, as (3, k, k).
 
-    The Jacobian of V against the all-three cells and the nonempty pair
-    patterns' cells, taken by the estimate's own recovery, is carried
-    through P = V / rowsum(V), then contracted by matrix products with the
-    multinomial covariance of those cells: each pattern's segment of the
-    cell axis with that pattern's block (see pattern_covariance). An
-    interval at any level is P +- z * deviation. A derivative that is not
-    finite raises EstimationFailure(REASON_JACOBIAN_FAILURE).
+    The Jacobian of V against the estimate's cells, taken by its own
+    recovery, is carried through P = V / rowsum(V) to a gradient g over
+    the cells. Cells of different attempt patterns are uncorrelated, and
+    within one pattern the counts N split its n tasks multinomially, with
+    covariance diag(N) - N N^T / n. So each pattern adds
+
+        g^T (diag(N) - N N^T / n) g = sum_c N_c g_c^2 - (sum_c N_c g_c)^2 / n
+
+    over its contiguous run of cells, and nothing if n is 0. An interval at
+    any level is P +- z * deviation. A derivative that is not finite raises
+    EstimationFailure(REASON_JACOBIAN_FAILURE).
     """
     jac = numerical_jacobian(estimate)
     bad = int((~jac.usable).sum() + (~jac.pair_usable[jac.pair_perturbed]).sum())
     if bad:
         raise EstimationFailure(
             REASON_JACOBIAN_FAILURE, f"{bad} count cells have non-finite derivatives")
-    counts, p = estimate.counts, estimate.p_matrices
+    p, dv, k = estimate.p_matrices, jac.derivs, estimate.counts.arity
     row_sums = estimate.recovery.v.sum(axis=2, keepdims=True)
-    variances = np.zeros(p.shape)
-    pairs = (pair for pair, live in zip(PAIR_PATTERNS, jac.pair_perturbed) if live)
-    start = 0
-    for pattern in ((1, 1, 1), *pairs):
-        block = pattern_covariance(counts, pattern)
-        dv = jac.derivs[..., start:start + len(block)]
-        start += len(block)
-        # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
-        grads = (dv - p[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
-        variances += ((grads @ block) * grads).sum(axis=-1)
+    # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
+    grads = (dv - p[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
+    cell_counts = estimate.counts.counts[tuple(jac.cells.T)]
+    # The k^3 all-three cells, then k^2 cells per nonempty pair pattern.
+    starts = np.r_[0, k ** 3:len(cell_counts):k ** 2]
+    totals = np.add.reduceat(cell_counts, starts)
+    weighted = cell_counts * grads
+    variances = (np.add.reduceat(weighted * grads, starts, axis=-1)
+                 - np.add.reduceat(weighted, starts, axis=-1) ** 2
+                 / np.where(totals > 0, totals, 1.0)).sum(axis=-1)
     return np.sqrt(np.clip(variances, 0.0, None))
 
 

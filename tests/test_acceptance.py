@@ -9,6 +9,7 @@ takes several minutes.
 
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from crowdgauge.binary import (
     f_derivatives,
 )
 from crowdgauge.dataset import prune_spammers
-from crowdgauge.kary import CountsTensor, _pattern_cells, pattern_covariance, prob_estimate
+from crowdgauge.kary import (
+    CountsTensor,
+    KaryDiagnostics,
+    ResponseProbEstimate,
+    _Recovery,
+    kary_deviations,
+    prob_estimate,
+)
 from crowdgauge.numerics import normal_quantile, optimal_weights
 from crowdgauge.simulate import (
     DENSITY_GRID,
@@ -294,13 +302,25 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
         tensor[cell] = n2 * prob
     counts = CountsTensor(2, tensor)
 
+    # The cells kary_deviations contracts for this tensor: the all-three
+    # ones, then those of its one nonempty pair pattern, each row-major.
+    layout = list(product((1, 2), repeat=3)) + [(a, b, 0) for a, b in product((1, 2), repeat=2)]
+    v = np.stack([np.eye(2)] * 3)
+
     def covariance(a, b):
-        pattern = tuple(int(x > 0) for x in a)
-        if pattern != tuple(int(x > 0) for x in b):
-            return 0.0
-        pattern_cells = _pattern_cells(pattern, 2)
-        return pattern_covariance(counts, pattern)[pattern_cells.index(a),
-                                                   pattern_cells.index(b)]
+        # Cov(N_a, N_b) as kary_deviations contracts it. With V = I the
+        # gradient of an off-diagonal P(0, i, j) is dV(0, i, j), so P(0, 0, 1)
+        # varies as N_a + N_b, P(0, 1, 0) as N_a - N_b, and the difference
+        # of their variances is 4 Cov(N_a, N_b).
+        dv = np.zeros((len(layout), 3, 2, 2))
+        dv[layout.index(a), 0] += [[0.0, 1.0], [1.0, 0.0]]
+        dv[layout.index(b), 0] += [[0.0, 1.0], [-1.0, 0.0]]
+        recovery = _Recovery(v=v, dv=dv, slice_failures=(), max_imag=0.0,
+                             signs=np.ones((1, 2)), dest=np.arange(2)[None])
+        dev = kary_deviations(ResponseProbEstimate(
+            p_matrices=v, selectivity=np.full(2, 0.5), diagnostics=KaryDiagnostics(),
+            counts=counts, cells=np.array(layout), recovery=recovery))[0]
+        return (dev[0, 1] ** 2 - dev[1, 0] ** 2) / 4
 
     samples = np.hstack([rng.multinomial(n3, probs3, size=draws),
                          rng.multinomial(n2, probs2, size=draws)]).astype(float)

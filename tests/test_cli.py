@@ -223,6 +223,20 @@ def test_evaluate_refuses_json_ids_that_are_not_strings_or_integers(tmp_path, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evaluate_refuses_labels_past_64_bits(tmp_path, fmt):
+    huge = 99999999999999999999
+    src = tmp_path / f"responses.{fmt}"
+    if fmt == "csv":
+        src.write_text(f"task_id,worker_id,response\nt1,w1,1\nt1,w2,{huge}\n")
+    else:
+        src.write_text(json.dumps([{"task": "t1", "worker": "w1", "response": 1},
+                                   {"task": "t1", "worker": "w2", "response": huge}]))
+    out = tmp_path / "o.json"
+    assert_refused(LabelDomainError, 2, "evaluate", "--input", src, "--output", out)
+    assert not out.exists()
+
+
 def sparse_world_csv(tmp_path, rep):
     """A sparse world (n=100, m=7, d=0.25) drawn as the simulator draws
     replication `rep` of seed 11, written as CSV."""
@@ -607,10 +621,17 @@ def test_simulate_fast_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_simulate_usage_errors(tmp_path):
+def test_simulate_usage_errors(tmp_path, monkeypatch):
     out = tmp_path / "o.txt"
     assert run_cli("simulate", "nosuch", "--output", tmp_path / "o.csv") == 1
-    assert run_cli("simulate", "coverage", "--reps", "1", "--output", out) == 1
+    # an output suffix other than .csv or .json is refused before any run
+    runs = []
+    for name in ("coverage", "kary-size"):
+        defaults, takes, runner = cli._EXPERIMENTS[name]
+        monkeypatch.setitem(cli._EXPERIMENTS, name, (
+            defaults, takes, lambda cfg, runner=runner: runs.append(cfg) or runner(cfg)))
+        assert run_cli("simulate", name, "--reps", "1", "--n", "60", "--output", out) == 1
+    assert runs == [] and not out.exists()
     assert run_cli("simulate", "coverage", "--reps", "0",
                    "--output", tmp_path / "o.csv") == 1
     assert run_cli("simulate", "coverage", "--d", "steep",

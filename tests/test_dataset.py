@@ -233,6 +233,26 @@ def test_from_matrix_rejects_labels_the_int32_copy_would_change():
     assert ds.matrix.tolist() == [[1, 2], [2, 0]]
 
 
+def test_labels_past_64_bits_are_refused_by_every_loader():
+    # 2**63 and up overflow the int64 label column: a LabelDomainError
+    # naming the line or element, as for labels past int32, not an
+    # OverflowError
+    huge = 99999999999999999999
+    with pytest.raises(LabelDomainError) as info:
+        load_responses(f"task_id,worker_id,response\nt1,w1,1\nt2,w1,{huge}\n")
+    assert str(info.value) == f"line 3: label {huge} is too large"
+    records = [{"task": "t1", "worker": "w1", "response": 1},
+               {"task": "t2", "worker": "w1", "response": 2 ** 63}]
+    with pytest.raises(LabelDomainError) as info:
+        load_responses(json.dumps(records), fmt="json")
+    assert str(info.value) == f"element 1: label {2 ** 63} is too large"
+    with pytest.raises(LabelDomainError) as info:
+        ResponseDataset.from_records([("t1", "w1", 1), ("t2", "w1", 2), ("t3", "w1", huge)])
+    assert str(info.value) == f"element 2: label {huge} is too large"
+    with pytest.raises(LabelDomainError, match=f"label {2 ** 63 - 1} is too large"):
+        ResponseDataset.from_records([("t1", "w1", 2 ** 63 - 1)])
+
+
 def test_matrix_is_read_only():
     ds = load_responses(BASIC_CSV)
     with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from crowdgauge.kary import (
     kary_confidence_intervals,
     kary_deviations,
     numerical_jacobian,
-    pattern_covariance,
     prob_estimate,
     recover_selectivity,
 )
@@ -388,7 +387,8 @@ def hand_covariance_tensor():
 
 
 def scalar_covariance(counts, cell_a, cell_b):
-    """Multinomial covariance of two count cells, the oracle for pattern_covariance."""
+    """Multinomial covariance of two count cells, the oracle for the
+    contraction in kary_deviations."""
     pattern = tuple(int(x > 0) for x in cell_a)
     if pattern != tuple(int(x > 0) for x in cell_b):
         return 0.0
@@ -401,62 +401,120 @@ def scalar_covariance(counts, cell_a, cell_b):
     return -count_a * float(counts.counts[tuple(cell_b)]) / total
 
 
+def covariance_block(counts, cells):
+    """Covariance matrix of the count cells `cells`, entry by entry."""
+    return np.array([[scalar_covariance(counts, a, b) for b in cells] for a in cells])
+
+
+def hand_estimate(counts, dv, v=None):
+    """An estimate of `counts` with scaled matrices v (three identities by
+    default) and derivatives dv, one (3, k, k) slice per cell of
+    oracle_cells(counts), for driving kary_deviations without a recovery.
+
+    With V = I, P = I and the gradient of an off-diagonal P(w, i, j) over
+    the cells is dv[:, w, i, j] itself.
+    """
+    k = counts.arity
+    v = np.stack([np.eye(k)] * 3) if v is None else v
+    recovery = kary._Recovery(v=v, dv=dv, slice_failures=(), max_imag=0.0,
+                              signs=np.ones((1, k)), dest=np.arange(k)[None])
+    return kary.ResponseProbEstimate(
+        p_matrices=v / v.sum(axis=2, keepdims=True), selectivity=np.full(k, 1.0 / k),
+        diagnostics=kary.KaryDiagnostics(), counts=counts,
+        cells=np.array(oracle_cells(counts)), recovery=recovery)
+
+
 def test_counts_covariance_hand_values():
-    # row-major cells: (1, 1, 1) is index 0 and (1, 1, 2) index 1 of the
-    # all-three block; (1, 1, 0) is 0 and (2, 1, 0) is 2 of the 1+2 block
+    # with V = I the deviation of an off-diagonal P(w, i, j) is sqrt(g' C g)
+    # for g = dV(w, i, j): Var N111 = 30 * 70 / 100 = 21, Cov(N111, N112) =
+    # -30 * 10 / 100 = -3, Var N112 = 9 and Var N110 = 20 * 5 / 25 = 4;
+    # N110 + N210 is the whole 1+2 pattern total, so it does not vary
     counts = hand_covariance_tensor()
-    attempted = pattern_covariance(counts, (1, 1, 1))
-    assert attempted[0, 0] == pytest.approx(21.0)
-    assert attempted[0, 1] == pytest.approx(-3.0)
-    assert attempted[1, 0] == pytest.approx(-3.0)
-    pair = pattern_covariance(counts, (1, 1, 0))
-    assert pair[0, 0] == pytest.approx(20 * 5 / 25)
-    assert pair[0, 2] == pytest.approx(-20 * 5 / 25)
+    cells = oracle_cells(counts)
+    assert len(cells) == 8 + 4
+    dv = np.zeros((len(cells), 3, 2, 2))
+    dv[cells.index((1, 1, 1)), 0, 0, 1] = 1.0
+    dv[[cells.index((1, 1, 1)), cells.index((1, 1, 2))], 1, 0, 1] = 1.0
+    dv[cells.index((1, 1, 0)), 2, 0, 1] = 1.0
+    dv[[cells.index((1, 1, 0)), cells.index((2, 1, 0))], 2, 1, 0] = 1.0
+    devs = kary_deviations(hand_estimate(counts, dv))
+    assert devs[0, 0, 1] ** 2 == pytest.approx(21.0)
+    assert devs[1, 0, 1] ** 2 == pytest.approx(21.0 - 2 * 3.0 + 9.0)
+    assert devs[2, 0, 1] ** 2 == pytest.approx(20 * 5 / 25)
+    assert devs[2, 1, 0] == pytest.approx(0.0, abs=1e-7)
+    assert scalar_covariance(counts, (1, 1, 1), (1, 1, 2)) == pytest.approx(-3.0)
+    assert scalar_covariance(counts, (1, 1, 0), (2, 1, 0)) == pytest.approx(-20 * 5 / 25)
 
 
 def test_counts_covariance_rejects_bad_cells():
     # a pattern selects cells by three 0/1 flags; anything else is refused
     counts = hand_covariance_tensor()
     with pytest.raises(ValueError):
-        pattern_covariance(counts, (2, 1, 1))
+        counts.pattern_total((2, 1, 1))
     with pytest.raises(ValueError):
-        pattern_covariance(counts, (1, 1))
+        counts.pattern_total((1, 1))
+
+
+def random_derivatives(counts, live, seed):
+    """Normal derivatives on the cells of oracle_cells(counts) where `live`
+    holds for the cell's pattern, zero elsewhere."""
+    cells = oracle_cells(counts)
+    dv = np.random.default_rng(seed).normal(size=(len(cells), 3, counts.arity, counts.arity))
+    dv[[not live(tuple(int(x > 0) for x in cell)) for cell in cells]] = 0.0
+    return dv
 
 
 def test_attempted_block_matches_scalar_covariances():
+    # derivatives on the all-three cells only, under a V that is no
+    # identity: the closed form equals g' C g over the all-three block
     counts = hand_covariance_tensor()
-    block = pattern_covariance(counts, (1, 1, 1))
-    cells = list(product((1, 2), repeat=3))
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            assert block[i, j] == pytest.approx(scalar_covariance(counts, a, b), abs=1e-12)
+    dv = random_derivatives(counts, lambda pattern: pattern == (1, 1, 1), 91)
+    v = np.random.default_rng(92).uniform(0.2, 1.0, size=(3, 2, 2))
+    est = hand_estimate(counts, dv, v)
+    expected, _ = einsum_deviations(est)
+    np.testing.assert_allclose(kary_deviations(est), expected, rtol=1e-12, atol=0.0)
 
 
 def test_pattern_block_matches_scalar_covariances():
+    # derivatives on the 1+2 pair cells only
     counts = hand_covariance_tensor()
-    block = pattern_covariance(counts, (1, 1, 0))
-    cells = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
-    assert block.shape == (4, 4)
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            assert block[i, j] == pytest.approx(scalar_covariance(counts, a, b), abs=1e-12)
+    dv = random_derivatives(counts, lambda pattern: pattern == (1, 1, 0), 93)
+    v = np.random.default_rng(94).uniform(0.2, 1.0, size=(3, 2, 2))
+    est = hand_estimate(counts, dv, v)
+    expected, jac = einsum_deviations(est)
+    assert jac.pair_perturbed.tolist() == [True, False, False]
+    np.testing.assert_allclose(kary_deviations(est), expected, rtol=1e-12, atol=0.0)
 
 
 def test_counts_covariance_degenerate_pattern():
-    # (0, 1, 1) holds no tasks in the hand tensor, so its block is zero
-    counts = hand_covariance_tensor()
-    assert counts.pattern_total((0, 1, 1)) == 0
-    block = pattern_covariance(counts, (0, 1, 1))
-    assert block.shape == (4, 4)
-    assert not block.any()
+    # the all-three pattern holds no tasks here, so its cells carry no
+    # variance: the deviations are finite and the pair cells' alone
+    tensor = np.zeros((3, 3, 3))
+    tensor[1, 1, 0] = 20.0
+    tensor[2, 1, 0] = 5.0
+    counts = CountsTensor(2, tensor)
+    assert counts.pattern_total((1, 1, 1)) == 0
+    dv = random_derivatives(counts, lambda pattern: True, 95)
+    devs = kary_deviations(hand_estimate(counts, dv))
+    assert np.isfinite(devs).all() and devs.any()
+    dv[:8] = 0.0
+    np.testing.assert_array_equal(devs, kary_deviations(hand_estimate(counts, dv)))
+    np.testing.assert_allclose(devs, einsum_deviations(hand_estimate(counts, dv))[0],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_pattern_block_empty_pattern_is_zero():
-    # (1, 0, 1) holds no tasks in the hand tensor
-    counts = hand_covariance_tensor()
-    block = pattern_covariance(counts, (1, 0, 1))
-    assert block.shape == (4, 4)
-    assert not block.any()
+    # worker 1 and 2 answer every task, so the 2+3 and 3+1 patterns hold no
+    # tasks: the estimate reads none of their cells, and the delta method
+    # over all four patterns, whose empty blocks are zero, agrees with it
+    counts = expected_counts(ARITY2, (0.4, 0.6), n=2000.0, densities=(1.0, 1.0, 0.7))
+    assert counts.pattern_total((0, 1, 1)) == counts.pattern_total((1, 0, 1)) == 0
+    est = prob_estimate(counts)
+    assert ((est.cells > 0) == (1, 1, 0)).all(axis=1).sum() == 4
+    assert len(est.cells) == 8 + 4
+    devs = kary_deviations(est)
+    expected = delta_method_deviations(counts, 0.01)
+    assert np.abs(devs - expected).max() < 1e-6 * expected.max()
 
 
 def test_counts_covariances_match_multinomial_draws():
@@ -479,11 +537,7 @@ def test_counts_covariances_match_multinomial_draws():
     counts = CountsTensor(2, tensor)
 
     def covariance(a, b):
-        pattern = tuple(int(x > 0) for x in a)
-        if pattern != tuple(int(x > 0) for x in b):
-            return 0.0
-        cells = _pattern_cells(pattern, 2)
-        return pattern_covariance(counts, pattern)[cells.index(a), cells.index(b)]
+        return scalar_covariance(counts, a, b)
 
     cells3 = list(product((1, 2), repeat=3))
     cells2 = [(a, b, 0) for a, b in product((1, 2), repeat=2)]
@@ -697,6 +751,33 @@ def test_kary_deviations_normalized():
     assert (devs >= 0).all()
 
 
+def delta_method_deviations(counts, eps):
+    """sqrt(g' C g) for the central-difference gradient g of the reported
+    P = V / rowsum(V), over every cell of all four attempt patterns, with
+    each pattern's block C built from scalar_covariance. Recovers the raw
+    shifted arrays, as central_differences does, since a cell of an empty
+    pattern shifted by -eps is no valid CountsTensor."""
+    k = counts.arity
+
+    def p_stack(tensor):
+        v = _recover(tensor, k, np.zeros((0,) + tensor.shape)).v
+        return v / v.sum(axis=2, keepdims=True)
+
+    variances = np.zeros((3, k, k))
+    for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
+        cells = _pattern_cells(pattern, k)
+        grads = np.empty((3, k, k, len(cells)))
+        for n, cell in enumerate(cells):
+            tensor = counts.counts.copy()
+            tensor[cell] += eps
+            plus = p_stack(tensor)
+            tensor[cell] -= 2 * eps
+            grads[..., n] = (plus - p_stack(tensor)) / (2 * eps)
+        block = covariance_block(counts, cells)
+        variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
+    return np.sqrt(variances)
+
+
 def test_kary_deviations_delta_method_on_p():
     # deviations are sqrt(g' C g) for the gradient g of the reported
     # P = V / rowsum(V), taken over every cell the recovery reads and
@@ -704,44 +785,25 @@ def test_kary_deviations_delta_method_on_p():
     counts = expected_counts(ARITY2, (0.4, 0.6), n=2000.0,
                              densities=(0.9, 0.8, 0.7))
     devs = kary_deviations(prob_estimate(counts))
-    eps = 0.01
-
-    def p_stack(tensor):
-        v = np.stack(prob_estimate(CountsTensor(2, tensor)).recovery.v)
-        return v / v.sum(axis=2, keepdims=True)
-
-    variances = np.zeros((3, 2, 2))
-    for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
-        axes = [(1, 2) if flag else (0,) for flag in pattern]
-        cells = list(product(*axes))
-        grads = np.empty((3, 2, 2, len(cells)))
-        for n, cell in enumerate(cells):
-            tensor = counts.counts.copy()
-            tensor[cell] += eps
-            plus = p_stack(tensor)
-            tensor[cell] -= 2 * eps
-            grads[..., n] = (plus - p_stack(tensor)) / (2 * eps)
-        block = pattern_covariance(counts, pattern)
-        variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
-    expected = np.sqrt(variances)
+    expected = delta_method_deviations(counts, 0.01)
     assert np.abs(devs - expected).max() < 1e-6 * expected.max()
 
 
-def einsum_deviations(counts):
+def einsum_deviations(est):
     """Reference deviations: the three-operand einsum over each pattern block,
-    whose columns are picked out of the Jacobian by their cells' pattern."""
-    est = prob_estimate(counts)
+    whose columns are picked out of the Jacobian by their cells' pattern and
+    whose entries come from scalar_covariance."""
     jac = numerical_jacobian(est)
-    k = counts.arity
+    k = est.counts.arity
     row_sums = est.recovery.v.sum(axis=2, keepdims=True)
     p_all = est.recovery.v / row_sums
     variances = np.zeros((3, k, k))
     for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
         columns = ((jac.cells > 0) == pattern).all(axis=1)
-        block = pattern_covariance(counts, pattern)
         if not columns.any():
-            assert not block.any()
+            assert est.counts.pattern_total(pattern) == 0
             continue
+        block = covariance_block(est.counts, [tuple(c) for c in jac.cells[columns]])
         dv = jac.derivs[..., columns]
         grads = (dv - p_all[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
@@ -749,17 +811,22 @@ def einsum_deviations(counts):
 
 
 def test_kary_deviations_match_the_einsum_contraction():
-    # the matrix-product contraction equals the einsum one to rounding, with
-    # the pair-only blocks in play at partial density
-    for k in (2, 3, 4):
-        for dens in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7)):
-            world = _gen_kary_with_matrices(WORKER_MATRIX_FIXTURES[f"arity{k}"], 3000,
-                                            list(dens), None, k)
-            counts = build_counts(world.dataset, world.dataset.workers)
-            expected, jac = einsum_deviations(counts)
-            assert jac.pair_perturbed.all() == (dens[0] < 1.0)
-            np.testing.assert_allclose(kary_deviations(prob_estimate(counts)), expected,
-                                       rtol=1e-12, atol=0.0, err_msg=str((k, dens)))
+    # the closed-form contraction equals the einsum one to rounding, with
+    # the pair-only blocks in play at partial density; the small k = 4
+    # world leaves some cells of its live patterns at zero count
+    worlds = [(k, 3000, dens) for k in (2, 3, 4)
+              for dens in ((1.0, 1.0, 1.0), (0.9, 0.8, 0.7))]
+    for k, n, dens in worlds + [(4, 300, (0.9, 0.8, 0.7))]:
+        world = _gen_kary_with_matrices(WORKER_MATRIX_FIXTURES[f"arity{k}"], n,
+                                        list(dens), None, k)
+        counts = build_counts(world.dataset, world.dataset.workers)
+        est = prob_estimate(counts)
+        expected, jac = einsum_deviations(est)
+        assert jac.pair_perturbed.all() == (dens[0] < 1.0)
+        if n == 300:
+            assert (counts.counts[tuple(jac.cells.T)] == 0).any()
+        np.testing.assert_allclose(kary_deviations(est), expected,
+                                   rtol=1e-12, atol=0.0, err_msg=str((k, n, dens)))
 
 
 def test_one_recovery_per_triple(monkeypatch):
