@@ -69,20 +69,23 @@ def _atomic_write(path: Path, text: str) -> None:
     """Write via a temp file of its own in the target directory, then rename.
 
     Concurrent writers of one path each rename a complete file; a failed
-    write removes its temp file.
+    write removes its temp file, and its OSError names `path`.
     """
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_input(path_str: str) -> tuple[str, str]:

@@ -5,11 +5,25 @@ A dataset is a partial map (worker, task) -> label in 1..arity, stored as a
 dense integer matrix with 0 marking "not attempted". Workers and tasks keep
 their first-appearance order from the source.
 
-CSV loading is one `csv.reader` pass that checks each row in file order and
-keeps three integers per response in `array` columns: a task code and a
-worker code (first-appearance indices) and the label. JSON input and
-`from_records` encode to the same columns. One vectorised step then drops
-identical duplicates, rejects conflicting ones and fills the matrix.
+CSV loading reads the rows up to the header (blank lines, `#` comments,
+`# arity=K`) with `csv.reader`. Then it takes one of two paths to three
+integers per response: a task code and a worker code (first-appearance
+indices) and the label.
+
+- A plain text is parsed from its UTF-8 bytes with numpy. It is plain
+  when it holds no `"`, no NUL and no carriage return except right before
+  a newline, and every line after the header is `task,worker,label`: ids
+  of printable ASCII other than the space, `"`, `#` and `,`, no longer
+  than `csv.field_size_limit()`, and a label of 1 to 18 ASCII digits
+  worth at least 1. The last line may lack its newline.
+- Any other text goes on through the same reader, which checks each row
+  in file order and keeps the codes in `array` columns. This loop stays:
+  it handles quoting, and it is the one source of CSV error messages. A
+  plain text gives the same dataset, or the same error, on either path.
+
+JSON input and `from_records` encode to the same columns. One vectorised
+step then drops identical duplicates, rejects conflicting ones and fills
+the matrix.
 
 Pairwise statistics live on the dataset as worker-indexed arrays, computed
 once on first use: `attempts` (also bit-packed), `pair_overlap` and
@@ -146,19 +160,19 @@ class ResponseDataset:
                                            worker_codes, labels, arity)
 
     @staticmethod
-    def _from_codes(tasks: tuple, workers: tuple, task_codes: array,
-                    worker_codes: array, labels: array,
+    def _from_codes(tasks: tuple, workers: tuple, task_codes, worker_codes, labels,
                     arity: int | None) -> "ResponseDataset":
-        """Build a dataset from per-response integer columns.
+        """Build a dataset from per-response integer columns (int64 arrays,
+        or `array("q")` columns, read in place).
 
         Response i gave `labels[i]` for task `tasks[task_codes[i]]` by worker
         `workers[worker_codes[i]]`. The first response in input order that
         has a label below 1, or a label other than the first one given for
         its (task, worker) key, raises; identical duplicates collapse.
         """
-        task_code = np.frombuffer(task_codes, dtype=np.int64)
-        worker_code = np.frombuffer(worker_codes, dtype=np.int64)
-        label = np.frombuffer(labels, dtype=np.int64)
+        task_code = np.asarray(task_codes, dtype=np.int64)
+        worker_code = np.asarray(worker_codes, dtype=np.int64)
+        label = np.asarray(labels, dtype=np.int64)
         _, first, key = np.unique(task_code * len(workers) + worker_code,
                                   return_index=True, return_inverse=True)
         first_label = label[first]
@@ -321,16 +335,16 @@ def _as_text(source) -> str:
     return data[1:] if data.startswith("\ufeff") else data
 
 
-def _csv_reader(text: str):
-    """A csv.reader over `text` that splits lines as io.StringIO(text) does.
+def _csv_reader(data: bytes):
+    """A csv.reader over UTF-8 `data` that splits lines as io.StringIO of
+    its text does.
 
-    It reads a UTF-8 copy of the text (one byte per ASCII character, where
-    StringIO keeps four); surrogatepass carries lone surrogates, which a
-    str may hold, through the copy unchanged.
+    Reading the UTF-8 bytes keeps one byte per ASCII character, where
+    StringIO keeps four; callers encode with surrogatepass, which carries
+    lone surrogates, which a str may hold, through unchanged.
     """
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return csv.reader(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass",
-                                       newline="\n"))
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                       errors="surrogatepass", newline="\n"))
 
 
 def load_responses(source, fmt: str = "csv") -> ResponseDataset:
@@ -351,12 +365,23 @@ def load_responses(source, fmt: str = "csv") -> ResponseDataset:
 
 
 def _load_csv(text: str) -> ResponseDataset:
-    reader = _csv_reader(text)
+    """Parse CSV response text.
+
+    A csv.reader reads the rows up to the header: blank lines, `#`
+    comments, and `# arity=K`, which may repeat but not change. If the text
+    is plain (see `_plain_rows`), its data rows are parsed from the bytes
+    in bulk. Otherwise the same reader goes on row by row. That loop stays
+    because it handles quoting and is the one source of CSV error messages;
+    a plain text gives the same dataset, or the same error, either way.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    reader = _csv_reader(data)
     declared_arity: int | None = None
     header_seen = False
     tasks: dict[str, int] = {}
     workers: dict[str, int] = {}
     task_codes, worker_codes, labels = array("q"), array("q"), array("q")
+    columns = None
     try:
         for row in reader:
             if not row:
@@ -364,7 +389,12 @@ def _load_csv(text: str) -> ResponseDataset:
             if row[0].lstrip().startswith("#"):
                 match = _ARITY_COMMENT.match(",".join(row).strip())
                 if match:
-                    declared_arity = int(match.group(1))
+                    arity = int(match.group(1))
+                    if declared_arity not in (None, arity):
+                        raise ResponseParseError(
+                            f"arity {arity} conflicts with arity {declared_arity} "
+                            "declared earlier", reader.line_num)
+                    declared_arity = arity
                 continue
             if not header_seen:
                 fields = [f.strip() for f in row]
@@ -373,6 +403,9 @@ def _load_csv(text: str) -> ResponseDataset:
                         f"expected header {','.join(_CSV_HEADER)!r}, got {','.join(fields)!r}",
                         reader.line_num)
                 header_seen = True
+                columns = _plain_rows(data, reader.line_num)
+                if columns is not None:
+                    break
                 continue
             if len(row) != 3:
                 raise ResponseParseError(f"expected 3 fields, got {len(row)}", reader.line_num)
@@ -395,12 +428,115 @@ def _load_csv(text: str) -> ResponseDataset:
     except OverflowError:
         raise LabelDomainError(
             f"line {reader.line_num}: label {label} is too large") from None
+    del reader, data  # the codes are sorted without the text's bytes
+    if columns is not None:
+        return ResponseDataset._from_codes(*columns, declared_arity)
     if not header_seen:
         raise ResponseParseError("missing header row")
     if not labels:
         raise EmptyDatasetError("no response rows found")
     return ResponseDataset._from_codes(tuple(tasks), tuple(workers), task_codes,
                                        worker_codes, labels, declared_arity)
+
+
+# The bytes of a plain data row: ',', '\n', and the bytes of its ids, which
+# are printable ASCII but the space, '"', '#' and ','.
+_PLAIN_BYTES = bytes(range(0x21, 0x7f)).translate(None, b'"#') + b"\n"
+# The separators that end the three fields of a row.
+_ROW_ENDS = np.frombuffer(b",,\n", dtype=np.uint8)
+# Labels of up to 18 digits fit in int64.
+_PLAIN_DIGITS = 18
+
+
+def _plain_rows(data: bytes, head_lines: int):
+    """The columns of the rows after the first `head_lines` lines of UTF-8
+    `data`, as `_from_codes` takes them before the arity, or None where
+    the text is not plain.
+
+    It is plain when it holds no quote, no NUL and no carriage return but
+    right before a newline, so that each row is one line, and each line
+    after the head is `task,worker,label`, the last one perhaps without a
+    newline: ids of printable ASCII but the space, '"', '#' and ',', no
+    longer than csv.field_size_limit(), and a label of 1 to 18 ASCII digits
+    worth at least 1. csv.reader splits such a row at its commas and finds
+    nothing to strip or refuse in it.
+
+    Positions are int32 where they fit, and the arrays of them are freed on
+    return, before `_from_codes` sorts the codes.
+    """
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = -1
+    for _ in range(head_lines):
+        start = data.find(b"\n", start + 1)
+    if start + 1 == len(data) or data[start + 1:].translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, offset=start + 1)
+    # Each row is three fields, which end at a ',', a ',' and a '\n'. Field
+    # i of the text runs from after bounds[i] to bounds[i + 1].
+    bounds = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    bounds = np.insert(bounds.astype(np.int32 if buf.size < 2 ** 31 else np.int64), 0, -1)
+    if bounds.size % 3 != 1 or not (buf[bounds[1:]].reshape(-1, 3) == _ROW_ENDS).all():
+        return None
+    gaps = np.diff(bounds)
+    if gaps.min() < 2 or gaps.max() > csv.field_size_limit() + 1:
+        return None  # an empty field, or one longer than csv.reader takes
+    del gaps
+    labels = _plain_labels(buf, *_plain_field(bounds, 2))
+    if labels is None:
+        return None
+    tasks, task_codes = _plain_ids(buf, *_plain_field(bounds, 0))
+    workers, worker_codes = _plain_ids(buf, *_plain_field(bounds, 1))
+    return tasks, workers, task_codes, worker_codes, labels
+
+
+def _plain_field(bounds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and lengths of field k of each plain row, whose fields
+    run from after bounds[i] to bounds[i + 1]."""
+    starts = bounds[k:-1:3] + 1
+    return starts, bounds[k + 1::3] - starts
+
+
+def _plain_labels(buf: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray | None:
+    """The labels at `starts` of `buf` (int64), or None unless each is 1 to
+    18 ASCII digits worth at least 1."""
+    if lengths.max() > _PLAIN_DIGITS:
+        return None
+    labels = np.zeros(starts.size, dtype=np.int64)
+    for j in range(int(lengths.max())):
+        has = lengths > j
+        digit = buf.take(starts + j, mode="clip") - ord("0")  # wraps below '0'
+        if (has & (digit > 9)).any():
+            return None
+        labels = np.where(has, labels * 10 + digit, labels)
+    return labels if labels.min() >= 1 else None
+
+
+def _plain_ids(buf: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ASCII ids at `starts` of `buf`, in order of first
+    appearance, and the index of each field's id among them (int64)."""
+    width = int(lengths.max())
+    keys = np.zeros((starts.size, -width % 8 + width), dtype=np.uint8)
+    for j in range(width):
+        keys[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
+    # NUL pads each id to whole 8-byte words, and no id holds one. Ids of
+    # one word compare as integers, which is faster.
+    padded = keys.view(f"S{keys.shape[1]}").ravel()
+    keys = padded.view(np.uint64) if keys.shape[1] == 8 else padded
+    ordered = np.sort(keys)  # np.unique(keys) would import numpy.ma, a megabyte
+    distinct = ordered[np.append(ordered[1:] != ordered[:-1], True)]
+    codes = np.searchsorted(distinct, keys)
+    first = np.full(distinct.size, keys.size)
+    np.minimum.at(first, codes, np.arange(keys.size))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return tuple(key.decode("ascii") for key in padded[first[order]].tolist()), rank[codes]
 
 
 def _json_id(entry: dict, key: str, idx: int) -> str:
@@ -440,7 +576,7 @@ def _load_json(text: str) -> ResponseDataset:
 
 def load_gold(source) -> GoldLabels:
     """Parse a gold-label CSV with header `task_id,response`."""
-    reader = _csv_reader(_as_text(source))
+    reader = _csv_reader(_as_text(source).encode("utf-8", "surrogatepass"))
     header_seen = False
     labels: dict[str, int] = {}
     try:
@@ -477,7 +613,18 @@ def load_gold(source) -> GoldLabels:
 
 def write_responses_csv(ds: ResponseDataset) -> str:
     """Serialize a dataset to the CSV response format (round-trips through
-    load_responses)."""
+    load_responses).
+
+    An id that CSV loading would read back otherwise raises
+    ResponseParseError: an empty id, one with spaces around it (loading
+    strips them), or a task id that starts with '#' (a comment row).
+    """
+    for kind, ids in (("task", ds.tasks), ("worker", ds.workers)):
+        for name in ids:
+            if not name or name != name.strip() or kind == "task" and name[0] == "#":
+                raise ResponseParseError(
+                    f"{kind} id {name!r} cannot be written to CSV: it would load back "
+                    "as another id")
     out = io.StringIO()
     out.write(f"# arity={ds.arity}\n")
     writer = csv.writer(out, lineterminator="\n")

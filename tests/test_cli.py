@@ -794,6 +794,28 @@ def test_prune_output_feeds_evaluate(tmp_path):
     assert all(r["failed"] is False for r in records)
 
 
+@pytest.mark.parametrize("kind,bad", [("worker", " w1"), ("worker", "w1\t"), ("task", "#t1")])
+def test_prune_refuses_ids_its_csv_would_load_back_otherwise(tmp_path, capsys, kind, bad):
+    # CSV loading strips the spaces around ids, and a row that starts with
+    # '#' is a comment; a JSON input may hold such ids, and " w1" next to
+    # "w1" is two workers. Writing them would merge or drop responses.
+    rng = np.random.default_rng(3)
+    workers = ["w1", "w2", "w3", bad if kind == "worker" else "w4"]
+    tasks = [f"t{j}" for j in range(2, 40)] + [bad if kind == "task" else "t1"]
+    records = [{"task": t, "worker": w, "response": int(rng.integers(1, 3))}
+               for t in tasks for w in workers]
+    src = tmp_path / "responses.json"
+    src.write_text(json.dumps(records))
+    out = tmp_path / "pruned.csv"
+    assert_refused(ResponseParseError, 2, "prune", "--input", src, "--output", out,
+                   "--threshold", "0.9")
+    assert f"{kind} id {bad!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["responses.json"]
+    ds = load_responses(src.read_text(), fmt="json")
+    with pytest.raises(ResponseParseError, match=re.escape(repr(bad))):
+        write_responses_csv(ds)
+
+
 # -- output writing ----------------------------------------------------------
 
 
@@ -822,6 +844,16 @@ def test_atomic_write_failure_removes_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         cli._atomic_write(tmp_path / "out.json", "lone surrogate \udc80")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_is_named_in_the_error(tmp_path, capsys):
+    src = contrarian_csv(tmp_path)
+    out = tmp_path / "missing" / "kept.csv"
+    assert run_cli("prune", "--input", src, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: " in err
+    assert ".tmp" not in err
+    assert not out.parent.exists()
 
 
 # -- README ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crowdgauge import dataset
 from crowdgauge.dataset import (
     GoldLabels,
     ResponseDataset,
@@ -15,6 +17,7 @@ from crowdgauge.dataset import (
     write_responses_csv,
 )
 from crowdgauge.errors import (
+    CrowdGaugeError,
     EmptyDatasetError,
     GoldLabelError,
     LabelDomainError,
@@ -355,6 +358,19 @@ def test_load_csv_arity_comment_after_header_and_blank_lines():
     assert str(info.value) == "line 9: expected 3 fields, got 2"
 
 
+def test_load_csv_conflicting_arity_comments_are_a_parse_error():
+    # Concatenated files repeat one declaration; two different ones leave
+    # the arity unknown.
+    text = "# arity=2\ntask_id,worker_id,response\nt1,w1,1\n# arity=2\nt2,w1,2\n"
+    assert load_responses(text).arity == 2
+    with pytest.raises(ResponseParseError) as info:
+        load_responses(text + "\n# arity = 9\nt3,w1,2\n")
+    assert info.value.line == 7
+    assert str(info.value) == "line 7: arity 9 conflicts with arity 2 declared earlier"
+    with pytest.raises(ResponseParseError, match="^line 2: arity 9 conflicts"):
+        load_responses("# arity=2\n# arity=9\n" + BASIC_CSV)
+
+
 def test_load_json_deduplicates_and_rejects_conflicts():
     rows = [{"task": "t1", "worker": "w1", "response": 2},
             {"task": "t2", "worker": "w2", "response": 1},
@@ -397,18 +413,20 @@ def test_csv_round_trip_shuffled_with_duplicates(seed):
     assert np.array_equal(got.matrix, want)
 
 
-def test_load_csv_peak_memory_is_bounded_by_text_length():
+@pytest.mark.parametrize("quote,bound", [("", 7.4), ('"', 9)], ids=["plain", "quoted"])
+def test_load_csv_peak_memory_is_bounded_by_text_length(quote, bound):
     # About 130k responses, the size of an 81-worker, 2000-task crowd at
-    # density 0.8. The loader keeps three integers per response and reads
-    # the text through a one-byte-per-character copy, so its peak
-    # allocation is a small multiple of the text (measured: 7.5x; a
-    # four-byte-per-character io.StringIO copy makes it 10.5x).
+    # density 0.8. Plain text is parsed from its bytes in bulk (measured:
+    # 6.4x). Quoted task ids take the csv.reader loop, which keeps three
+    # integers per response and reads the text through a one-byte-per-
+    # character copy (measured: 5.7x of this longer text). Both free that
+    # copy before the codes are sorted.
     rng = np.random.default_rng(0)
     attempted = rng.random((2000, 81)) < 0.8
     labels = rng.integers(1, 3, size=attempted.shape)
     tasks, workers = np.nonzero(attempted)
     text = "task_id,worker_id,response\n" + "".join(
-        f"t{t:05d},w{w:03d},{v}\n"
+        f"{quote}t{t:05d}{quote},w{w:03d},{v}\n"
         for t, w, v in zip(tasks.tolist(), workers.tolist(), labels[tasks, workers].tolist()))
     tracemalloc.start()
     try:
@@ -417,7 +435,191 @@ def test_load_csv_peak_memory_is_bounded_by_text_length():
     finally:
         tracemalloc.stop()
     assert int(ds.attempts.sum()) == len(tasks)
-    assert peak <= 9 * len(text)
+    assert peak <= bound * len(text)
+
+
+# -- the plain path of the CSV loader --------------------------------------
+
+# What an id of a plain row may hold: printable ASCII but the space, '"',
+# '#' and ','.
+PLAIN_ID_CHARS = [c for c in map(chr, range(0x21, 0x7f)) if c not in '"#,']
+
+
+def random_plain_csv(rng):
+    """(head lines, row lines) of a random plain response CSV.
+
+    The head holds blank lines, comments and perhaps `# arity=K` before the
+    header. Ids come from small pools, so rows repeat, and now and then
+    conflict; labels are 1 to 18 digits, some with leading zeros and some
+    past the arity or int32.
+    """
+    def ident():
+        return "".join(rng.choice(PLAIN_ID_CHARS, size=int(rng.integers(1, 9))))
+
+    arity = int(rng.integers(2, 6))
+    head = [str(rng.choice(["", "# note, with a comma", "  # indented"]))
+            for _ in range(rng.integers(0, 3))]
+    if rng.random() < 0.5:
+        head.append(f"# arity={arity}")
+    head.append(str(rng.choice(["task_id,worker_id,response",
+                                " task_id , worker_id,response\t"])))
+    tasks = [ident() for _ in range(rng.integers(1, 8))]
+    workers = [ident() for _ in range(rng.integers(1, 6))]
+    given: dict = {}
+    rows = []
+    for _ in range(rng.integers(1, 30)):
+        task, worker = rng.choice(tasks), rng.choice(workers)
+        label = given.setdefault((task, worker), int(rng.integers(1, arity + 1)))
+        if rng.random() < 0.02:
+            label = int(rng.integers(1, 10 ** int(rng.integers(1, 19))))
+        zeros = "0" * int(rng.integers(0, 18 - len(str(label)) + 1)) if rng.random() < 0.1 else ""
+        rows.append(f"{task},{worker},{zeros}{label}")
+    return head, rows
+
+
+def _mutated(rng, head, rows, kind):
+    """The text of (head, rows) with one change of the given kind."""
+    rows = list(rows)
+    i = int(rng.integers(len(rows)))
+    task, worker, label = rows[i].split(",")
+    edits = {
+        "quote": (f'"{task}"', worker, label),
+        "lone cr": (task, worker[:1] + "\r" + worker[1:], label),
+        "padded id": (task, f" {worker}", label) if rng.random() < 0.5 else (f"{task}\t", worker, label),
+        "empty id": ("", worker, label) if rng.random() < 0.5 else (task, "", label),
+        "non-ascii id": (task + "\u00e9", worker, label),
+        "# in id": (f"#{task}", worker, label) if rng.random() < 0.5 else (task, f"{worker}#1", label),
+        "label 0": (task, worker, "0"),
+        "label +1": (task, worker, "+1"),
+        "label 19 digits": (task, worker, "1" + "0" * 18),
+    }
+    if kind in edits:
+        rows[i] = ",".join(edits[kind])
+    elif kind == "moved comma":  # a row a field short, then one a field long
+        rows[i:i + 1] = [f"{task},{worker}", f"{label},{task},{worker},{label}"]
+    elif kind == "quoted header":
+        head = head[:-1] + ['"task_id",worker_id,response']
+    elif kind == "blank line":
+        rows.insert(i + 1, "")
+    elif kind == "duplicate":
+        rows.append(rows[i])
+    elif kind == "conflict":
+        rows.append(f"{task},{worker},{int(label) + 1}")
+    text = "\n".join(head + rows) + "\n"
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    if kind == "no final newline":
+        text = text[:-1]
+    return text
+
+
+# Each change, and whether the text stays plain.
+MUTATIONS = {"quote": False, "crlf": True, "lone cr": False, "padded id": False,
+             "empty id": False, "non-ascii id": False, "# in id": False, "label 0": False,
+             "label +1": False, "label 19 digits": False, "moved comma": False,
+             "quoted header": False, "blank line": False, "no final newline": True,
+             "duplicate": True, "conflict": True}
+
+
+def _outcome(text):
+    try:
+        ds = load_responses(text)
+    except CrowdGaugeError as exc:
+        return type(exc), str(exc)
+    return ds.workers, ds.tasks, ds.arity, ds.matrix.tolist()
+
+
+def test_plain_csv_path_agrees_with_the_row_loop(monkeypatch):
+    # The bulk parse of plain rows must give what the csv.reader loop alone
+    # gives: the same dataset, or the same error. Every change that leaves
+    # the text plain is parsed in bulk; every other one goes to the loop.
+    plain = []
+    real_rows = dataset._plain_rows
+
+    def spy(*args):
+        columns = real_rows(*args)
+        plain.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(dataset, "_plain_rows", spy)
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(300):
+        head, rows = random_plain_csv(rng)
+        cases.append(("none", "\n".join(head + rows) + "\n"))
+        kind = str(rng.choice(list(MUTATIONS)))
+        cases.append((kind, _mutated(rng, head, rows, kind)))
+    got = []
+    for kind, text in cases:
+        plain.clear()
+        got.append(_outcome(text))
+        assert any(plain) == MUTATIONS.get(kind, True), (kind, text)
+    monkeypatch.setattr(dataset, "_plain_rows", lambda *args: None)
+    for (kind, text), outcome in zip(cases, got):
+        assert _outcome(text) == outcome, (kind, text)
+    loaded = [outcome for outcome in got if not isinstance(outcome[0], type)]
+    assert len(loaded) > len(cases) // 3
+    assert {kind for kind, _ in cases} == {"none", *MUTATIONS}
+
+
+def test_plain_csv_rows_respect_the_csv_field_size_limit():
+    text = "task_id,worker_id,response\nt1,w12345678901,1\nt2,w1,2\n"
+    limit = csv.field_size_limit(12)
+    try:
+        assert load_responses(text).workers == ("w12345678901", "w1")
+        with pytest.raises(ResponseParseError) as info:
+            load_responses(text.replace("w12345678901", "w123456789012"))
+    finally:
+        csv.field_size_limit(limit)
+    assert str(info.value) == "line 2: malformed CSV: field larger than field limit (12)"
+
+
+class _RowCounter:
+    """A csv.reader that counts the rows it yields."""
+
+    def __init__(self, reader):
+        self.reader, self.rows = reader, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.reader)
+        self.rows += 1
+        return row
+
+    @property
+    def line_num(self):
+        return self.reader.line_num
+
+
+def test_plain_csv_skips_the_row_loop(monkeypatch):
+    # The benchmark's shapes: binary rows `t00000,w000,1` under a bare
+    # header, and k-ary rows `t00000,w0,3` under `# arity=4`. The reader
+    # yields the head rows only; a quoted id sends every row through it.
+    readers = []
+    real_reader = dataset._csv_reader
+
+    def counting_reader(data):
+        readers.append(_RowCounter(real_reader(data)))
+        return readers[-1]
+
+    monkeypatch.setattr(dataset, "_csv_reader", counting_reader)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(1, 5, size=(9, 40))
+    cells = np.argwhere(rng.random((40, 9)) < 0.8)
+    binary = "task_id,worker_id,response\n" + "".join(
+        f"t{t:05d},w{w:03d},{labels[w, t] % 2 + 1}\n" for t, w in cells)
+    kary = "# arity=4\ntask_id,worker_id,response\n" + "".join(
+        f"t{t:05d},w{w},{labels[w, t]}\n" for t, w in cells)
+    for text, head_rows in [(binary, 1), (kary, 2), ("\n# hello\n" + binary, 3)]:
+        readers.clear()
+        ds = load_responses(text)
+        assert [r.rows for r in readers] == [head_rows]
+        assert int(ds.attempts.sum()) == len(cells)
+    readers.clear()
+    load_responses(binary.replace("t00000", '"t00000"'))
+    assert readers[0].rows == len(cells) + 1
 
 
 # three workers, hand-checkable overlap/agreement:
