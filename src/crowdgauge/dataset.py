@@ -15,7 +15,9 @@ indices) and the label.
   a newline, and every line after the header is `task,worker,label`: ids
   of printable ASCII other than the space, `"`, `#` and `,`, no longer
   than `csv.field_size_limit()`, and a label of 1 to 18 ASCII digits
-  worth at least 1. The last line may lack its newline.
+  worth at least 1. The last line may lack its newline. The ids of a
+  column are coded from keys as wide as its longest id, so a plain text
+  with one id far longer than the rest takes the loop below.
 - Any other text goes on through the same reader, which checks each row
   in file order and keeps the codes in `array` columns. This loop stays:
   it handles quoting, and it is the one source of CSV error messages. A
@@ -459,14 +461,19 @@ def _plain_rows(data: bytes, head_lines: int):
     newline: ids of printable ASCII but the space, '"', '#' and ',', no
     longer than csv.field_size_limit(), and a label of 1 to 18 ASCII digits
     worth at least 1. csv.reader splits such a row at its commas and finds
-    nothing to strip or refuse in it.
+    nothing to strip or refuse in it. A plain text whose id keys, each as
+    wide as the longest id of its column, would outgrow twice the text
+    gives None too.
 
     Positions are int32 where they fit, and the arrays of them are freed on
     return, before `_from_codes` sorts the codes.
     """
-    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+    if b'"' in data or b"\0" in data:
         return None
-    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data:  # one scan; counting and replacing take four
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     start = -1
@@ -484,6 +491,12 @@ def _plain_rows(data: bytes, head_lines: int):
     gaps = np.diff(bounds)
     if gaps.min() < 2 or gaps.max() > csv.field_size_limit() + 1:
         return None  # an empty field, or one longer than csv.reader takes
+    # Each id column is coded from keys as wide as its longest id, rounded
+    # up to 8 bytes. Ids of one width keep them within twice the text; one
+    # long id among short ones would not, and the loop reads it in less.
+    widths = gaps.reshape(-1, 3)[:, :2].max(axis=0) - 1
+    if int((-widths % 8 + widths).max()) * (gaps.size // 3) > 2 * buf.size:
+        return None
     del gaps
     labels = _plain_labels(buf, *_plain_field(bounds, 2))
     if labels is None:
@@ -525,18 +538,22 @@ def _plain_ids(buf: np.ndarray, starts: np.ndarray,
     for j in range(width):
         keys[:, j] = np.where(lengths > j, buf.take(starts + j, mode="clip"), 0)
     # NUL pads each id to whole 8-byte words, and no id holds one. Ids of
-    # one word compare as integers, which is faster.
-    padded = keys.view(f"S{keys.shape[1]}").ravel()
-    keys = padded.view(np.uint64) if keys.shape[1] == 8 else padded
-    ordered = np.sort(keys)  # np.unique(keys) would import numpy.ma, a megabyte
-    distinct = ordered[np.append(ordered[1:] != ordered[:-1], True)]
-    codes = np.searchsorted(distinct, keys)
-    first = np.full(distinct.size, keys.size)
-    np.minimum.at(first, codes, np.arange(keys.size))
+    # one word compare as integers: on 130k rows of `t00000,w000,1`,
+    # sorting them as `S8` strings would take about 35 ms more, nearly
+    # doubling the load.
+    keys = keys.view(f"S{keys.shape[1]}").ravel()
+    words = keys.view(np.uint64) if keys.itemsize == 8 else keys
+    distinct = np.sort(words)  # np.unique(words) would import numpy.ma, a megabyte
+    # Rebinding frees the sorted copy before the codes are made.
+    distinct = distinct[np.append(distinct[1:] != distinct[:-1], True)]
+    codes = np.searchsorted(distinct, words)
+    first = np.full(distinct.size, codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return tuple(key.decode("ascii") for key in padded[first[order]].tolist()), rank[codes]
+    ids = distinct[order].view(keys.dtype).tolist()
+    return tuple(key.decode("ascii") for key in ids), rank[codes]
 
 
 def _json_id(entry: dict, key: str, idx: int) -> str:

@@ -413,14 +413,19 @@ def test_csv_round_trip_shuffled_with_duplicates(seed):
     assert np.array_equal(got.matrix, want)
 
 
-@pytest.mark.parametrize("quote,bound", [("", 7.4), ('"', 9)], ids=["plain", "quoted"])
-def test_load_csv_peak_memory_is_bounded_by_text_length(quote, bound):
+@pytest.mark.parametrize("quote,first_task,bound", [
+    ("", "t00000", 7.4), ("", "t" * 24, 7.4), ("", "t" * 100, 9), ('"', "t00000", 9),
+], ids=["plain", "wide-id", "long-id", "quoted"])
+def test_load_csv_peak_memory_is_bounded_by_text_length(quote, first_task, bound):
     # About 130k responses, the size of an 81-worker, 2000-task crowd at
     # density 0.8. Plain text is parsed from its bytes in bulk (measured:
-    # 6.4x). Quoted task ids take the csv.reader loop, which keeps three
-    # integers per response and reads the text through a one-byte-per-
-    # character copy (measured: 5.7x of this longer text). Both free that
-    # copy before the codes are sorted.
+    # 6.4x), its ids coded from keys as wide as the longest. One 24-byte
+    # task id among 6-byte ones is the widest the bulk parse takes for
+    # these rows (6.6x). A 100-byte one, or quoted task ids, take the
+    # csv.reader loop, which keeps three integers per response and reads
+    # the text through a one-byte-per-character copy (measured: 5.7x of
+    # the quoted text). Both paths free that copy before the codes are
+    # sorted.
     rng = np.random.default_rng(0)
     attempted = rng.random((2000, 81)) < 0.8
     labels = rng.integers(1, 3, size=attempted.shape)
@@ -428,6 +433,7 @@ def test_load_csv_peak_memory_is_bounded_by_text_length(quote, bound):
     text = "task_id,worker_id,response\n" + "".join(
         f"{quote}t{t:05d}{quote},w{w:03d},{v}\n"
         for t, w, v in zip(tasks.tolist(), workers.tolist(), labels[tasks, workers].tolist()))
+    text = text.replace("t00000,", f"{first_task},", 1)
     tracemalloc.start()
     try:
         ds = load_responses(text)
@@ -449,12 +455,13 @@ def random_plain_csv(rng):
     """(head lines, row lines) of a random plain response CSV.
 
     The head holds blank lines, comments and perhaps `# arity=K` before the
-    header. Ids come from small pools, so rows repeat, and now and then
-    conflict; labels are 1 to 18 digits, some with leading zeros and some
+    header. Ids of 1 to 12 characters, so that their keys are one word or
+    two, come from small pools, so rows repeat, and now and then conflict;
+    labels are 1 to 18 digits, some with leading zeros and some
     past the arity or int32.
     """
     def ident():
-        return "".join(rng.choice(PLAIN_ID_CHARS, size=int(rng.integers(1, 9))))
+        return "".join(rng.choice(PLAIN_ID_CHARS, size=int(rng.integers(1, 13))))
 
     arity = int(rng.integers(2, 6))
     head = [str(rng.choice(["", "# note, with a comma", "  # indented"]))
@@ -529,10 +536,25 @@ def _outcome(text):
     return ds.workers, ds.tasks, ds.arity, ds.matrix.tolist()
 
 
+def bench_shaped_csv(rng):
+    """(kind, text) of the benchmark's shapes: binary rows `t00000,w000,1`
+    under a bare header or after a blank line and a comment, k-ary rows
+    `t00000,w0,3` under `# arity=4`, and binary rows with a quoted id."""
+    labels = rng.integers(1, 5, size=(9, 40))
+    cells = np.argwhere(rng.random((40, 9)) < 0.8)
+    binary = "task_id,worker_id,response\n" + "".join(
+        f"t{t:05d},w{w:03d},{labels[w, t] % 2 + 1}\n" for t, w in cells)
+    kary = "# arity=4\ntask_id,worker_id,response\n" + "".join(
+        f"t{t:05d},w{w},{labels[w, t]}\n" for t, w in cells)
+    return [("none", binary), ("none", kary), ("none", "\n# hello\n" + binary),
+            ("quote", binary.replace("t00000", '"t00000"'))]
+
+
 def test_plain_csv_path_agrees_with_the_row_loop(monkeypatch):
     # The bulk parse of plain rows must give what the csv.reader loop alone
-    # gives: the same dataset, or the same error. Every change that leaves
-    # the text plain is parsed in bulk; every other one goes to the loop.
+    # gives: the same dataset, or the same error. The benchmark's shapes,
+    # and every change that leaves the text plain, are parsed in bulk,
+    # skipping the loop; every other change goes to the loop.
     plain = []
     real_rows = dataset._plain_rows
 
@@ -543,7 +565,7 @@ def test_plain_csv_path_agrees_with_the_row_loop(monkeypatch):
 
     monkeypatch.setattr(dataset, "_plain_rows", spy)
     rng = np.random.default_rng(25)
-    cases = []
+    cases = bench_shaped_csv(rng)
     for _ in range(300):
         head, rows = random_plain_csv(rng)
         cases.append(("none", "\n".join(head + rows) + "\n"))
@@ -572,54 +594,6 @@ def test_plain_csv_rows_respect_the_csv_field_size_limit():
     finally:
         csv.field_size_limit(limit)
     assert str(info.value) == "line 2: malformed CSV: field larger than field limit (12)"
-
-
-class _RowCounter:
-    """A csv.reader that counts the rows it yields."""
-
-    def __init__(self, reader):
-        self.reader, self.rows = reader, 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        row = next(self.reader)
-        self.rows += 1
-        return row
-
-    @property
-    def line_num(self):
-        return self.reader.line_num
-
-
-def test_plain_csv_skips_the_row_loop(monkeypatch):
-    # The benchmark's shapes: binary rows `t00000,w000,1` under a bare
-    # header, and k-ary rows `t00000,w0,3` under `# arity=4`. The reader
-    # yields the head rows only; a quoted id sends every row through it.
-    readers = []
-    real_reader = dataset._csv_reader
-
-    def counting_reader(data):
-        readers.append(_RowCounter(real_reader(data)))
-        return readers[-1]
-
-    monkeypatch.setattr(dataset, "_csv_reader", counting_reader)
-    rng = np.random.default_rng(0)
-    labels = rng.integers(1, 5, size=(9, 40))
-    cells = np.argwhere(rng.random((40, 9)) < 0.8)
-    binary = "task_id,worker_id,response\n" + "".join(
-        f"t{t:05d},w{w:03d},{labels[w, t] % 2 + 1}\n" for t, w in cells)
-    kary = "# arity=4\ntask_id,worker_id,response\n" + "".join(
-        f"t{t:05d},w{w},{labels[w, t]}\n" for t, w in cells)
-    for text, head_rows in [(binary, 1), (kary, 2), ("\n# hello\n" + binary, 3)]:
-        readers.clear()
-        ds = load_responses(text)
-        assert [r.rows for r in readers] == [head_rows]
-        assert int(ds.attempts.sum()) == len(cells)
-    readers.clear()
-    load_responses(binary.replace("t00000", '"t00000"'))
-    assert readers[0].rows == len(cells) + 1
 
 
 # three workers, hand-checkable overlap/agreement:
