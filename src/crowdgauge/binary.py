@@ -273,7 +273,7 @@ def _estimate_triples(stack: WorldStack, world: np.ndarray, index: np.ndarray,
               error_rate_from_agreements(q_ij2, q_j1j2, q_ij1))
     cov = agreement_covariances((q_ij1, q_ij2, q_j1j2), c2, c3, p_hats)
     g = np.stack(f_derivatives(q_ij1, q_ij2, q_j1j2), axis=1)
-    dev, negative, _ = propagated_deviations(g, cov)
+    dev, negative = propagated_deviations(g, cov)
     reason = np.where(low, REASON_LOW_AGREEMENT,
                       np.where(negative, REASON_NEGATIVE_VARIANCE, None))
     usable = np.equal(reason, None)
@@ -281,27 +281,22 @@ def _estimate_triples(stack: WorldStack, world: np.ndarray, index: np.ndarray,
                     np.where(usable, dev, np.nan), np.where(usable[:, None], g, np.nan))
 
 
-def greedy_pairs(data: ResponseDataset | WorldStack, workers: Sequence[str],
-                 min_overlap: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Pair the other workers into disjoint triples around each worker.
+def greedy_pairs(stack: WorldStack, world: np.ndarray, center: np.ndarray,
+                 min_overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the other workers into disjoint triples around each item.
 
-    `data` is a dataset or a stack of worlds, and the items are the
-    (world, worker) pairs, world by world in `workers` order. Returns
-    (partners, count): item k's pairs (j1, j2) are the worker positions
-    partners[k, :count[k]]. Around each worker the others are sorted by
-    overlap with it (descending, ties by worker id, so the pairs do not
-    depend on the order of the input rows); the head of the list is paired
-    with the first later worker that shares at least `min_overlap` tasks
-    with both. Unpairable heads are skipped, a leftover single is dropped,
-    and once the head shares fewer than `min_overlap` tasks nobody is left
-    to pair. All items take these steps together, over an "alive" mask.
-    Raises InsufficientConnectivityError when no item forms a pair, and
-    ValueError for a min_overlap below 1: every pair of a triple must share
-    a task.
+    The items are the (world, worker) pairs (world[k], center[k]) of the
+    stack, as `_items` resolves them. Returns (partners, count): item k's
+    pairs (j1, j2) are the worker positions partners[k, :count[k]], and an
+    item that forms no pair has count 0. Around each worker the others are
+    sorted by overlap with it (descending, ties by worker id, so the pairs
+    do not depend on the order of the input rows); the head of the list is
+    paired with the first later worker that shares at least `min_overlap`
+    tasks with both. Unpairable heads are skipped, a leftover single is
+    dropped, and once the head shares fewer than `min_overlap` tasks nobody
+    is left to pair. All items take these steps together, over an "alive"
+    mask.
     """
-    if min_overlap < 1:
-        raise ValueError(f"min_overlap must be at least 1, got {min_overlap}")
-    stack, world, center = _items(data, workers)
     m = len(stack.workers)
     overlap = stack.pair_overlap
     rank = np.empty(m, dtype=np.int64)
@@ -336,9 +331,6 @@ def greedy_pairs(data: ResponseDataset | WorldStack, workers: Sequence[str],
         partners[paired, count[paired]] = np.column_stack(
             (head_worker[found], order[paired, partner]))
         count[paired] += 1
-    if not count.any():
-        raise InsufficientConnectivityError(
-            f"no disjoint triples can be formed around {', '.join(map(repr, workers))}")
     return partners, count
 
 
@@ -428,18 +420,18 @@ def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[st
     worker ids; the systems are built for every world, world by world. The
     triples of all of them are estimated in one array pass, and their
     triple overlaps and C3 matrices in groups that fit _GROUP_BYTES.
-    Failed triples are dropped (and counted by reason); pairing or
-    universal triple failure is reported through a system's
-    `failure_reason` instead of an exception so whole-dataset sweeps keep
-    going. A min_overlap below 1 raises ValueError, and a dataset of arity
-    other than 2 raises LabelDomainError.
+    Failed triples are dropped (and counted by reason). A worker that
+    greedy_pairs pairs with nobody, or whose triples all fail, gets a
+    system whose `failure_reason` says so, instead of an exception, so
+    whole-dataset sweeps keep going. Fewer than 3 workers raise
+    InsufficientConnectivityError, an unknown worker UnknownWorkerError,
+    a dataset of arity other than 2 LabelDomainError, and then a
+    min_overlap below 1 ValueError.
     """
     stack, item_world, item_center = _items(data, workers)
-    try:
-        partners, count = greedy_pairs(stack, workers, min_overlap)
-    except InsufficientConnectivityError:
-        partners = np.empty((item_center.size, 0, 2), dtype=np.intp)
-        count = np.zeros(item_center.size, dtype=np.intp)
+    if min_overlap < 1:
+        raise ValueError(f"min_overlap must be at least 1, got {min_overlap}")
+    partners, count = greedy_pairs(stack, item_world, item_center, min_overlap)
     m, n = len(stack.workers), stack.num_tasks
     paired = np.arange(partners.shape[1]) < count[:, None]
     row_item = np.nonzero(paired)[0]
@@ -545,7 +537,7 @@ def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggre
         else:
             w = np.full(p_hats.shape, 1.0 / size)
         raw = (w[:, None, :] @ p_hats[:, :, None])[:, 0, 0]
-        dev[members], negatives, _ = propagated_deviations(w, cov)
+        dev[members], negatives = propagated_deviations(w, cov)
         estimate[members] = np.minimum(np.maximum(raw, 0.0), 1.0)
         clamped[members] = (raw < 0.0) | (raw > 1.0)
         for k, row, negative in zip(members, w, negatives.tolist()):

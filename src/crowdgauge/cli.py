@@ -88,22 +88,21 @@ def _atomic_write(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _read_input(path_str: str) -> tuple[str, str]:
-    """Return (text, inferred format) for an input path."""
+def _read_input(path_str: str) -> tuple[bytes, str]:
+    """Return (bytes, inferred format) for an input path. The bytes are
+    read as they are, so the CLI and the library read a file alike."""
     path = Path(path_str)
     fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
-        return path.read_text(encoding="utf-8"), fmt
+        return path.read_bytes(), fmt
     except OSError as exc:
         raise UsageError(f"cannot read {path_str}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ResponseParseError(f"{path_str} is not valid UTF-8: {exc}") from exc
 
 
 def _load_dataset(args) -> ResponseDataset:
-    text, inferred = _read_input(args.input)
+    data, inferred = _read_input(args.input)
     fmt = getattr(args, "format", None) or inferred
-    ds = load_responses(text, fmt)
+    ds = load_responses(data, fmt)
     if args.map is not None:
         ds = reduce_arity(ds, parse_label_map(args.map))
     return ds

@@ -15,9 +15,10 @@ indices) and the label.
   a newline, and every line after the header is `task,worker,label`: ids
   of printable ASCII other than the space, `"`, `#` and `,`, no longer
   than `csv.field_size_limit()`, and a label of 1 to 18 ASCII digits
-  worth at least 1. The last line may lack its newline. The ids of a
-  column are coded from keys as wide as its longest id, so a plain text
-  with one id far longer than the rest takes the loop below.
+  worth at least 1. The last row may lack its newline, and blank lines
+  may follow it. The ids of a column are coded from keys as wide as its
+  longest id, so a plain text with one id far longer than the rest takes
+  the loop below.
 - Any other text goes on through the same reader, which checks each row
   in file order and keeps the codes in `array` columns. This loop stays:
   it handles quoting, and it is the one source of CSV error messages. A
@@ -36,6 +37,7 @@ The estimators index them by worker position.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -325,16 +327,23 @@ class RemovedWorker(NamedTuple):
 # -- loading / writing -----------------------------------------------------
 
 
-def _as_text(source) -> str:
-    """The text of str, bytes or file-like input, less one leading byte-order
-    mark, which spreadsheet tools often write."""
+def _as_utf8(source) -> bytes:
+    """The UTF-8 bytes of str, bytes or file-like input, less one leading
+    byte-order mark, which spreadsheet tools often write.
+
+    Bytes are passed on as they are, once checked; bytes that are not UTF-8
+    raise ResponseParseError. A str is encoded with surrogatepass, which
+    carries lone surrogates, which a str may hold, through unchanged.
+    """
     data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not data.isascii():  # ASCII is UTF-8, and isascii copies nothing
         try:
-            data = data.decode("utf-8")
+            data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ResponseParseError(f"input is not valid UTF-8: {exc}") from exc
-    return data[1:] if data.startswith("\ufeff") else data
+    return data.removeprefix(codecs.BOM_UTF8)
 
 
 def _csv_reader(data: bytes):
@@ -342,8 +351,8 @@ def _csv_reader(data: bytes):
     its text does.
 
     Reading the UTF-8 bytes keeps one byte per ASCII character, where
-    StringIO keeps four; callers encode with surrogatepass, which carries
-    lone surrogates, which a str may hold, through unchanged.
+    StringIO keeps four; surrogatepass reads back the lone surrogates that
+    _as_utf8 carries.
     """
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                        errors="surrogatepass", newline="\n"))
@@ -358,16 +367,15 @@ def load_responses(source, fmt: str = "csv") -> ResponseDataset:
     is an integer. Duplicate identical responses deduplicate; conflicting
     ones raise ResponseConflictError.
     """
-    text = _as_text(source)
     if fmt == "csv":
-        return _load_csv(text)
+        return _load_csv(_as_utf8(source))
     if fmt == "json":
-        return _load_json(text)
+        return _load_json(_as_utf8(source))
     raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
 
 
-def _load_csv(text: str) -> ResponseDataset:
-    """Parse CSV response text.
+def _load_csv(data: bytes) -> ResponseDataset:
+    """Parse CSV response text from its UTF-8 bytes.
 
     A csv.reader reads the rows up to the header: blank lines, `#`
     comments, and `# arity=K`, which may repeat but not change. If the text
@@ -376,7 +384,6 @@ def _load_csv(text: str) -> ResponseDataset:
     because it handles quoting and is the one source of CSV error messages;
     a plain text gives the same dataset, or the same error, either way.
     """
-    data = text.encode("utf-8", "surrogatepass")
     reader = _csv_reader(data)
     declared_arity: int | None = None
     header_seen = False
@@ -457,13 +464,13 @@ def _plain_rows(data: bytes, head_lines: int):
 
     It is plain when it holds no quote, no NUL and no carriage return but
     right before a newline, so that each row is one line, and each line
-    after the head is `task,worker,label`, the last one perhaps without a
-    newline: ids of printable ASCII but the space, '"', '#' and ',', no
-    longer than csv.field_size_limit(), and a label of 1 to 18 ASCII digits
-    worth at least 1. csv.reader splits such a row at its commas and finds
-    nothing to strip or refuse in it. A plain text whose id keys, each as
-    wide as the longest id of its column, would outgrow twice the text
-    gives None too.
+    after the head is `task,worker,label`, but for blank lines after the
+    last row, which may lack its newline: ids of printable ASCII but the
+    space, '"', '#' and ',', no longer than csv.field_size_limit(), and a
+    label of 1 to 18 ASCII digits worth at least 1. csv.reader splits such
+    a row at its commas and finds nothing to strip or refuse in it. A
+    plain text whose id keys, each as wide as the longest id of its
+    column, would outgrow twice the text gives None too.
 
     Positions are int32 where they fit, and the arrays of them are freed on
     return, before `_from_codes` sorts the codes.
@@ -479,9 +486,14 @@ def _plain_rows(data: bytes, head_lines: int):
     start = -1
     for _ in range(head_lines):
         start = data.find(b"\n", start + 1)
-    if start + 1 == len(data) or data[start + 1:].translate(None, _PLAIN_BYTES):
+    # Blank lines after the last row are left out, as csv.reader skips
+    # them; the header line is not blank, so `end` stays past `start`.
+    end = len(data)
+    while data[end - 2] == 0x0A:
+        end -= 1
+    if start + 1 == end or data[start + 1:end].translate(None, _PLAIN_BYTES):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8, offset=start + 1)
+    buf = np.frombuffer(data, dtype=np.uint8, count=end - start - 1, offset=start + 1)
     # Each row is three fields, which end at a ',', a ',' and a '\n'. Field
     # i of the text runs from after bounds[i] to bounds[i + 1].
     bounds = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
@@ -566,9 +578,9 @@ def _json_id(entry: dict, key: str, idx: int) -> str:
         f"element {idx}: {key} must be a non-blank string or an integer, got {value!r}")
 
 
-def _load_json(text: str) -> ResponseDataset:
+def _load_json(data: bytes) -> ResponseDataset:
     try:
-        payload = json.loads(text)
+        payload = json.loads(data.decode("utf-8", "surrogatepass"))
     except json.JSONDecodeError as exc:
         raise ResponseParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
@@ -593,7 +605,7 @@ def _load_json(text: str) -> ResponseDataset:
 
 def load_gold(source) -> GoldLabels:
     """Parse a gold-label CSV with header `task_id,response`."""
-    reader = _csv_reader(_as_text(source).encode("utf-8", "surrogatepass"))
+    reader = _csv_reader(_as_utf8(source))
     header_seen = False
     labels: dict[str, int] = {}
     try:

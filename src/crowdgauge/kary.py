@@ -353,21 +353,6 @@ class ResponseProbEstimate:
     recovery: _Recovery
 
 
-def recover_selectivity(v1: np.ndarray) -> np.ndarray:
-    """Truth distribution from the scaled matrix V1 = S_D^(1/2) P1.
-
-    Row r of V1 sums to sqrt(S(r)), so the squared row sums, renormalized,
-    recover S. A zero row sum raises EstimationFailure (degenerate
-    selectivity).
-    """
-    v1 = np.asarray(v1, dtype=float)
-    sums = v1.sum(axis=1)
-    if (np.abs(sums) < 1e-12).any():
-        raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum in V1")
-    s = sums ** 2
-    return s / s.sum()
-
-
 def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     """Recover all three workers' response-probability matrices.
 
@@ -375,7 +360,9 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     reads, in the order of KaryJacobian.cells. Every failure (a pair
     sharing no task, a singular frequency matrix, a negative spectrum, an
     eigensolver that does not converge, no usable slices, a zero row sum in
-    some V) raises EstimationFailure with a reason code.
+    some V) raises EstimationFailure with a reason code. Row r of
+    V1 = S_D^(1/2) P1 sums to sqrt(S(r)), so the selectivity S is the
+    squared row sums of V1, renormalized.
     """
     k = counts.arity
     patterns = ((1, 1, 1), *(p for p in PAIR_PATTERNS if counts.pattern_total(p) > 0))
@@ -393,7 +380,8 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
         rows_permuted=bool((rec.dest != np.arange(k)).any()),
         rows_sign_fixed=bool((rec.signs < 0).any()),
         clamped=bool(((p < 0.0) | (p > 1.0)).any()))
-    return ResponseProbEstimate(p_matrices=p, selectivity=recover_selectivity(v[0]),
+    selectivity = sums[0, :, 0] ** 2
+    return ResponseProbEstimate(p_matrices=p, selectivity=selectivity / selectivity.sum(),
                                 diagnostics=diagnostics, counts=counts, cells=cells,
                                 recovery=rec)
 

@@ -1,7 +1,7 @@
-"""Shared numeric kernel: normal quantiles, propagated deviations of
-linearized statistics (one clamp rule, for a stack of them), matrix
-inversion, eigendecomposition (stacks of general matrices, or one
-symmetric matrix), and minimum-variance weights.
+"""Shared numeric kernel: normal quantiles, propagated deviations of a
+stack of linearized statistics (one clamp rule), matrix inversion,
+eigendecomposition (stacks of general matrices, or one symmetric
+matrix), and minimum-variance weights.
 The binary and k-ary reports build their intervals from these: the
 estimate less and plus z times its deviation.
 
@@ -12,15 +12,11 @@ reference them directly.
 from __future__ import annotations
 
 import statistics
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EstimationFailure,
-    REASON_EIGEN_NONCONVERGENCE,
-    REASON_NEGATIVE_VARIANCE,
-)
+from .errors import EstimationFailure, REASON_EIGEN_NONCONVERGENCE
 
 Matrix = np.ndarray
 
@@ -46,35 +42,14 @@ def normal_quantile(t: float) -> float:
 
 
 def propagated_deviations(gradients: np.ndarray, covariances: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(deviations, negative, variances) of B linearized statistics, from
-    (B, n) gradients g and (B, n, n) covariances C: a quadratic form g^T C g
-    in [-VARIANCE_CLAMP_TOL, 0) clamps to a zero deviation, and one below
-    that is flagged `negative` (deviation 0) for the caller to fail with
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(deviations, negative) of B linearized statistics, from (B, n)
+    gradients g and (B, n, n) covariances C: a quadratic form g^T C g in
+    [-VARIANCE_CLAMP_TOL, 0) clamps to a zero deviation, and one below that
+    is flagged `negative` (deviation 0) for the caller to fail with
     REASON_NEGATIVE_VARIANCE."""
     variances = (gradients[:, None, :] @ covariances @ gradients[:, :, None])[:, 0, 0]
-    return (np.sqrt(np.maximum(variances, 0.0)), variances < -VARIANCE_CLAMP_TOL,
-            variances)
-
-
-def propagated_deviation(gradient: Sequence[float] | np.ndarray,
-                         covariance: Matrix) -> float:
-    """Standard deviation sqrt(g^T C g) of one linearized statistic.
-
-    The one-item case of propagated_deviations: small negative quadratic
-    forms (within VARIANCE_CLAMP_TOL) clamp to zero; anything more negative
-    raises EstimationFailure("negative variance").
-    """
-    g = np.asarray(gradient, dtype=float)
-    c = np.asarray(covariance, dtype=float)
-    if g.ndim != 1 or c.shape != (g.size, g.size):
-        raise ValueError("gradient must be a vector matching a square covariance")
-    if not (np.isfinite(g).all() and np.isfinite(c).all()):
-        raise ValueError("gradient and covariance must be finite")
-    (dev,), (negative,), (var,) = propagated_deviations(g[None], c[None])
-    if negative:
-        raise EstimationFailure(REASON_NEGATIVE_VARIANCE, f"quadratic form {var:g}")
-    return float(dev)
+    return np.sqrt(np.maximum(variances, 0.0)), variances < -VARIANCE_CLAMP_TOL
 
 
 def invert_matrices(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from crowdgauge.binary import (
     WorldStack,
     _WorkerSystem,
     _estimate_triples,
+    _items,
     agreement_covariances,
     aggregate_system,
     build_worker_system,
@@ -37,7 +38,7 @@ from crowdgauge.errors import (
     REASON_NEGATIVE_VARIANCE,
     REASON_NO_USABLE_TRIPLES,
 )
-from crowdgauge.numerics import VARIANCE_CLAMP_TOL, normal_quantile, propagated_deviation
+from crowdgauge.numerics import VARIANCE_CLAMP_TOL, normal_quantile, propagated_deviations
 from crowdgauge.simulate import gen_binary_responses, gen_binary_workers, ramp_densities, substream
 
 
@@ -343,7 +344,7 @@ def pair_names(ds, pairs):
 
 def pairs_around(ds, worker, min_overlap=1):
     """greedy_pairs' (P, 2) partner positions around one worker."""
-    partners, count = greedy_pairs(ds, (worker,), min_overlap)
+    partners, count = greedy_pairs(*_items(ds, (worker,)), min_overlap)
     return partners[0, :count[0]]
 
 
@@ -387,14 +388,14 @@ def test_greedy_pairs_min_overlap_breaks_early():
     masks[2, 5:8] = True
     masks[3, 8:10] = True
     ds = attempts_dataset(masks)
-    with pytest.raises(InsufficientConnectivityError):
-        greedy_pairs(ds, ("w1",), min_overlap=4)
+    partners, count = greedy_pairs(*_items(ds, ds.workers), min_overlap=4)
+    assert count.tolist() == [0, 0, 0, 0]
 
 
 def test_greedy_pairs_needs_three_workers():
     ds = attempts_dataset(np.ones((2, 4), dtype=bool))
     with pytest.raises(InsufficientConnectivityError):
-        greedy_pairs(ds, ("w1",))
+        build_worker_system(ds, ("w1",))
 
 
 
@@ -434,11 +435,7 @@ def test_greedy_pairs_match_scalar_loop():
                                  np.zeros((40 * m, 1), dtype=np.uint8))
         requested = ids[::-1]
         for min_overlap in (1, 2, 3):
-            try:
-                partners, count = greedy_pairs(stack, requested, min_overlap)
-            except InsufficientConnectivityError:  # raised only when no item pairs
-                partners = np.zeros((40 * m, 0, 2), dtype=np.intp)
-                count = np.zeros(40 * m, dtype=np.intp)
+            partners, count = greedy_pairs(*_items(stack, requested), min_overlap)
             for item, (world, worker) in enumerate(
                     (w, k) for w in range(40) for k in range(m)[::-1]):
                 want = scalar_greedy_pairs(overlap[world], ids, worker, min_overlap)
@@ -486,8 +483,10 @@ def exact_triple_estimate(stats, triple, rates_by_name):
     derivs = f_derivatives(*qs)
     cov = agreement_covariances(qs, tuple(c2[pair] for pair in pairs),
                                 c3[frozenset(triple)], p_hats)
-    dev = propagated_deviation(derivs, cov)
-    return Triple(tuple(triple), None, rates_by_name[i], dev, *map(float, derivs))
+    (dev,), (negative,) = propagated_deviations(np.array(derivs, dtype=float)[None],
+                                                np.asarray(cov, dtype=float)[None])
+    assert not negative
+    return Triple(tuple(triple), None, rates_by_name[i], float(dev), *map(float, derivs))
 
 
 def triple_arrays(triples):
@@ -664,7 +663,7 @@ def test_optimal_weighting_never_beaten_by_uniform():
 
 def test_aggregate_deviation_is_propagated_deviation_of_its_weights():
     # one clamp rule: aggregate_system's dev and negative-variance reason are
-    # what propagated_deviation gives for the weights it used and C
+    # what propagated_deviations gives for the weights it used and C
     rng = np.random.default_rng(12)
     systems = []
     for size in (1, 2, 3, 5, 8) * 4:
@@ -682,10 +681,9 @@ def test_aggregate_deviation_is_propagated_deviation_of_its_weights():
     for weighting in ("uniform", "optimal"):
         aggregates = aggregate_system(systems, weighting)
         for k, system in enumerate(systems):
-            try:
-                dev = propagated_deviation(aggregates.weights[k], system.covariance)
-            except EstimationFailure as exc:
-                assert exc.reason == REASON_NEGATIVE_VARIANCE
+            (dev,), (negative,) = propagated_deviations(aggregates.weights[k][None],
+                                                        system.covariance[None])
+            if negative:
                 assert aggregates.reason[k] == REASON_NEGATIVE_VARIANCE
                 seen["negative"] += 1
                 continue
@@ -966,8 +964,7 @@ def test_min_overlap_below_one_is_rejected():
     matrix[:3, 30:] = 0
     matrix[3, :30] = 0
     ds = ResponseDataset.from_matrix(matrix)
-    calls = (lambda: greedy_pairs(ds, ("w4",), min_overlap=0),
-             lambda: build_worker_system(ds, ds.workers, min_overlap=-1),
+    calls = (lambda: build_worker_system(ds, ds.workers, min_overlap=-1),
              lambda: evaluate_worker(ds, "w4", 0.9, min_overlap=0),
              lambda: evaluate_all(ds, 0.9, min_overlap=0))
     for call in calls:

@@ -283,6 +283,25 @@ def test_evaluate_input_that_is_not_utf8_is_a_parse_error(tmp_path):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_evaluate_reads_the_input_bytes_as_load_responses_does(tmp_path):
+    # No newline translation: a lone carriage return is not a row break,
+    # and a quoted id keeps the \r of its \r\n.
+    lone_cr = tmp_path / "lone-cr.csv"
+    lone_cr.write_bytes(b"task_id,worker_id,response\nt1,w1,1\rt1,w2,2\nt1,w3,1\n")
+    with pytest.raises(ResponseParseError, match="new-line character seen in unquoted"):
+        load_responses(lone_cr.read_bytes())
+    assert_refused(ResponseParseError, 2, "evaluate", "--input", lone_cr,
+                   "--output", tmp_path / "o.json")
+    assert not (tmp_path / "o.json").exists()
+    src, _, _ = binary_csv(tmp_path, n=300)
+    src.write_bytes(src.read_bytes().replace(b",w1,", b',"w\r\n1",'))
+    out = tmp_path / "reports.json"
+    assert run_cli("evaluate", "--input", src, "--output", out) == 0
+    workers = [r["worker"] for r in json.loads(out.read_text())]
+    assert "w\r\n1" in workers
+    assert workers == sorted(load_responses(src.read_bytes()).workers)
+
+
 def test_evaluate_reads_files_that_start_with_a_byte_order_mark(tmp_path):
     src, _, gold = binary_csv(tmp_path, n=600, seed=2)
     gpath = gold_csv(tmp_path, gold)

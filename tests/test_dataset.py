@@ -507,7 +507,9 @@ def _mutated(rng, head, rows, kind):
     elif kind == "quoted header":
         head = head[:-1] + ['"task_id",worker_id,response']
     elif kind == "blank line":
-        rows.insert(i + 1, "")
+        rows.insert(i, "")
+    elif kind == "trailing blank lines":
+        rows += [""] * int(rng.integers(1, 4))
     elif kind == "duplicate":
         rows.append(rows[i])
     elif kind == "conflict":
@@ -525,7 +527,7 @@ MUTATIONS = {"quote": False, "crlf": True, "lone cr": False, "padded id": False,
              "empty id": False, "non-ascii id": False, "# in id": False, "label 0": False,
              "label +1": False, "label 19 digits": False, "moved comma": False,
              "quoted header": False, "blank line": False, "no final newline": True,
-             "duplicate": True, "conflict": True}
+             "duplicate": True, "conflict": True, "trailing blank lines": True}
 
 
 def _outcome(text):

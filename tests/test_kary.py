@@ -28,7 +28,6 @@ from crowdgauge.kary import (
     kary_deviations,
     numerical_jacobian,
     prob_estimate,
-    recover_selectivity,
 )
 from crowdgauge.numerics import normal_quantile
 from crowdgauge.simulate import WORKER_MATRIX_FIXTURES, _gen_kary_with_matrices
@@ -322,14 +321,28 @@ def test_prob_estimate_constant_worker_fails():
     assert info.value.reason == REASON_NONINVERTIBLE_FREQUENCY
 
 
-def test_recover_selectivity_diagonal():
-    s = recover_selectivity(np.diag([1 / math.sqrt(2)] * 2))
-    assert np.allclose(s, [0.5, 0.5], atol=1e-12)
+def recovering(v):
+    """A stand-in for kary._recover whose recovery returns V1..V3 = v."""
+    def recover(tensor, k, directions):
+        return _recover(tensor, k, directions)._replace(v=np.array(v, dtype=float))
+    return recover
 
 
-def test_recover_selectivity_zero_row():
+def test_recover_selectivity_diagonal(monkeypatch):
+    # Row r of V1 sums to sqrt(S(r)): the squared row sums, renormalized.
+    v1 = 3.0 * np.diag(np.sqrt([0.2, 0.8]))
+    monkeypatch.setattr(kary, "_recover", recovering([v1, v1, v1]))
+    est = prob_estimate(expected_counts(ARITY2, (0.5, 0.5)))
+    assert np.allclose(est.selectivity, [0.2, 0.8], atol=1e-12)
+    assert np.array_equal(est.p_matrices, np.stack([np.eye(2)] * 3))
+
+
+def test_recover_selectivity_zero_row(monkeypatch):
+    good = np.diag([0.5, 0.5])
+    monkeypatch.setattr(kary, "_recover",
+                        recovering([np.array([[0.5, -0.5], [0.3, 0.4]]), good, good]))
     with pytest.raises(EstimationFailure) as info:
-        recover_selectivity(np.array([[0.5, -0.5], [0.3, 0.4]]))
+        prob_estimate(expected_counts(ARITY2, (0.5, 0.5)))
     assert info.value.reason == REASON_DEGENERATE_SELECTIVITY
 
 

@@ -15,7 +15,7 @@ from crowdgauge.numerics import (
     invert_matrices,
     normal_quantile,
     optimal_weights,
-    propagated_deviation,
+    propagated_deviations,
 )
 
 
@@ -70,24 +70,29 @@ def test_normal_quantile_rejects_out_of_range():
             normal_quantile(t)
 
 
+def one_deviation(gradient, covariance):
+    """propagated_deviations of one statistic: (deviation, negative)."""
+    (dev,), (negative,) = propagated_deviations(np.array([gradient], dtype=float),
+                                                np.array([covariance], dtype=float))
+    return dev, negative
+
+
 def test_propagated_deviation_quadratic_form():
     gradient = [1.0, 2.0]
     cov = np.array([[0.001, 0.0002], [0.0002, 0.002]])
     # g' C g = 0.001 + 2*2*0.0002 + 4*0.002 = 0.0098
-    assert propagated_deviation(gradient, cov) == pytest.approx(
-        math.sqrt(0.0098), abs=1e-15)
+    assert one_deviation(gradient, cov) == (pytest.approx(math.sqrt(0.0098), abs=1e-15),
+                                            False)
 
 
 def test_propagated_deviation_rejects_negative_variance():
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-    with pytest.raises(EstimationFailure) as info:
-        propagated_deviation([1.0, -1.0], cov)
-    assert "negative variance" in info.value.reason
+    assert one_deviation([1.0, -1.0], cov) == (0.0, True)
 
 
 def test_propagated_deviation_clamps_tiny_negatives():
     cov = np.array([[1e-16, 0.0], [0.0, -1e-16]])
-    assert propagated_deviation([0.0, 1.0], cov) == 0.0
+    assert one_deviation([0.0, 1.0], cov) == (0.0, False)
 
 
 def delta_method_ci(p_hats, gradient, covariance, confidence):

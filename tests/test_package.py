@@ -3,9 +3,12 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import crowdgauge
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_public_name_resolves_once():
@@ -13,6 +16,21 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(crowdgauge, name)]
     assert missing == []
+
+
+def test_public_names_are_the_ones_readme_documents():
+    # README's "Public names" list is the package's public surface, and the
+    # library example imports only from it.
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    library = library.split("\n## ", 1)[0]
+    public = library.split("\n### Public names\n", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"`(\w+)`", public.split("\n- ", 1)[1])
+    assert len(listed) == len(set(listed))
+    assert set(crowdgauge.__all__) == set(listed)
+    example = re.search(r"from crowdgauge import \((.*?)\)", library, re.S).group(1)
+    imported = {name for line in example.splitlines()
+                for name in re.findall(r"\w+", line.partition("#")[0])}
+    assert imported and imported <= set(crowdgauge.__all__)
 
 
 def test_every_module_imports():
