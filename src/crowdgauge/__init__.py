@@ -22,7 +22,7 @@ from .errors import (
     UnknownWorkerError,
 )
 from .dataset import load_responses, prune_spammers, reduce_arity
-from .binary import WorkerReport, build_worker_system, evaluate_all, evaluate_worker
+from .binary import WorkerReport, evaluate_all, evaluate_worker
 from .kary import (
     KaryReport,
     ResponseProbEstimate,
@@ -50,7 +50,6 @@ __all__ = [
     "UnknownWorkerError",
     "WorkerReport",
     "build_counts",
-    "build_worker_system",
     "evaluate_all",
     "evaluate_worker",
     "kary_confidence_intervals",

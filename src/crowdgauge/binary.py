@@ -15,14 +15,15 @@ number of tasks, each read by worker index from its pair statistics
 O(m^2) in the number of workers m. A dataset is a stack of one; the
 simulator stacks a chunk of replications. Triples stay index and value
 arrays from pairing to weights: `greedy_pairs` pairs every (world, worker)
-item in one vectorised loop, `build_worker_system` evaluates every triple
-(i, j1, j2) of the stack in one array pass (error rates, derivatives,
-agreement covariances, deviations and a failure reason per row), and each
-worker's system keeps its slice of those arrays and their covariance,
-whose C3 matrix product over the attempt rows of its 2T partners is built
-in groups that fit a byte budget. `aggregate_system` combines the systems
-with the same number of triples in one pass; minimum-variance weights and
-cross-triple covariances are solved one worker at a time. The formulas
+item in one vectorised loop, and `build_worker_system` evaluates every
+triple (i, j1, j2) of the stack in one array pass (error rates,
+derivatives, agreement covariances, deviations and a failure reason per
+row). It keeps the usable rows item after item, and writes the (T, T)
+covariance of each item's T usable triples into one (N_T, T, T) array
+per T; the C3 matrix products over the attempt rows of the 2T partners
+are built in groups that fit a byte budget. `aggregate_system` combines
+each of those arrays in one pass, where it lies; minimum-variance weights
+and cross-triple covariances are solved one item at a time. The formulas
 take scalars or arrays alike. A `WorkerReport` carries each worker's
 interval as plain floats, with a reason code in place of the numbers on
 failure.
@@ -175,8 +176,8 @@ def agreement_covariances(q: Sequence, c2: Sequence, c3, p_hats: Sequence) -> np
 
 
 # Bytes that the temporaries of one group may take: triple overlaps are
-# counted, and C3 matrices built, one group of rows or systems at a time,
-# so a stack of many small worlds never holds them all at once. A system
+# counted, and C3 matrices built, one group of rows or items at a time,
+# so a stack of many small worlds never holds them all at once. An item
 # whose 2T x n floats exceed the budget makes a group of its own.
 _GROUP_BYTES = 64 * 1024
 
@@ -376,36 +377,38 @@ def cross_triple_covariances(derivs: np.ndarray, devs: np.ndarray, p_i_hat: floa
     return cov
 
 
-@dataclass(frozen=True)
-class _WorkerSystem:
-    """One worker's slice of the evaluated triples: `partners` (T, 2) holds
-    the (j1, j2) positions of its usable triples, `p_hats` their estimates
-    and `covariance` their (T, T) covariance; `triple_failures` counts the
-    failed triples by reason. Without usable triples T = 0, the covariance
-    is None and `failure_reason` says why."""
+class _WorkerSystems(NamedTuple):
+    """The triple systems of the requested workers, as arrays over items.
 
-    worker: str
-    partners: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.intp))
-    p_hats: np.ndarray = field(default_factory=lambda: np.empty(0))
-    covariance: np.ndarray | None = None
-    triple_failures: dict[str, int] = field(default_factory=dict)
-    failure_reason: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.failure_reason is not None
-
-
-@dataclass(frozen=True)
-class _WorkerSystems:
-    """The systems of the requested workers, world by world in request
-    order; `triples` is the (N, 3) index array of all their usable triples
+    The items are the (world, worker) pairs, world by world in request
+    order; item k is worker `workers[k]`. Its `used[k]` usable triples are
+    the next `used[k]` rows of `partners` (their (j1, j2) positions) and
+    `p_hats` (their estimates), item after item. `covariances[T]` holds the
+    (T, T) covariances of the N_T items with T usable triples, in item
+    order, as one (N_T, T, T) array. `reason[k]` says why item k has no
+    usable triple, and is None when it has some; `triple_failures[k]`
+    counts its failed triples by reason, and an item without one is
+    absent. `triples` is the (N, 3) index array of all usable triples
     (worker positions, world by world) and `triples_failed` the number of
-    failed ones."""
+    failed ones.
+    """
 
-    systems: tuple[_WorkerSystem, ...]
+    workers: tuple[str, ...]
+    used: np.ndarray
+    partners: np.ndarray
+    p_hats: np.ndarray
+    covariances: dict[int, np.ndarray]
+    reason: np.ndarray
+    triple_failures: dict[int, Counter]
     triples: np.ndarray
     triples_failed: int
+
+
+def _rows_of(used: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The items with `size` usable triples, and the (N_T, T) positions of
+    their triples among the usable triples of all items."""
+    members = np.flatnonzero(used == size)
+    return members, (np.cumsum(used) - used)[members][:, None] + np.arange(size)
 
 
 def _groups(members: np.ndarray, size: int) -> list[np.ndarray]:
@@ -419,14 +422,16 @@ def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[st
     `data` is a dataset or a stack of worlds, and `workers` a sequence of
     worker ids; the systems are built for every world, world by world. The
     triples of all of them are estimated in one array pass, and their
-    triple overlaps and C3 matrices in groups that fit _GROUP_BYTES.
-    Failed triples are dropped (and counted by reason). A worker that
-    greedy_pairs pairs with nobody, or whose triples all fail, gets a
-    system whose `failure_reason` says so, instead of an exception, so
-    whole-dataset sweeps keep going. Fewer than 3 workers raise
-    InsufficientConnectivityError, an unknown worker UnknownWorkerError,
-    a dataset of arity other than 2 LabelDomainError, and then a
-    min_overlap below 1 ValueError.
+    triple overlaps in groups that fit _GROUP_BYTES. Failed triples are
+    dropped (and counted by reason). The items with the same number T of
+    usable triples get their C3 matrices in groups that fit _GROUP_BYTES,
+    and their covariances are written into one (N_T, T, T) array, one
+    cross_triple_covariances call per item. An item that greedy_pairs
+    pairs with nobody, or whose triples all fail, gets a `reason` instead
+    of an exception, so whole-dataset sweeps keep going. Fewer than 3
+    workers raise InsufficientConnectivityError, an unknown worker
+    UnknownWorkerError, a dataset of arity other than 2 LabelDomainError,
+    and then a min_overlap below 1 ValueError.
     """
     stack, item_world, item_center = _items(data, workers)
     if min_overlap < 1:
@@ -451,17 +456,16 @@ def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[st
     kept_partners, kept_p = index[kept, 1:], rows.p_hat[kept]
     kept_derivs, kept_dev = rows.derivs[kept, :2], rows.dev[kept]
     used = np.bincount(row_item[kept], minlength=count.size)
-    starts = np.cumsum(used) - used
     covariances: dict[int, np.ndarray] = {}
     for size in sorted(set(used.tolist()) - {0}):
+        members, own = _rows_of(used, size)
+        cov = covariances[size] = np.empty((members.size, size, size))
         # C3 = B B^T in float64, exact for counts, where B = A_P o A_i is
         # the partners' attempt rows masked by worker i's. A_i is 0/1, so
         # this is (A_P o A_i) A_P^T from a single float array.
-        for group in _groups(np.flatnonzero(used == size),
-                             max(1, _GROUP_BYTES // (16 * size * n))):
-            own = starts[group][:, None] + np.arange(size)
-            part = kept_partners[own].reshape(len(group), 2 * size)
-            w, i = item_world[group], item_center[group]
+        for chunk in _groups(np.arange(members.size), max(1, _GROUP_BYTES // (16 * size * n))):
+            part = kept_partners[own[chunk]].reshape(chunk.size, 2 * size)
+            w, i = item_world[members[chunk]], item_center[members[chunk]]
             shared = np.unpackbits(stack.attempts[w[:, None] * m + part]
                                    & stack.attempts[w * m + i][:, None],
                                    axis=-1, count=n).astype(float)
@@ -469,33 +473,23 @@ def build_worker_system(data: ResponseDataset | WorldStack, workers: Sequence[st
             del shared
             c2 = stack.pair_overlap[w[:, None], i[:, None], part]
             q = stack.pair_agreement[w[:, None, None], part[:, :, None], part[:, None, :]]
-            p_mean = kept_p[own].mean(axis=1)
-            for k, item in enumerate(group.tolist()):
-                own_rows = slice(starts[item], starts[item] + size)
-                covariances[item] = cross_triple_covariances(
-                    kept_derivs[own_rows], kept_dev[own_rows], float(p_mean[k]),
+            p_mean = kept_p[own[chunk]].mean(axis=1)
+            for k, item in enumerate(chunk.tolist()):
+                cov[item] = cross_triple_covariances(
+                    kept_derivs[own[item]], kept_dev[own[item]], float(p_mean[k]),
                     c2[k], q[k], c3_group[k])
-    systems = []
-    for item, center in enumerate(item_center.tolist()):
-        worker = stack.workers[center]
-        if not count[item]:
-            systems.append(_WorkerSystem(worker,
-                                         failure_reason=REASON_INSUFFICIENT_CONNECTIVITY))
-        elif not used[item]:
-            systems.append(_WorkerSystem(worker, triple_failures=failures[item],
-                                         failure_reason=REASON_NO_USABLE_TRIPLES))
-        else:
-            own = slice(starts[item], starts[item] + used[item])
-            systems.append(_WorkerSystem(worker, kept_partners[own], kept_p[own],
-                                         covariances[item], failures.get(item, Counter())))
-    return _WorkerSystems(tuple(systems), index[usable], int((~usable).sum()))
+    reason = np.where(count == 0, REASON_INSUFFICIENT_CONNECTIVITY,
+                      np.where(used == 0, REASON_NO_USABLE_TRIPLES, None))
+    return _WorkerSystems(tuple(stack.workers[c] for c in item_center.tolist()), used,
+                          kept_partners, kept_p, covariances, reason, failures,
+                          index[usable], int((~usable).sum()))
 
 
 class _Aggregates(NamedTuple):
-    """Aggregates of a sequence of worker systems, aligned with it: the
-    estimate cut back into [0, 1], its deviation, the weights (None where
-    the system failed), whether minimum-variance weighting fell back to
-    uniform, whether the estimate was clamped, and each system's failure
+    """Aggregates of the items of a `_WorkerSystems`, aligned with them:
+    the estimate cut back into [0, 1], its deviation, the weights (None
+    where the item failed), whether minimum-variance weighting fell back
+    to uniform, whether the estimate was clamped, and each item's failure
     reason (None when it aggregated)."""
 
     estimate: np.ndarray
@@ -506,30 +500,26 @@ class _Aggregates(NamedTuple):
     reason: list
 
 
-def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggregates:
-    """Combine each worker system into an estimate and its deviation.
+def aggregate_system(systems: _WorkerSystems, weighting: str) -> _Aggregates:
+    """Combine each item's triple estimates into an estimate and its deviation.
 
-    The systems with the same number T of usable triples are combined in
-    one array pass: estimates w . p, quadratic forms w^T C w and clamps.
-    Minimum-variance weights are solved one covariance at a time
+    Each (N_T, T, T) array of `systems.covariances` is combined in one
+    array pass, where it lies and without a copy: estimates w . p,
+    quadratic forms w^T C w and clamps. Minimum-variance weights are solved one covariance at a time
     (optimal_weights). A quadratic form that propagated_deviations flags
-    negative fails its system with REASON_NEGATIVE_VARIANCE, and a failed
-    system keeps its reason.
+    negative fails its item with REASON_NEGATIVE_VARIANCE, and a failed
+    item keeps its reason.
     """
     if weighting not in ("uniform", "optimal"):
         raise ValueError(f"weighting must be 'uniform' or 'optimal', got {weighting!r}")
-    count = len(systems)
+    count = len(systems.workers)
     estimate, dev = np.full(count, np.nan), np.full(count, np.nan)
     fallback, clamped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     weights: list = [None] * count
-    reason = [system.failure_reason for system in systems]
-    sizes: dict[int, list[int]] = {}
-    for k, system in enumerate(systems):
-        if not system.failed:
-            sizes.setdefault(len(system.p_hats), []).append(k)
-    for size, members in sizes.items():
-        p_hats = np.stack([systems[k].p_hats for k in members])
-        cov = np.stack([systems[k].covariance for k in members])
+    reason = systems.reason.tolist()
+    for size, cov in systems.covariances.items():
+        members, own = _rows_of(systems.used, size)
+        p_hats = systems.p_hats[own]
         if weighting == "optimal":
             solutions = [optimal_weights(c) for c in cov]
             w = np.stack([solution.weights for solution in solutions])
@@ -540,34 +530,32 @@ def aggregate_system(systems: Sequence[_WorkerSystem], weighting: str) -> _Aggre
         dev[members], negatives = propagated_deviations(w, cov)
         estimate[members] = np.minimum(np.maximum(raw, 0.0), 1.0)
         clamped[members] = (raw < 0.0) | (raw > 1.0)
-        for k, row, negative in zip(members, w, negatives.tolist()):
+        for k, row, negative in zip(members.tolist(), w, negatives.tolist()):
             weights[k] = row
             if negative:
                 reason[k] = REASON_NEGATIVE_VARIANCE
     return _Aggregates(estimate, dev, weights, fallback, clamped, reason)
 
 
-def _worker_reports(num_workers: int, systems: Sequence[_WorkerSystem], confidence: float,
+def _worker_reports(num_workers: int, systems: _WorkerSystems, confidence: float,
                     weighting: str) -> list[WorkerReport]:
     # A one-triple aggregate cannot fail (its weight is 1 and its variance
     # a square), so a failed m-worker report always names its weighting.
     aggregates = aggregate_system(systems, weighting)
     z = abs(normal_quantile((1.0 - confidence) / 2.0))
     reports = []
-    for k, system in enumerate(systems):
-        used = len(system.p_hats)
+    for k, (worker, used) in enumerate(zip(systems.workers, systems.used.tolist())):
         method = (METHOD_THREE_WORKER if num_workers == 3 or used == 1 else
                   METHOD_M_WORKER_UNIFORM if weighting == "uniform" else
                   METHOD_M_WORKER_OPTIMAL)
-        reason = aggregates.reason[k]
+        reason, failures = aggregates.reason[k], systems.triple_failures.get(k, Counter())
         if reason is not None:
-            reports.append(WorkerReport(system.worker, confidence, reason, method, used,
-                                        system.triple_failures))
+            reports.append(WorkerReport(worker, confidence, reason, method, used, failures))
             continue
         estimate, dev = float(aggregates.estimate[k]), float(aggregates.dev[k])
         half_width = z * dev
         reports.append(WorkerReport(
-            system.worker, confidence, None, method, used, system.triple_failures,
+            worker, confidence, None, method, used, failures,
             estimate=estimate, lower=estimate - half_width, upper=estimate + half_width,
             weights=tuple(aggregates.weights[k].tolist()), dev=dev,
             clamped=bool(aggregates.clamped[k]), weight_fallback=bool(aggregates.fallback[k])))
@@ -585,8 +573,8 @@ def evaluate_worker(ds: ResponseDataset, worker: str, confidence: float,
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    report, = _worker_reports(ds.num_workers, build_worker_system(
-        ds, (worker,), min_overlap).systems, confidence, weighting)
+    report, = _worker_reports(ds.num_workers, build_worker_system(ds, (worker,), min_overlap),
+                              confidence, weighting)
     return report
 
 
@@ -599,5 +587,5 @@ def evaluate_all(ds: ResponseDataset, confidence: float,
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return _worker_reports(ds.num_workers, build_worker_system(
-        ds, ds.workers, min_overlap).systems, confidence, weighting)
+    return _worker_reports(ds.num_workers, build_worker_system(ds, ds.workers, min_overlap),
+                           confidence, weighting)

@@ -300,10 +300,10 @@ def _binary_chunk(cfg: SimConfig, reps: range, weightings: Sequence[str]):
         *(_draw_binary_world(cfg, rep, densities) for rep in reps))
     stack = WorldStack.stack(workers[0], cfg.n, np.stack(overlap), np.stack(agreement),
                              np.concatenate(attempts))
-    systems = build_worker_system(stack, stack.workers).systems
-    est = np.empty((len(weightings), len(systems)))
-    dev = np.empty((len(weightings), len(systems)))
-    ok = np.ones(len(systems), dtype=bool)
+    systems = build_worker_system(stack, stack.workers)
+    est = np.empty((len(weightings), len(systems.workers)))
+    dev = np.empty((len(weightings), len(systems.workers)))
+    ok = np.ones(len(systems.workers), dtype=bool)
     for i, weighting in enumerate(weightings):
         aggregates = aggregate_system(systems, weighting)
         est[i], dev[i] = aggregates.estimate, aggregates.dev

@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -14,7 +15,6 @@ from crowdgauge.binary import (
     METHOD_M_WORKER_UNIFORM,
     METHOD_THREE_WORKER,
     WorldStack,
-    _WorkerSystem,
     _estimate_triples,
     _items,
     agreement_covariances,
@@ -40,6 +40,7 @@ from crowdgauge.errors import (
 )
 from crowdgauge.numerics import VARIANCE_CLAMP_TOL, normal_quantile, propagated_deviations
 from crowdgauge.simulate import gen_binary_responses, gen_binary_workers, ramp_densities, substream
+from worker_systems import pack_systems, unpack_systems
 
 
 def true_agreement(p_a, p_b):
@@ -652,11 +653,11 @@ def test_optimal_weighting_never_beaten_by_uniform():
     rng = np.random.default_rng(10)
     for rep in range(20):
         ds = simulate_binary((0.1, 0.15, 0.2, 0.25, 0.3, 0.12, 0.22), 300, rng)
-        system, = build_worker_system(ds, ("w1",)).systems
-        if system.failed:
+        systems = build_worker_system(ds, ("w1",))
+        if systems.reason[0] is not None:
             continue
-        optimal = aggregate_system((system,), "optimal")
-        uniform = aggregate_system((system,), "uniform")
+        optimal = aggregate_system(systems, "optimal")
+        uniform = aggregate_system(systems, "uniform")
         if not optimal.fallback[0]:
             assert optimal.dev[0] <= uniform.dev[0] + 1e-12
 
@@ -665,24 +666,24 @@ def test_aggregate_deviation_is_propagated_deviation_of_its_weights():
     # one clamp rule: aggregate_system's dev and negative-variance reason are
     # what propagated_deviations gives for the weights it used and C
     rng = np.random.default_rng(12)
-    systems = []
+    p_hats, covariances = [], []
     for size in (1, 2, 3, 5, 8) * 4:
         a = rng.normal(size=(size, size + 2)) * 0.05
-        systems.append(_WorkerSystem("w", np.zeros((size, 2), dtype=np.intp),
-                                     rng.uniform(0.0, 0.5, size), a @ a.T / size))
+        p_hats.append(rng.uniform(0.0, 0.5, size))
+        covariances.append(a @ a.T / size)
     # w^T C w for w = (1/2, 1/2) inside the band [-tol, 0), and below it
     band, below = (np.array([[1.0, -1.0 - x], [-1.0 - x, 1.0]]) for x in (1e-12, 1e-6))
     half = np.full(2, 0.5)
     assert -VARIANCE_CLAMP_TOL <= half @ band @ half < 0.0
     assert half @ below @ half < -VARIANCE_CLAMP_TOL
-    systems += [_WorkerSystem("w", np.zeros((2, 2), dtype=np.intp), np.full(2, 0.2), c)
-                for c in (band, below)]
+    p_hats += [np.full(2, 0.2)] * 2
+    covariances += [band, below]
+    systems = pack_systems(p_hats, covariances)
     seen = Counter()
     for weighting in ("uniform", "optimal"):
         aggregates = aggregate_system(systems, weighting)
-        for k, system in enumerate(systems):
-            (dev,), (negative,) = propagated_deviations(aggregates.weights[k][None],
-                                                        system.covariance[None])
+        for k, cov in enumerate(covariances):
+            (dev,), (negative,) = propagated_deviations(aggregates.weights[k][None], cov[None])
             if negative:
                 assert aggregates.reason[k] == REASON_NEGATIVE_VARIANCE
                 seen["negative"] += 1
@@ -691,6 +692,24 @@ def test_aggregate_deviation_is_propagated_deviation_of_its_weights():
             assert aggregates.dev[k] == dev
             seen["zero" if dev == 0.0 else "positive"] += 1
     assert seen["negative"] and seen["zero"] and seen["positive"]
+
+
+def test_aggregate_system_reads_the_covariances_in_place():
+    # Aggregation reads the (N_T, T, T) arrays that build_worker_system
+    # filled; stacking a copy of them would take as many bytes again.
+    rng = substream(0, 0)
+    ds, _ = gen_binary_responses(gen_binary_workers(81, rng), 2000, 0.8, rng)
+    systems = build_worker_system(ds, ds.workers)
+    held = sum(cov.nbytes for cov in systems.covariances.values())
+    assert held > 1_000_000
+    for weighting in ("uniform", "optimal"):
+        tracemalloc.start()
+        try:
+            aggregate_system(systems, weighting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * held
 
 
 def test_evaluate_worker_all_triples_failed():
@@ -806,8 +825,8 @@ def test_cross_triple_matches_scalar_loop_at_partial_density():
     masks[5:7, 450:] = rng.random((2, 450)) < 0.9
     masks[7:] = rng.random((2, n)) < 0.6
     ds = simulate_binary(np.linspace(0.05, 0.25, 9), n, rng, masks)
-    system, = build_worker_system(ds, ("w1",)).systems
-    assert not system.failed and system.partners.shape == (4, 2)
+    system, = unpack_systems(build_worker_system(ds, ("w1",)))
+    assert system.reason is None and system.partners.shape == (4, 2)
     stats = dataset_stats(ds)
     _, c2, c3 = stats
     triples = [evaluate_row(ds, ("w1", a, b)) for a, b in pair_names(ds, system.partners)]
@@ -867,9 +886,9 @@ def test_batched_triples_equal_one_row_calls_and_scalar_reference():
     ds = simulate_binary(rates, n, rng, masks)
     stats = dataset_stats(ds)
     batch = build_worker_system(ds, ds.workers)
-    assert [s.worker for s in batch.systems] == list(ds.workers)
+    assert batch.workers == ds.workers
     one_row_all = []
-    for system in batch.systems:
+    for system in unpack_systems(batch):
         one_row = [evaluate_row(ds, (system.worker, a, b))
                    for a, b in pair_names(ds, pairs_around(ds, system.worker))]
         one_row_all += one_row
@@ -930,10 +949,10 @@ def test_stacked_worlds_equal_one_world_calls():
             np.concatenate([np.packbits(ds.attempts, axis=1) for ds in datasets]))
         stacked = build_worker_system(stack, stack.workers)
         alone = [build_worker_system(ds, ds.workers) for ds in datasets]
-        systems = [system for one in alone for system in one.systems]
-        assert len(stacked.systems) == len(systems)
-        for got, want in zip(stacked.systems, systems):
-            assert (got.worker, got.failure_reason) == (want.worker, want.failure_reason)
+        systems = [system for one in alone for system in unpack_systems(one)]
+        assert len(stacked.workers) == len(systems)
+        for got, want in zip(unpack_systems(stacked), systems):
+            assert (got.worker, got.reason) == (want.worker, want.reason)
             assert got.triple_failures == want.triple_failures
             assert got.partners.tolist() == want.partners.tolist()
             # bit for bit: repr tells every float apart, -0.0 from 0.0 too
@@ -942,12 +961,13 @@ def test_stacked_worlds_equal_one_world_calls():
                 repr(getattr(want.covariance, "tolist", list)())
         assert stacked.triples.tolist() == [row for one in alone for row in one.triples.tolist()]
         assert stacked.triples_failed == sum(one.triples_failed for one in alone)
-        failed_systems += sum(system.failed for system in systems)
+        failed_systems += sum(system.reason is not None for system in systems)
         failed_triples += stacked.triples_failed
         for weighting in ("uniform", "optimal"):
-            together = aggregate_system(stacked.systems, weighting)
+            together = aggregate_system(stacked, weighting)
             for k, system in enumerate(systems):
-                one = aggregate_system((system,), weighting)
+                one = aggregate_system(pack_systems([system.p_hats], [system.covariance],
+                                                    [system.reason]), weighting)
                 assert repr((together.estimate[k], together.dev[k], together.fallback[k],
                              together.clamped[k], together.reason[k])) == \
                     repr((one.estimate[0], one.dev[0], one.fallback[0], one.clamped[0],

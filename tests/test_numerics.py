@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdgauge.binary import _WorkerSystem, _worker_reports
+from crowdgauge.binary import _worker_reports
 from crowdgauge.errors import (
     EstimationFailure,
     REASON_EIGEN_NONCONVERGENCE,
@@ -17,6 +17,7 @@ from crowdgauge.numerics import (
     optimal_weights,
     propagated_deviations,
 )
+from worker_systems import pack_systems
 
 
 def normal_cdf(x):
@@ -101,9 +102,8 @@ def delta_method_ci(p_hats, gradient, covariance, confidence):
     The gradient g is folded into the covariance, D C D with D = diag(2g),
     so that the uniform weights (1/2, 1/2) propagate it."""
     scale = 2.0 * np.asarray(gradient, dtype=float)
-    system = _WorkerSystem("w1", np.zeros((2, 2), dtype=np.intp), np.asarray(p_hats),
-                           scale[:, None] * np.asarray(covariance) * scale[None, :])
-    report, = _worker_reports(5, (system,), confidence, "uniform")
+    systems = pack_systems([p_hats], [scale[:, None] * np.asarray(covariance) * scale[None, :]])
+    report, = _worker_reports(5, systems, confidence, "uniform")
     return report
 
 
