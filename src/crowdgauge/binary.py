@@ -505,10 +505,10 @@ def aggregate_system(systems: _WorkerSystems, weighting: str) -> _Aggregates:
 
     Each (N_T, T, T) array of `systems.covariances` is combined in one
     array pass, where it lies and without a copy: estimates w . p,
-    quadratic forms w^T C w and clamps. Minimum-variance weights are solved one covariance at a time
-    (optimal_weights). A quadratic form that propagated_deviations flags
-    negative fails its item with REASON_NEGATIVE_VARIANCE, and a failed
-    item keeps its reason.
+    quadratic forms w^T C w and clamps. Minimum-variance weights are
+    solved one covariance at a time (optimal_weights). A quadratic form
+    that propagated_deviations flags negative fails its item with
+    REASON_NEGATIVE_VARIANCE, and a failed item keeps its reason.
     """
     if weighting not in ("uniform", "optimal"):
         raise ValueError(f"weighting must be 'uniform' or 'optimal', got {weighting!r}")

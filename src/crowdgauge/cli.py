@@ -263,16 +263,17 @@ def cmd_evaluate_kary(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
-# name: (defaults, which of --arity and --weighting it takes, runner).
-# An `arity` makes the config k-ary, with that fixture.
+# name: (defaults, which of --d, --arity and --weighting it takes, runner).
+# An `arity` makes the config k-ary, with that fixture. The size sweeps set
+# the density themselves, so they take no --d.
 _EXPERIMENTS = {
-    "coverage": ({"n": 100, "m": 7, "d": 0.8, "reps": 500}, ("weighting",),
+    "coverage": ({"n": 100, "m": 7, "d": 0.8, "reps": 500}, ("d", "weighting"),
                  run_coverage_experiment),
     "size-vs-density": ({"n": 300, "m": 7, "d": 0.8, "reps": 500, "confidence": 0.8},
                         ("weighting",), lambda cfg: run_size_experiment(cfg, DENSITY_GRID)),
-    "weight-comparison": ({"n": 100, "m": 7, "d": "ramp", "reps": 500}, (),
+    "weight-comparison": ({"n": 100, "m": 7, "d": "ramp", "reps": 500}, ("d",),
                           compare_weighting),
-    "kary-coverage": ({"n": 1000, "m": 3, "d": 1.0, "reps": 500, "arity": 2}, ("arity",),
+    "kary-coverage": ({"n": 1000, "m": 3, "d": 1.0, "reps": 500, "arity": 2}, ("d", "arity"),
                       run_coverage_experiment),
     "kary-size": ({"n": 500, "m": 3, "d": 0.8, "reps": 150, "arity": 3, "confidence": 0.8},
                   (), lambda cfg: run_size_experiment(cfg, arities=(2, 3, 4))),
@@ -294,7 +295,7 @@ def cmd_simulate(args) -> int:
     if writer is None:
         raise UsageError(f"--output must end in .csv or .json, got {output.name!r}")
     defaults, takes, runner = _EXPERIMENTS[args.experiment]
-    for flag in ("arity", "weighting"):
+    for flag in ("d", "arity", "weighting"):
         if getattr(args, flag) is not None and flag not in takes:
             raise UsageError(f"--{flag} does not apply to {args.experiment}")
     opts = {**defaults, **{key: v for key, v in vars(args).items() if v is not None}}
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result path (.csv or .json)")
     p_sim.add_argument("--n", type=int, help="tasks per replication")
     p_sim.add_argument("--m", type=int, help="workers per replication")
-    p_sim.add_argument("--d", help="attempt density (number or 'ramp')")
+    p_sim.add_argument("--d", help="attempt density, a number or 'ramp' (coverage, "
+                                   "weight-comparison and kary-coverage only)")
     p_sim.add_argument("--reps", type=int, help="replications")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--confidence", type=float,

@@ -7,9 +7,9 @@ V_1 = S_D^(1/2) P_1, whose square root combined with per-response
 conditional slices recovers each V_w up to a common row permutation.
 The reported matrices are the row normalizations P_w = V_w / rowsum(V_w).
 `prob_estimate` returns one record per triple: P1..P3 as a (3, k, k)
-stack, the selectivity, one `KaryDiagnostics` record that the interval
-report passes on unchanged, and V1..V3 with their derivatives against the
-counts. That P is the one the interval report and the simulator use.
+stack, the selectivity, V1..V3 and their derivatives dV against the
+counts, and one `KaryDiagnostics` record that the interval report passes
+on unchanged. That P is the one the interval report and the simulator use.
 
 Entrywise confidence intervals for P_w follow from the delta method. The
 recovery differentiates each of its steps in the same pass that computes
@@ -26,15 +26,15 @@ for a pattern of n tasks.
 Every way a triple can fail, a pair that shares no task included, raises
 EstimationFailure with one of the REASON_* codes of `errors`, and
 `kary_confidence_intervals` turns it into a failed `KaryReport`. A
-successful report carries its midpoints and interval ends as (3, k, k)
-arrays.
+successful report carries its midpoints, deviations and interval ends as
+(3, k, k) arrays; `simulate` reads its midpoints and deviations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,20 +173,23 @@ def _order_rows_by_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, dest
 
 
-class _Recovery(NamedTuple):
-    """A successful spectral recovery and its derivative.
+@dataclass(frozen=True, eq=False)
+class KaryDiagnostics:
+    """How the spectral recovery of one triple went.
 
-    v stacks V1..V3 as (3, k, k) and dv[d] their derivative along the d-th
-    count direction. slice_failures, max_imag and the kept slices' row
-    signs and row destinations (dest) feed KaryDiagnostics.
+    slice_failures lists (slice, reason) for every dropped conditional
+    slice; max_imag is the largest imaginary part among the slice
+    eigensystems that passed the complex-eigensystem check; rows_permuted
+    and rows_sign_fixed say whether a kept slice had its rows reordered or
+    negated; clamped says whether some entry of V_w / rowsum(V_w) lies
+    outside [0, 1]. A failed report carries the defaults.
     """
 
-    v: np.ndarray
-    dv: np.ndarray
-    slice_failures: tuple[tuple[int, str], ...]
-    max_imag: float
-    signs: np.ndarray
-    dest: np.ndarray
+    slice_failures: tuple[tuple[int, str], ...] = ()
+    max_imag: float = 0.0
+    rows_permuted: bool = False
+    rows_sign_fixed: bool = False
+    clamped: bool = False
 
 
 def _fail(reason: str) -> EstimationFailure:
@@ -201,11 +204,14 @@ def _invert_one(matrix: np.ndarray, reason: str) -> np.ndarray:
     return inverse[0]
 
 
-def _recover(tensor: np.ndarray, k: int, directions: np.ndarray) -> _Recovery:
+def _recover(tensor: np.ndarray, k: int, directions: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, KaryDiagnostics]:
     """Spectral recovery of one (k+1, k+1, k+1) counts array, differentiated.
 
-    directions is a (D, k+1, k+1, k+1) stack of changes to the counts, and
-    the recovery's dv stacks the matching dV as (D, 3, k, k). Each step is
+    directions is a (D, k+1, k+1, k+1) stack of changes to the counts.
+    Returns (v, dv, diagnostics): v stacks V1..V3 as (3, k, k), dv the
+    matching dV as (D, 3, k, k), and diagnostics all of KaryDiagnostics
+    but `clamped`, which the row normalization sets. Each step is
     followed by its differential at the same values: the frequency ratios;
     the inversions, by dA^-1 = -A^-1 dA A^-1; the Gram square root, by the
     Daleckii-Krein formula; each kept slice's eigenvectors, by
@@ -304,44 +310,25 @@ def _recover(tensor: np.ndarray, k: int, directions: np.ndarray) -> _Recovery:
         v = np.stack([v1, v1t_inv @ r12, v1t_inv @ r31.T])
         dv = np.stack([dv1, dv1t_inv @ r12 + v1t_inv @ dr12,
                        dv1t_inv @ r31.T + v1t_inv @ dr31.transpose(0, 2, 1)], axis=1)
-    return _Recovery(
-        v=v, dv=dv,
+    return v, dv, KaryDiagnostics(
         slice_failures=tuple((j + 1, why) for j, why in enumerate(failures)
                              if why is not None),
-        max_imag=max_imag, signs=signs, dest=dest)
-
-
-@dataclass(frozen=True, eq=False)
-class KaryDiagnostics:
-    """How the spectral recovery of one triple went.
-
-    slice_failures lists (slice, reason) for every dropped conditional
-    slice; max_imag is the largest imaginary part among the slice
-    eigensystems that passed the complex-eigensystem check; rows_permuted
-    and rows_sign_fixed say whether a kept slice had its rows reordered or
-    negated; clamped says whether some entry of V_w / rowsum(V_w) lies
-    outside [0, 1]. A failed report carries the defaults.
-    """
-
-    slice_failures: tuple[tuple[int, str], ...] = ()
-    max_imag: float = 0.0
-    rows_permuted: bool = False
-    rows_sign_fixed: bool = False
-    clamped: bool = False
+        max_imag=max_imag, rows_permuted=bool((dest != np.arange(k)).any()),
+        rows_sign_fixed=bool((signs < 0).any()))
 
 
 @dataclass(frozen=True, eq=False)
 class ResponseProbEstimate:
     """Recovered response-probability matrices for a worker triple.
 
-    recovery.v[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order
-    shared by the three workers, and p_matrices[w] = V_{w+1} / rowsum(V_{w+1})
-    its row normalization; both are (3, k, k) arrays. Each row of P sums to
-    1 up to rounding, and an entry may lie outside [0, 1]
+    v[w] is the scaled matrix S_D^(1/2) P_{w+1}, in a row order shared by
+    the three workers, and p_matrices[w] = V_{w+1} / rowsum(V_{w+1}) its
+    row normalization; both are (3, k, k) arrays. Each row of P sums to 1
+    up to rounding, and an entry may lie outside [0, 1]
     (diagnostics.clamped says whether one does). selectivity is the
     recovered truth distribution. counts is the tensor the triple was
-    recovered from (counts.arity is k) and recovery.dv[j] the derivative of
-    V against the count cell cells[j], from the pass that recovered V:
+    recovered from (counts.arity is k) and dv[j] the (3, k, k) derivative
+    of V against the count cell cells[j], from the pass that recovered V:
     kary_deviations contracts it, so nothing recovers the triple again.
     """
 
@@ -350,7 +337,8 @@ class ResponseProbEstimate:
     diagnostics: KaryDiagnostics
     counts: CountsTensor
     cells: np.ndarray
-    recovery: _Recovery
+    v: np.ndarray
+    dv: np.ndarray
 
 
 def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
@@ -369,21 +357,16 @@ def prob_estimate(counts: CountsTensor) -> ResponseProbEstimate:
     cells = np.array([cell for pattern in patterns for cell in _pattern_cells(pattern, k)])
     directions = np.zeros((len(cells), k + 1, k + 1, k + 1))
     directions[(np.arange(len(cells)),) + tuple(cells.T)] = 1.0
-    rec = _recover(counts.counts, k, directions)
-    v = rec.v
+    v, dv, diagnostics = _recover(counts.counts, k, directions)
     sums = v.sum(axis=2, keepdims=True)
     if (np.abs(sums) < 1e-12).any():
         raise EstimationFailure(REASON_DEGENERATE_SELECTIVITY, "zero row sum")
     p = v / sums
-    diagnostics = KaryDiagnostics(
-        slice_failures=rec.slice_failures, max_imag=rec.max_imag,
-        rows_permuted=bool((rec.dest != np.arange(k)).any()),
-        rows_sign_fixed=bool((rec.signs < 0).any()),
-        clamped=bool(((p < 0.0) | (p > 1.0)).any()))
+    diagnostics = replace(diagnostics, clamped=bool(((p < 0.0) | (p > 1.0)).any()))
     selectivity = sums[0, :, 0] ** 2
     return ResponseProbEstimate(p_matrices=p, selectivity=selectivity / selectivity.sum(),
                                 diagnostics=diagnostics, counts=counts, cells=cells,
-                                recovery=rec)
+                                v=v, dv=dv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +403,7 @@ def numerical_jacobian(estimate: ResponseProbEstimate) -> KaryJacobian:
     k = estimate.counts.arity
     patterns = estimate.cells > 0
     pair_perturbed = (patterns[:, None] == PAIR_PATTERNS).all(axis=2).any(axis=0)
-    derivs = np.moveaxis(estimate.recovery.dv, 0, -1)
+    derivs = np.moveaxis(estimate.dv, 0, -1)
     finite = np.isfinite(derivs).all(axis=(0, 1, 2))
     pair_usable = np.zeros((3, k, k), dtype=bool)
     pair_usable[pair_perturbed] = finite[k ** 3:].reshape(-1, k, k)
@@ -450,7 +433,7 @@ def kary_deviations(estimate: ResponseProbEstimate) -> np.ndarray:
         raise EstimationFailure(
             REASON_JACOBIAN_FAILURE, f"{bad} count cells have non-finite derivatives")
     p, dv, k = estimate.p_matrices, jac.derivs, estimate.counts.arity
-    row_sums = estimate.recovery.v.sum(axis=2, keepdims=True)
+    row_sums = estimate.v.sum(axis=2, keepdims=True)
     # Row i of P = V / rowsum(V) moves by (dV_i - P_i d(sum V_i)) / sum V_i.
     grads = (dv - p[..., None] * dv.sum(axis=2, keepdims=True)) / row_sums[..., None]
     cell_counts = estimate.counts.counts[tuple(jac.cells.T)]
@@ -468,18 +451,21 @@ def kary_deviations(estimate: ResponseProbEstimate) -> np.ndarray:
 class KaryReport:
     """Entrywise confidence intervals for a worker triple's matrices.
 
-    midpoints, lower and upper are (3, k, k) arrays: the interval for
-    P_{w+1}(row, col) is [lower[w, row, col], upper[w, row, col]], the
-    midpoint less and plus z times its deviation. Each row of midpoints
-    sums to 1 up to float error, and selectivity is the recovered truth
-    distribution. On failure the arrays and selectivity are None and
-    `reason` carries the cause.
+    midpoints, deviations, lower and upper are (3, k, k) arrays: the
+    interval for P_{w+1}(row, col) is [lower[w, row, col], upper[w, row,
+    col]], the midpoint less and plus z times its deviation, where
+    deviations is kary_deviations of the estimate and z the normal
+    quantile of the confidence. Each row of midpoints sums to 1 up to
+    float error, and selectivity is the recovered truth distribution. On
+    failure the arrays and selectivity are None and `reason` carries the
+    cause.
     """
 
     arity: int
     confidence: float
     reason: str | None
     midpoints: np.ndarray | None
+    deviations: np.ndarray | None
     lower: np.ndarray | None
     upper: np.ndarray | None
     selectivity: np.ndarray | None
@@ -503,11 +489,11 @@ def kary_confidence_intervals(counts: CountsTensor, confidence: float) -> KaryRe
         deviations = kary_deviations(estimate)
     except EstimationFailure as exc:
         return KaryReport(arity=counts.arity, confidence=confidence, reason=exc.reason,
-                          midpoints=None, lower=None, upper=None, selectivity=None,
-                          diagnostics=KaryDiagnostics())
+                          midpoints=None, deviations=None, lower=None, upper=None,
+                          selectivity=None, diagnostics=KaryDiagnostics())
     p = estimate.p_matrices
     half = abs(normal_quantile((1.0 - confidence) / 2.0)) * deviations
     return KaryReport(
         arity=counts.arity, confidence=confidence, reason=None, midpoints=p,
-        lower=p - half, upper=p + half, selectivity=estimate.selectivity,
-        diagnostics=estimate.diagnostics)
+        deviations=deviations, lower=p - half, upper=p + half,
+        selectivity=estimate.selectivity, diagnostics=estimate.diagnostics)

@@ -25,8 +25,7 @@ import numpy as np
 
 from .binary import WorldStack, aggregate_system, build_worker_system
 from .dataset import GoldLabels, ResponseDataset
-from .errors import EstimationFailure
-from .kary import build_counts, kary_deviations, prob_estimate
+from .kary import build_counts, kary_confidence_intervals
 from .numerics import normal_quantile
 
 CONFIDENCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -334,16 +333,15 @@ def _binary_chunks(cfg: SimConfig, weightings: Sequence[str]):
 
 
 def _kary_rep(cfg: SimConfig, rep: int):
-    """One k-ary world: (true P stack, midpoints, deviations) or None."""
+    """One k-ary world: (true P stack, midpoints, deviations), or None
+    where its report failed."""
     rng = substream(cfg.seed, rep)
     world = gen_kary_responses(cfg.fixture, cfg.n, _density_vector(cfg), None, rng)
-    counts = build_counts(world.dataset, world.dataset.workers)
-    try:
-        estimate = prob_estimate(counts)
-        deviations = kary_deviations(estimate)
-    except EstimationFailure:
+    report = kary_confidence_intervals(build_counts(world.dataset, world.dataset.workers),
+                                       cfg.confidence_grid[0])
+    if report.failed:
         return None
-    return np.stack(world.matrices), estimate.p_matrices, deviations
+    return np.stack(world.matrices), report.midpoints, report.deviations
 
 
 def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str]):

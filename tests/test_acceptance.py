@@ -24,7 +24,6 @@ from crowdgauge.kary import (
     CountsTensor,
     KaryDiagnostics,
     ResponseProbEstimate,
-    _Recovery,
     kary_deviations,
     prob_estimate,
 )
@@ -315,11 +314,9 @@ def test_criterion_07c_covariance_formulas_vs_monte_carlo():
         dv = np.zeros((len(layout), 3, 2, 2))
         dv[layout.index(a), 0] += [[0.0, 1.0], [1.0, 0.0]]
         dv[layout.index(b), 0] += [[0.0, 1.0], [-1.0, 0.0]]
-        recovery = _Recovery(v=v, dv=dv, slice_failures=(), max_imag=0.0,
-                             signs=np.ones((1, 2)), dest=np.arange(2)[None])
         dev = kary_deviations(ResponseProbEstimate(
             p_matrices=v, selectivity=np.full(2, 0.5), diagnostics=KaryDiagnostics(),
-            counts=counts, cells=np.array(layout), recovery=recovery))[0]
+            counts=counts, cells=np.array(layout), v=v, dv=dv))[0]
         return (dev[0, 1] ** 2 - dev[1, 0] ** 2) / 4
 
     samples = np.hstack([rng.multinomial(n3, probs3, size=draws),
@@ -379,7 +376,7 @@ def test_criterion_07e_noiseless_spectral_recovery():
             tensor[1:, 1:, 1:] += 1000.0 * sel[t] * outer
         estimate = prob_estimate(CountsTensor(k, tensor))
         scale = np.sqrt(sel)[:, None]
-        for v, truth in zip(estimate.recovery.v, matrices):
+        for v, truth in zip(estimate.v, matrices):
             err = float(np.abs(v - scale * truth).max())
             assert err < 1e-8, f"{name}: recovery error {err:.3e} >= 1e-8"
         sel_err = float(np.abs(estimate.selectivity - sel).max())

@@ -696,6 +696,21 @@ def test_simulate_weighting_only_where_it_applies(tmp_path):
                 if line.startswith("# weighting=")]
 
 
+def test_simulate_density_only_where_it_applies(tmp_path):
+    # The size sweeps set the density themselves, so --d there would be
+    # ignored.
+    out = tmp_path / "o.csv"
+    for experiment in ("size-vs-density", "kary-size"):
+        assert run_cli("simulate", experiment, "--d", "0.3", "--reps", "1",
+                       "--output", out) == 1
+    assert not out.exists()
+    for experiment, extra in (("coverage", ()), ("weight-comparison", ()),
+                              ("kary-coverage", ("--n", "200"))):
+        assert run_cli("simulate", experiment, "--d", "0.9", "--reps", "1",
+                       "--confidence", "0.8", *extra, "--output", out) == 0
+        assert "# density=0.9" in out.read_text().splitlines()
+
+
 def test_simulate_kary_size_sweeps_three_arities_over_the_density_grid(tmp_path):
     out = tmp_path / "sizes.json"
     assert run_cli("simulate", "kary-size", "--n", "60", "--reps", "1",

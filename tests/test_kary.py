@@ -221,7 +221,7 @@ def test_prob_estimate_noiseless_identity_workers():
     counts = expected_counts([np.eye(2)] * 3, (0.5, 0.5))
     est = prob_estimate(counts)
     target = np.diag([1 / math.sqrt(2)] * 2)
-    for v in est.recovery.v:
+    for v in est.v:
         assert np.abs(v - target).max() < 1e-10
     for p in est.p_matrices:
         assert np.abs(p - np.eye(2)).max() < 1e-10
@@ -233,7 +233,7 @@ def test_prob_estimate_noiseless_arity2_fixture():
     sel = (0.5, 0.5)
     counts = expected_counts(ARITY2, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.recovery.v, scaled_truth(ARITY2, sel)):
+    for v, target in zip(est.v, scaled_truth(ARITY2, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, ARITY2):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -244,7 +244,7 @@ def test_prob_estimate_noiseless_arity3_fixture():
     sel = (1 / 3, 1 / 3, 1 / 3)
     counts = expected_counts(ARITY3, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.recovery.v, scaled_truth(ARITY3, sel)):
+    for v, target in zip(est.v, scaled_truth(ARITY3, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, ARITY3):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -261,7 +261,7 @@ def test_prob_estimate_noiseless_arity4_fixture():
     counts = expected_counts(mats, sel)
     est = prob_estimate(counts)
     assert est.diagnostics.slice_failures == ((2, SLICE_DEGENERATE),)
-    for v, target in zip(est.recovery.v, scaled_truth(mats, sel)):
+    for v, target in zip(est.v, scaled_truth(mats, sel)):
         assert np.abs(v - target).max() < 1e-8
     for p, target in zip(est.p_matrices, mats):
         assert np.abs(p - np.asarray(target)).max() < 1e-8
@@ -283,7 +283,7 @@ def test_prob_estimate_noiseless_skewed_selectivity():
     sel = (0.3, 0.7)
     counts = expected_counts(ARITY2, sel)
     est = prob_estimate(counts)
-    for v, target in zip(est.recovery.v, scaled_truth(ARITY2, sel)):
+    for v, target in zip(est.v, scaled_truth(ARITY2, sel)):
         assert np.abs(v - target).max() < 1e-8
     assert np.allclose(est.selectivity, sel, atol=1e-8)
 
@@ -324,7 +324,8 @@ def test_prob_estimate_constant_worker_fails():
 def recovering(v):
     """A stand-in for kary._recover whose recovery returns V1..V3 = v."""
     def recover(tensor, k, directions):
-        return _recover(tensor, k, directions)._replace(v=np.array(v, dtype=float))
+        _, dv, diagnostics = _recover(tensor, k, directions)
+        return np.array(v, dtype=float), dv, diagnostics
     return recover
 
 
@@ -429,12 +430,10 @@ def hand_estimate(counts, dv, v=None):
     """
     k = counts.arity
     v = np.stack([np.eye(k)] * 3) if v is None else v
-    recovery = kary._Recovery(v=v, dv=dv, slice_failures=(), max_imag=0.0,
-                              signs=np.ones((1, k)), dest=np.arange(k)[None])
     return kary.ResponseProbEstimate(
         p_matrices=v / v.sum(axis=2, keepdims=True), selectivity=np.full(k, 1.0 / k),
         diagnostics=kary.KaryDiagnostics(), counts=counts,
-        cells=np.array(oracle_cells(counts)), recovery=recovery)
+        cells=np.array(oracle_cells(counts)), v=v, dv=dv)
 
 
 def test_counts_covariance_hand_values():
@@ -600,9 +599,9 @@ def central_differences(counts, eps):
     for cell in oracle_cells(counts):
         tensor = counts.counts.copy()
         tensor[cell] += eps
-        plus = _recover(tensor, k, no_directions).v
+        plus = _recover(tensor, k, no_directions)[0]
         tensor[cell] -= 2 * eps
-        columns.append((plus - _recover(tensor, k, no_directions).v) / (2 * eps))
+        columns.append((plus - _recover(tensor, k, no_directions)[0]) / (2 * eps))
     return np.stack(columns, axis=-1)
 
 
@@ -673,7 +672,7 @@ def test_jacobian_selectivity_chain_rule():
     counts = expected_counts(ARITY2, (0.5, 0.5))
     est = prob_estimate(counts)
     jac = numerical_jacobian(est)
-    row_sums = est.recovery.v[0].sum(axis=1)
+    row_sums = est.v[0].sum(axis=1)
     cell = (1, 1, 1)
     d_rows = jac.derivs[0, :, :, jac.cells.tolist().index(list(cell))].sum(axis=1)
     chain = 2.0 * row_sums * d_rows
@@ -681,9 +680,9 @@ def test_jacobian_selectivity_chain_rule():
     eps = 0.005
     tensor = counts.counts.copy()
     tensor[cell] += eps
-    plus = prob_estimate(CountsTensor(2, tensor)).recovery.v[0].sum(axis=1) ** 2
+    plus = prob_estimate(CountsTensor(2, tensor)).v[0].sum(axis=1) ** 2
     tensor[cell] -= 2 * eps
-    minus = prob_estimate(CountsTensor(2, tensor)).recovery.v[0].sum(axis=1) ** 2
+    minus = prob_estimate(CountsTensor(2, tensor)).v[0].sum(axis=1) ** 2
     direct = (plus - minus) / (2 * eps)
     assert np.abs(chain - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
@@ -708,9 +707,9 @@ def test_jacobian_pair_cells_match_direct_differences():
     assert column >= 8
     tensor = counts.counts.copy()
     tensor[2, 0, 1] += 1e-3
-    plus = prob_estimate(CountsTensor(2, tensor)).recovery.v
+    plus = prob_estimate(CountsTensor(2, tensor)).v
     tensor[2, 0, 1] -= 2e-3
-    minus = prob_estimate(CountsTensor(2, tensor)).recovery.v
+    minus = prob_estimate(CountsTensor(2, tensor)).v
     for w in range(3):
         direct = (plus[w] - minus[w]) / 2e-3
         assert np.abs(jac.derivs[w, :, :, column] - direct).max() < 1e-6 * scale
@@ -738,9 +737,9 @@ def test_non_finite_derivatives_fail_the_report(monkeypatch):
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
 
     def overflowing(tensor, k, directions):
-        rec = _recover(tensor, k, directions)
-        rec.dv[-1, 0, 0, 0] = np.inf
-        return rec
+        v, dv, diagnostics = _recover(tensor, k, directions)
+        dv[-1, 0, 0, 0] = np.inf
+        return v, dv, diagnostics
 
     monkeypatch.setattr(kary, "_recover", overflowing)
     jac = numerical_jacobian(prob_estimate(counts))
@@ -773,7 +772,7 @@ def delta_method_deviations(counts, eps):
     k = counts.arity
 
     def p_stack(tensor):
-        v = _recover(tensor, k, np.zeros((0,) + tensor.shape)).v
+        v = _recover(tensor, k, np.zeros((0,) + tensor.shape))[0]
         return v / v.sum(axis=2, keepdims=True)
 
     variances = np.zeros((3, k, k))
@@ -808,8 +807,8 @@ def einsum_deviations(est):
     whose entries come from scalar_covariance."""
     jac = numerical_jacobian(est)
     k = est.counts.arity
-    row_sums = est.recovery.v.sum(axis=2, keepdims=True)
-    p_all = est.recovery.v / row_sums
+    row_sums = est.v.sum(axis=2, keepdims=True)
+    p_all = est.v / row_sums
     variances = np.zeros((3, k, k))
     for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
         columns = ((jac.cells > 0) == pattern).all(axis=1)

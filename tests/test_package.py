@@ -33,6 +33,20 @@ def test_public_names_are_the_ones_readme_documents():
     assert imported and imported <= set(crowdgauge.__all__)
 
 
+def test_internal_names_import_from_the_modules_readme_lists():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    internal = library.split("\n### Internal names\n", 1)[1].split("\n### ", 1)[0]
+    bullets = [item.split("\n\n", 1)[0] for item in internal.split("\n- ")[1:]]
+    assert bullets
+    missing = []
+    for bullet in bullets:
+        module, *names = re.findall(r"`([\w.]+)`", bullet)
+        assert module.startswith("crowdgauge.") and names, bullet
+        loaded = importlib.import_module(module)
+        missing += [f"{module}.{name}" for name in names if not hasattr(loaded, name)]
+    assert missing == []
+
+
 def test_every_module_imports():
     modules = [info.name for info in pkgutil.iter_modules(crowdgauge.__path__)]
     assert modules

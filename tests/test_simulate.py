@@ -397,6 +397,37 @@ def test_kary_eigensolver_failure_counts_as_a_failed_replication(monkeypatch):
     assert flaky_failures == 1 and flaky_evaluations == 4 * 27
 
 
+@pytest.mark.parametrize("fixture,n", [("arity2", 20), ("arity3", 40), ("arity4", 60)])
+def test_kary_replication_reads_the_estimate_and_its_deviations(fixture, n):
+    # A replication's midpoints and deviations are prob_estimate's P and
+    # kary_deviations of it, bit for bit, and it fails exactly where either
+    # raises. These small worlds fail on 5 to 10 of their 20 replications.
+    from crowdgauge.errors import EstimationFailure
+    from crowdgauge.kary import build_counts, kary_deviations, prob_estimate
+    from crowdgauge.simulate import _kary_rep
+
+    cfg = SimConfig(n=n, m=3, fixture=fixture, density=0.8 if n > 20 else 0.6,
+                    replications=20, seed=3, confidence_grid=(0.9,))
+    failed = 0
+    for rep in range(cfg.replications):
+        world = gen_kary_responses(fixture, n, cfg.density, rng=substream(cfg.seed, rep))
+        counts = build_counts(world.dataset, world.dataset.workers)
+        outcome = _kary_rep(cfg, rep)
+        try:
+            estimate = prob_estimate(counts)
+            deviations = kary_deviations(estimate)
+        except EstimationFailure:
+            assert outcome is None, rep
+            failed += 1
+            continue
+        assert outcome is not None, rep
+        truth, mid, dev = outcome
+        assert np.array_equal(truth, np.stack(world.matrices))
+        assert repr(mid) == repr(estimate.p_matrices)
+        assert repr(dev) == repr(deviations)
+    assert 0 < failed < cfg.replications
+
+
 def test_kary_mean_size_measures_intervals_clipped_to_unit_range():
     # Response-probability intervals are intersected with [0, 1] before
     # their half-width is averaged, so the statistic is bounded by 1/2
