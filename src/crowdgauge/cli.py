@@ -14,8 +14,8 @@ import json
 import os
 import sys
 import tempfile
-from itertools import combinations
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,13 @@ from .errors import (
     ResponseParseError,
     UnknownWorkerError,
 )
-from .kary import build_counts, kary_confidence_intervals
+from .kary import (
+    CountsTensor,
+    KaryReport,
+    build_counts,
+    kary_confidence_intervals,
+    stack_size,
+)
 from .simulate import (
     CONFIDENCE_GRID,
     DENSITY_GRID,
@@ -65,17 +71,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file of its own in the target directory, then rename.
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or each piece of an iterable of them as it comes, via a
+    temp file of its own in the target directory, then rename.
 
     Concurrent writers of one path each rename a complete file; a failed
-    write removes its temp file, and its OSError names `path`.
+    write, or a piece that raises, removes the temp file, and an OSError
+    names `path`.
     """
+    pieces = (text,) if isinstance(text, str) else text
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                for piece in pieces:
+                    handle.write(piece)
             # mkstemp creates the file 0600; give it the mode open() would.
             umask = os.umask(0)
             os.umask(umask)
@@ -206,6 +216,54 @@ def cmd_evaluate(args) -> int:
 # -- evaluate-kary -----------------------------------------------------------
 
 
+def _auto_triples(ds: ResponseDataset, threshold: int) -> list[tuple[str, str, str]]:
+    """Every worker triple that shares at least `threshold` tasks.
+
+    Each triple seats its workers in id order, and the triples come in id
+    order, whatever the order of the rows. The shared counts c_abc of each
+    first worker a come from one product of 0/1 attempt rows,
+    (A_a o A_b) A_c^T over the workers after a.
+    """
+    ids = sorted(ds.workers)
+    attempts = ds.attempts[[ds.worker_index(w) for w in ids]].astype(float)
+    triples = []
+    for a in range(len(ids) - 2):
+        rest = attempts[a + 1:]
+        shared = (attempts[a] * rest) @ rest.T
+        b, c = np.triu_indices(len(rest), 1)
+        keep = shared[b, c] >= threshold
+        triples += [(ids[a], ids[a + 1 + x], ids[a + 1 + y])
+                    for x, y in zip(b[keep].tolist(), c[keep].tolist())]
+    return triples
+
+
+def _kary_record(triple: Sequence[str], report: KaryReport) -> dict[str, object]:
+    """The output record of one triple's report."""
+    record: dict[str, object] = {"workers": list(triple), "failed": report.failed}
+    if report.failed:
+        record["reason"] = report.reason
+        return record
+    record["selectivity"] = [round9(s) for s in report.selectivity]
+    k = report.arity
+    record["matrices"] = [
+        {"worker": triple[w],
+         "rows": [[{"estimate": round9(report.midpoints[w, r, c]),
+                    "lower": round9(report.lower[w, r, c]),
+                    "upper": round9(report.upper[w, r, c])}
+                   for c in range(k)]
+                  for r in range(k)]}
+        for w in range(3)]
+    diag = report.diagnostics
+    record["diagnostics"] = {
+        "slice_failures": [list(f) for f in diag.slice_failures],
+        "max_imag": round9(diag.max_imag),
+        "rows_permuted": diag.rows_permuted,
+        "rows_sign_fixed": diag.rows_sign_fixed,
+        "clamped": diag.clamped,
+    }
+    return record
+
+
 def cmd_evaluate_kary(args) -> int:
     ds = _load_dataset(args)
     confidence = _check_confidence(args.confidence)
@@ -219,45 +277,32 @@ def cmd_evaluate_kary(args) -> int:
     else:
         if args.auto_triples < 1:
             raise UsageError("--auto-triples needs a threshold of at least 1")
-        # Positions in id order: each triple seats its workers in id order,
-        # and the triples come in id order, whatever the order of the rows.
-        by_id = sorted(range(ds.num_workers), key=ds.workers.__getitem__)
-        triples = [tuple(ds.workers[x] for x in abc)
-                   for abc in combinations(by_id, 3)
-                   if ds.triple_overlap_by_index(*abc) >= args.auto_triples]
+        triples = _auto_triples(ds, args.auto_triples)
         if not triples:
             raise InsufficientConnectivityError(
                 f"no worker triple shares {args.auto_triples} or more tasks")
-    records = []
-    for triple in triples:
-        report = kary_confidence_intervals(build_counts(ds, triple), confidence)
-        record: dict[str, object] = {"workers": list(triple), "failed": report.failed}
-        if report.failed:
-            record["reason"] = report.reason
-        else:
-            record["selectivity"] = [round9(s) for s in report.selectivity]
-            k = report.arity
-            record["matrices"] = [
-                {"worker": triple[w],
-                 "rows": [[{"estimate": round9(report.midpoints[w, r, c]),
-                            "lower": round9(report.lower[w, r, c]),
-                            "upper": round9(report.upper[w, r, c])}
-                           for c in range(k)]
-                          for r in range(k)]}
-                for w in range(3)]
-            diag = report.diagnostics
-            record["diagnostics"] = {
-                "slice_failures": [list(f) for f in diag.slice_failures],
-                "max_imag": round9(diag.max_imag),
-                "rows_permuted": diag.rows_permuted,
-                "rows_sign_fixed": diag.rows_sign_fixed,
-                "clamped": diag.clamped,
-            }
-        records.append(record)
-    payload = {"arity": ds.arity, "confidence": confidence, "triples": records}
-    _atomic_write(Path(args.output), json.dumps(payload, indent=2) + "\n")
-    failed = sum(1 for r in records if r.get("failed"))
-    print(f"wrote {args.output}: {len(records)} triples, {failed} failed")
+    failed = 0
+
+    def pieces():
+        """The text of json.dumps(payload, indent=2) + "\n", written as the
+        triples are recovered, one stack of stack_size(k) at a time."""
+        nonlocal failed
+        head = json.dumps({"arity": ds.arity, "confidence": confidence, "triples": []},
+                          indent=2)
+        yield head[:-len("]\n}")]
+        step = stack_size(ds.arity)
+        for start in range(0, len(triples), step):
+            chunk = triples[start:start + step]
+            counts = CountsTensor(ds.arity, np.stack([build_counts(ds, t).counts for t in chunk]))
+            reports = kary_confidence_intervals(counts, confidence)
+            failed += sum(report.failed for report in reports)
+            # The chunk's records as a list, less its brackets, one level deeper.
+            text = json.dumps([_kary_record(*item) for item in zip(chunk, reports)], indent=2)
+            yield ("\n  " if start == 0 else ",\n  ") + text[2:-2].replace("\n", "\n  ")
+        yield "\n  ]\n}\n"
+
+    _atomic_write(Path(args.output), pieces())
+    print(f"wrote {args.output}: {len(triples)} triples, {failed} failed")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Shared numeric kernel: normal quantiles, propagated deviations of a
 stack of linearized statistics (one clamp rule), matrix inversion,
-eigendecomposition (stacks of general matrices, or one symmetric
-matrix), and minimum-variance weights.
+eigendecomposition (stacks of general or of symmetric matrices), and
+minimum-variance weights.
 The binary and k-ary reports build their intervals from these: the
 estimate less and plus z times its deviation.
 
@@ -100,10 +100,12 @@ def eigendecompose_many(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def eigendecompose_symmetric(matrix: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenvector columns and eigenvalues of one symmetric matrix.
+    """Orthonormal eigenvector columns and eigenvalues of a symmetric matrix,
+    or of each matrix of a (B, n, n) stack.
 
-    Eigenvalues descend (a stable sort, so ties keep the solver's order). A
-    solver that does not converge raises
+    Eigenvalues descend (a stable sort, so ties keep the solver's order).
+    Each item of a stack gets the bits it would get alone. A solver that
+    does not converge raises
     EstimationFailure(REASON_EIGEN_NONCONVERGENCE).
     """
     try:
@@ -111,8 +113,9 @@ def eigendecompose_symmetric(matrix: Matrix) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise EstimationFailure(REASON_EIGEN_NONCONVERGENCE,
                                 f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
-    return vectors[:, order], values[order]
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return (np.take_along_axis(vectors, order[..., None, :], axis=-1),
+            np.take_along_axis(values, order, axis=-1))
 
 
 class WeightSolution(NamedTuple):

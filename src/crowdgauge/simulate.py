@@ -11,21 +11,24 @@ each chunk is freed before the next one is drawn, and the outputs do not
 depend on the chunk size. Each worker's triple system is aggregated once
 per requested weighting: coverage and the size sweeps request the
 configured one, and the weighting comparison requests both on the same
-systems. k-ary configs (those with a `fixture`) simulate three workers,
-one replication at a time.
+systems. k-ary configs (those with a `fixture`) simulate three workers;
+their replications are drawn one world at a time, tallied straight into
+counts, and recovered as one stack per chunk of kary.stack_size(k)
+worlds, with the same outputs as one world at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .binary import WorldStack, aggregate_system, build_worker_system
 from .dataset import GoldLabels, ResponseDataset
-from .kary import build_counts, kary_confidence_intervals
+from .kary import CountsTensor, kary_confidence_intervals, stack_size, tally_counts
 from .numerics import normal_quantile
 
 CONFIDENCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -186,12 +189,25 @@ def gen_binary_responses(rates: Sequence[float], n: int, density, rng=0
 
 @dataclass(frozen=True, eq=False)
 class KaryWorld:
-    """A simulated k-ary triple: data, truths, and the true worker models."""
+    """A simulated k-ary triple: its labels, truths and true worker models.
 
-    dataset: ResponseDataset
-    gold: GoldLabels
+    labels is the (3, n) label matrix, 0 where a worker did not attempt a
+    task, and truth the n true labels; `dataset` and `gold` wrap them on
+    first use.
+    """
+
+    labels: np.ndarray
+    truth: np.ndarray
     matrices: tuple[np.ndarray, np.ndarray, np.ndarray]
     selectivity: np.ndarray
+
+    @cached_property
+    def dataset(self) -> ResponseDataset:
+        return ResponseDataset.from_matrix(self.labels, arity=len(self.selectivity))
+
+    @cached_property
+    def gold(self) -> GoldLabels:
+        return GoldLabels(dict(zip(self.dataset.tasks, self.truth.tolist())))
 
 
 def gen_kary_responses(fixture: str, n: int, density=1.0,
@@ -239,9 +255,7 @@ def _gen_kary_with_matrices(matrices, n: int, density, selectivity, rng
         draw = rng.random(n)
         labels = 1 + (cdf < draw[:, None]).sum(axis=1)
         rows.append(np.minimum(labels, k))
-    matrix = np.where(attempts, np.stack(rows), 0)
-    ds = ResponseDataset.from_matrix(matrix, arity=k)
-    return KaryWorld(ds, GoldLabels(dict(zip(ds.tasks, truth.tolist()))), matrices, sel)
+    return KaryWorld(np.where(attempts, np.stack(rows), 0), truth, matrices, sel)
 
 
 @dataclass(frozen=True)
@@ -332,16 +346,24 @@ def _binary_chunks(cfg: SimConfig, weightings: Sequence[str]):
                             weightings)
 
 
-def _kary_rep(cfg: SimConfig, rep: int):
-    """One k-ary world: (true P stack, midpoints, deviations), or None
-    where its report failed."""
-    rng = substream(cfg.seed, rep)
-    world = gen_kary_responses(cfg.fixture, cfg.n, _density_vector(cfg), None, rng)
-    report = kary_confidence_intervals(build_counts(world.dataset, world.dataset.workers),
-                                       cfg.confidence_grid[0])
-    if report.failed:
-        return None
-    return np.stack(world.matrices), report.midpoints, report.deviations
+def _kary_chunk(cfg: SimConfig, reps: range):
+    """The k-ary worlds of replications `reps`, recovered as one stack: per
+    replication (true P stack, midpoints, deviations), or None where its
+    report failed.
+
+    Each world's labels are tallied straight into counts, and its dataset
+    is never built.
+    """
+    densities = _density_vector(cfg)
+    truths, labels = [], []
+    for rep in reps:
+        world = gen_kary_responses(cfg.fixture, cfg.n, densities, None, substream(cfg.seed, rep))
+        truths.append(np.stack(world.matrices))
+        labels.append(world.labels)
+    counts = CountsTensor(cfg.arity, tally_counts(np.stack(labels), cfg.arity))
+    reports = kary_confidence_intervals(counts, cfg.confidence_grid[0])
+    return [None if report.failed else (truth, report.midpoints, report.deviations)
+            for truth, report in zip(truths, reports)]
 
 
 def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str]):
@@ -366,20 +388,21 @@ def _grid_rows(cfg: SimConfig, grid: Sequence[float], weightings: Sequence[str])
     total = 0
     failures = 0
     if cfg.fixture is not None:
-        for rep in range(cfg.replications):
-            outcome = _kary_rep(cfg, rep)
-            if outcome is None:
-                failures += 1
-                continue
-            truth, mid, dev = outcome
-            err = np.abs(mid - truth).reshape(-1)
-            mid_flat = mid.reshape(-1)
-            half = z[:, None] * dev.reshape(-1)[None, :]
-            covered += (err[None, :] <= half).sum(axis=1)
-            lo = np.clip(mid_flat[None, :] - half, 0.0, 1.0)
-            hi = np.clip(mid_flat[None, :] + half, 0.0, 1.0)
-            size_sum += 0.5 * (hi - lo).sum(axis=1)
-            total += err.size
+        step = stack_size(cfg.arity)
+        for start in range(0, cfg.replications, step):
+            for outcome in _kary_chunk(cfg, range(start, min(start + step, cfg.replications))):
+                if outcome is None:
+                    failures += 1
+                    continue
+                truth, mid, dev = outcome
+                err = np.abs(mid - truth).reshape(-1)
+                mid_flat = mid.reshape(-1)
+                half = z[:, None] * dev.reshape(-1)[None, :]
+                covered += (err[None, :] <= half).sum(axis=1)
+                lo = np.clip(mid_flat[None, :] - half, 0.0, 1.0)
+                hi = np.clip(mid_flat[None, :] + half, 0.0, 1.0)
+                size_sum += 0.5 * (hi - lo).sum(axis=1)
+                total += err.size
     else:
         for rates, est, dev, ok in _binary_chunks(cfg, weightings):
             failures += int((~ok).sum())

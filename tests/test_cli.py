@@ -7,11 +7,13 @@ import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from crowdgauge import cli
+from crowdgauge import cli, kary
 from crowdgauge.binary import evaluate_all
 from crowdgauge.cli import UsageError, main, parse_label_map
 from crowdgauge.dataset import (
@@ -532,6 +534,81 @@ def test_evaluate_kary_json_does_not_depend_on_the_order_of_the_rows(tmp_path):
                        ["w2", "w3", "w4"]]
 
 
+def kary_crowd(m, n, density, seed, k=4):
+    """m workers answering by the arity-k fixture matrices (worker w by
+    matrix w mod 3) on n tasks with uniform truths, each attempting a task
+    with probability `density`."""
+    rng = np.random.default_rng(seed)
+    pool = WORKER_MATRIX_FIXTURES[f"arity{k}"]
+    truth = rng.integers(0, k, size=n)
+    rows = [np.minimum(1 + (np.cumsum(pool[w % 3], axis=1)[truth]
+                            < rng.random(n)[:, None]).sum(axis=1), k) for w in range(m)]
+    attempted = rng.random((m, n)) < density
+    return ResponseDataset.from_matrix(np.where(attempted, np.stack(rows), 0), arity=k)
+
+
+def test_auto_triples_match_the_loop_over_every_triple():
+    # The products of attempt rows pick the same triples, in the same
+    # order, as one triple_overlap_by_index call per triple in id order;
+    # the threshold drops some triples. The rows are not in id order.
+    ds = kary_crowd(11, 300, 0.6, seed=4, k=2)
+    order = [3, 0, 10, 7, 1, 9, 2, 8, 4, 6, 5]
+    ds = ResponseDataset.from_matrix(ds.matrix[order], [ds.workers[i] for i in order],
+                                     arity=2)
+    by_id = sorted(range(ds.num_workers), key=ds.workers.__getitem__)
+    shared = {abc: ds.triple_overlap_by_index(*abc) for abc in combinations(by_id, 3)}
+    threshold = int(np.median(list(shared.values())))
+    expected = [tuple(ds.workers[x] for x in abc) for abc, c in shared.items() if c >= threshold]
+    assert 0 < len(expected) < len(shared)
+    assert cli._auto_triples(ds, threshold) == expected
+
+
+def test_evaluate_kary_streams_the_json_of_its_records(tmp_path):
+    # The records are written a stack at a time, and the file is the text
+    # json.dumps(payload, indent=2) gives: for one triple, for one failed
+    # triple, and for 35 triples in two stacks. w7 answers 1 on every task,
+    # so the 15 triples that seat w7 fail.
+    ds = kary_crowd(7, 900, 0.8, seed=3, k=3)
+    matrix = ds.matrix.copy()
+    matrix[6][matrix[6] > 0] = 1
+    src = tmp_path / "kary.csv"
+    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=3)))
+    assert kary.stack_size(3) < 35
+    for flag, value, triples, failed in (("--workers", "w3,w1,w5", 1, 0),
+                                         ("--workers", "w1,w7,w3", 1, 1),
+                                         ("--auto-triples", "1", 35, 15)):
+        out = tmp_path / "o.json"
+        assert run_cli("evaluate-kary", "--input", src, "--output", out, flag, value) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        records = payload["triples"]
+        assert len(records) == triples
+        assert [r["failed"] for r in records] == ["w7" in r["workers"] for r in records]
+        assert sum(r["failed"] for r in records) == failed
+
+
+def test_evaluate_kary_memory_stays_bounded_as_triples_grow(tmp_path):
+    # Triples are recovered and written a stack at a time, so the 220
+    # triples of 12 workers peak at about the memory of the 56 of 8.
+    runs = []
+    for m in (8, 12):
+        src = tmp_path / f"m{m}.csv"
+        src.write_text(write_responses_csv(kary_crowd(m, 600, 0.7, seed=m)))
+        runs.append(("evaluate-kary", "--input", src, "--output", tmp_path / f"m{m}.json",
+                     "--auto-triples", "1"))
+    assert run_cli(*runs[0]) == 0  # lazy imports and numpy's caches
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 256 * 1024, peaks
+
+
 def test_evaluate_kary_pair_without_shared_tasks_gets_the_overlap_code(tmp_path):
     # w1 answers the first 200 tasks and w3 the last 200, so they share none
     world = gen_kary_responses("arity3", 400, 1.0, rng=8)
@@ -549,9 +626,11 @@ def test_evaluate_kary_pair_without_shared_tasks_gets_the_overlap_code(tmp_path)
 
 
 def test_evaluate_kary_eigensolver_failure_fails_only_its_triple(tmp_path, monkeypatch):
-    # four workers drawn from the arity-3 fixtures on shared truths; each
-    # triple's slice eigensystems take one np.linalg.eig call, and the
-    # second call does not converge
+    # four workers drawn from the arity-3 fixtures on shared truths; the
+    # four triples are recovered as one stack, whose 12 slice eigensystems
+    # take one np.linalg.eig call; it does not converge, so the slices are
+    # solved one call each, and the fourth (the second triple's first
+    # slice) does not converge either
     rng = np.random.default_rng(12)
     mats = WORKER_MATRIX_FIXTURES["arity3"]
     truth = rng.integers(0, 3, 2000)
@@ -566,8 +645,8 @@ def test_evaluate_kary_eigensolver_failure_fails_only_its_triple(tmp_path, monke
     calls = []
 
     def flaky_eig(a):
-        calls.append(1)
-        if len(calls) == 2:
+        calls.append(len(a))
+        if len(a) > 1 or len(calls) == 5:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
@@ -575,7 +654,7 @@ def test_evaluate_kary_eigensolver_failure_fails_only_its_triple(tmp_path, monke
     assert run_cli("evaluate-kary", "--input", src, "--output", out,
                    "--auto-triples", "1") == 0
     records = json.loads(out.read_text())["triples"]
-    assert len(calls) == 4 and len(records) == 4
+    assert calls == [12] + [1] * 12 and len(records) == 4
     assert [r["failed"] for r in records] == [False, True, False, False]
     assert records[1]["reason"] == REASON_EIGEN_NONCONVERGENCE
     assert all("matrices" in r for r in records if not r["failed"])

@@ -80,9 +80,8 @@ def frequency_matrices(counts):
 
     Runs the recovery first, so counts it refuses raise its failure.
     """
-    tensor = counts.counts
-    _recover(tensor, counts.arity, np.zeros((0,) + tensor.shape))
-    matrices, totals = kary._pair_counts(tensor)
+    prob_estimate(counts)
+    matrices, totals = kary._pair_counts(counts.counts)
     return tuple(c / total for c, total in zip(matrices, totals))
 
 
@@ -322,10 +321,11 @@ def test_prob_estimate_constant_worker_fails():
 
 
 def recovering(v):
-    """A stand-in for kary._recover whose recovery returns V1..V3 = v."""
-    def recover(tensor, k, directions):
-        _, dv, diagnostics = _recover(tensor, k, directions)
-        return np.array(v, dtype=float), dv, diagnostics
+    """A stand-in for kary._recover whose recovery returns V1..V3 = v for
+    every triple of the stack."""
+    def recover(tensors, k):
+        _, dv, diagnostics, reasons = _recover(tensors, k)
+        return np.stack([np.array(v, dtype=float)] * len(tensors)), dv, diagnostics, reasons
     return recover
 
 
@@ -587,22 +587,32 @@ def oracle_cells(counts):
     return [c for p in patterns for c in _pattern_cells(p, k)]
 
 
+def shifted_v(counts, cells, eps):
+    """V1..V3 recovered from the raw counts shifted by +eps and by -eps at
+    each of `cells`, as two (len(cells), 3, k, k) stacks; the shifted
+    arrays are recovered kary.stack_size(k) cells at a time."""
+    k = counts.arity
+    shifted = []
+    for cell in cells:
+        tensor = counts.counts.copy()
+        tensor[cell] += eps
+        shifted.append(tensor.copy())
+        tensor[cell] -= 2 * eps
+        shifted.append(tensor)
+    step = 2 * kary.stack_size(k)
+    v = np.concatenate([_recover(np.stack(shifted[s:s + step]), k)[0]
+                        for s in range(0, len(shifted), step)])
+    return v[0::2], v[1::2]
+
+
 def central_differences(counts, eps):
     """Oracle for KaryJacobian.derivs: (V(c + eps) - V(c - eps)) / 2 eps per cell.
 
     Runs the recovery behind prob_estimate on the raw shifted arrays, since
     an empty cell shifted by -eps is no valid CountsTensor.
     """
-    k = counts.arity
-    no_directions = np.zeros((0,) + counts.counts.shape)
-    columns = []
-    for cell in oracle_cells(counts):
-        tensor = counts.counts.copy()
-        tensor[cell] += eps
-        plus = _recover(tensor, k, no_directions)[0]
-        tensor[cell] -= 2 * eps
-        columns.append((plus - _recover(tensor, k, no_directions)[0]) / (2 * eps))
-    return np.stack(columns, axis=-1)
+    plus, minus = shifted_v(counts, oracle_cells(counts), eps)
+    return np.moveaxis((plus - minus) / (2 * eps), 0, -1)
 
 
 def oracle_cases():
@@ -736,10 +746,10 @@ def test_non_finite_derivatives_fail_the_report(monkeypatch):
     # fails with the Jacobian reason instead of printing a NaN interval
     counts = expected_counts(ARITY2, (0.5, 0.5), densities=(0.9, 0.8, 0.7))
 
-    def overflowing(tensor, k, directions):
-        v, dv, diagnostics = _recover(tensor, k, directions)
-        dv[-1, 0, 0, 0] = np.inf
-        return v, dv, diagnostics
+    def overflowing(tensors, k):
+        v, dv, diagnostics, reasons = _recover(tensors, k)
+        dv[:, -1, 0, 0, 0] = np.inf
+        return v, dv, diagnostics, reasons
 
     monkeypatch.setattr(kary, "_recover", overflowing)
     jac = numerical_jacobian(prob_estimate(counts))
@@ -770,21 +780,11 @@ def delta_method_deviations(counts, eps):
     shifted arrays, as central_differences does, since a cell of an empty
     pattern shifted by -eps is no valid CountsTensor."""
     k = counts.arity
-
-    def p_stack(tensor):
-        v = _recover(tensor, k, np.zeros((0,) + tensor.shape))[0]
-        return v / v.sum(axis=2, keepdims=True)
-
     variances = np.zeros((3, k, k))
     for pattern in ((1, 1, 1),) + PAIR_PATTERNS:
         cells = _pattern_cells(pattern, k)
-        grads = np.empty((3, k, k, len(cells)))
-        for n, cell in enumerate(cells):
-            tensor = counts.counts.copy()
-            tensor[cell] += eps
-            plus = p_stack(tensor)
-            tensor[cell] -= 2 * eps
-            grads[..., n] = (plus - p_stack(tensor)) / (2 * eps)
+        plus, minus = (v / v.sum(axis=3, keepdims=True) for v in shifted_v(counts, cells, eps))
+        grads = np.moveaxis((plus - minus) / (2 * eps), 0, -1)
         block = covariance_block(counts, cells)
         variances += np.einsum("wijc,cd,wijd->wij", grads, block, grads)
     return np.sqrt(variances)
@@ -842,20 +842,24 @@ def test_kary_deviations_match_the_einsum_contraction():
 
 
 def test_one_recovery_per_triple(monkeypatch):
-    # the estimate, the Jacobian and the contraction share one recovery
+    # the estimate, the Jacobian and the contraction share one recovery,
+    # and a stack of triples is recovered in one call, each triple once
     counts = expected_counts(ARITY3, (0.2, 0.5, 0.3), densities=(0.9, 0.8, 0.7))
     calls = []
 
-    def spy(tensor, k, directions):
-        calls.append(k)
-        return _recover(tensor, k, directions)
+    def spy(tensors, k):
+        calls.append(len(tensors))
+        return _recover(tensors, k)
 
     monkeypatch.setattr(kary, "_recover", spy)
     kary_deviations(prob_estimate(counts))
-    assert calls == [3]
+    assert calls == [1]
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
-    assert calls == [3, 3]
+    assert calls == [1, 1]
+    reports = kary_confidence_intervals(CountsTensor(3, np.stack([counts.counts] * 3)), 0.9)
+    assert [r.failed for r in reports] == [False] * 3
+    assert calls == [1, 1, 3]
 
 
 def test_eigensolver_non_convergence_fails_the_report(monkeypatch):
@@ -945,7 +949,8 @@ def test_report_diagnostics_are_the_estimates_and_clamped_reads_the_midpoints(
     monkeypatch.setattr(kary, "prob_estimate", spy)
     report = kary_confidence_intervals(counts, 0.9)
     assert not report.failed
-    assert report.diagnostics is seen[0].diagnostics
+    # one tensor is recovered as a stack of one
+    assert report.diagnostics is seen[0].diagnostics[0]
     midpoints = report.midpoints.reshape(-1).tolist()
     outside = any(m < 0.0 or m > 1.0 for m in midpoints)
     assert report.diagnostics.clamped is True
@@ -964,6 +969,114 @@ def test_kary_confidence_intervals_missing_pair_fails_the_report():
     report = kary_confidence_intervals(CountsTensor(2, tensor), 0.9)
     assert report.failed and report.reason == REASON_INSUFFICIENT_OVERLAP
     assert report.midpoints is None and report.selectivity is None
+
+
+def mixed_stack():
+    """k = 4 count tensors whose recoveries end every way, with the reason
+    each must get: sampled triples that succeed, one at full density; a
+    noiseless one that succeeds with one slice dropped; a pair that shares
+    no task; every slice degenerate (as in
+    test_prob_estimate_fails_when_every_slice_degenerates); a constant
+    worker. poisoning() makes the last cell's derivative non-finite for
+    the last two sampled ones: a cell of the empty pattern (1, 0, 1) at
+    full density, which is masked out, and a live one, which fails."""
+    mats = WORKER_MATRIX_FIXTURES["arity4"]
+    sampled = [build_counts(w.dataset, w.dataset.workers).counts for w in (
+        _gen_kary_with_matrices(mats, 3000, dens, None, seed)
+        for seed, dens in enumerate(([0.9, 0.8, 0.7], [1.0, 1.0, 1.0], [0.7, 0.7, 0.7])))]
+    noiseless = expected_counts(mats, (0.25,) * 4, densities=(0.9, 0.8, 0.7)).counts
+    degenerate = expected_counts((mats[2], mats[0], mats[1]), (0.25,) * 4).counts
+    disjoint = np.zeros((5, 5, 5))
+    disjoint[1:, 1:, 0] = 7.0  # workers 1 and 2 answer together, 3 alone
+    disjoint[0, 0, 1:] = 9.0
+    constant = np.zeros((5, 5, 5))
+    constant[1:, 1:, 1] = 1.0 + np.arange(16).reshape(4, 4)  # worker 3 always says 1
+    return [
+        (sampled[0], None), (disjoint, REASON_INSUFFICIENT_OVERLAP),
+        (sampled[1], None), (degenerate, REASON_NO_USABLE_SLICES),
+        (noiseless, None), (constant, REASON_NONINVERTIBLE_FREQUENCY),
+        (sampled[2], REASON_JACOBIAN_FAILURE),
+    ]
+
+
+def poisoning(poisoned):
+    """A stand-in for kary._recover that makes the derivative against the
+    last cell infinite for the stack's copies of the `poisoned` tensors."""
+    def recover(tensors, k):
+        v, dv, diagnostics, reasons = _recover(tensors, k)
+        for tensor in poisoned:
+            dv[(tensors == tensor).all(axis=(1, 2, 3)), -1, 0, 0, 0] = np.inf
+        return v, dv, diagnostics, reasons
+    return recover
+
+
+def test_each_item_of_a_stack_is_its_own_stack_of_one(monkeypatch):
+    # The stack mixes successes with every way a recovery fails; each item
+    # gets the reason, the estimate and the interval report of its own
+    # run, bit for bit, whatever the other items do.
+    items = mixed_stack()
+    tensors = np.stack([tensor for tensor, _ in items])
+    monkeypatch.setattr(kary, "_recover", poisoning([items[2][0], items[-1][0]]))
+    calls = []
+    for name in ("eig", "eigh"):
+        def solver(a, solve=getattr(np.linalg, name), name=name):
+            calls.append((name, len(a)))
+            return solve(a)
+        monkeypatch.setattr(np.linalg, name, solver)
+    stacked = prob_estimate(CountsTensor(4, tensors))
+    # the failed items are swapped for the identity, so each eigensolver
+    # takes the whole stack in one call
+    assert calls == [("eigh", 7), ("eig", 7 * 4)]
+    reports = kary_confidence_intervals(CountsTensor(4, tensors), 0.9)
+    assert [r.reason for r in reports] == [reason for _, reason in items]
+    assert stacked.reasons[-1] is None  # the Jacobian fails after the estimate
+    for b, (tensor, reason) in enumerate(items):
+        one = kary_confidence_intervals(CountsTensor(4, tensor), 0.9)
+        assert one.reason == reports[b].reason == reason, b
+        if reason is None:
+            for name in ("midpoints", "deviations", "lower", "upper", "selectivity"):
+                assert getattr(reports[b], name).tobytes() == getattr(one, name).tobytes()
+            assert vars(reports[b].diagnostics) == vars(one.diagnostics)
+        if stacked.reasons[b] is not None:
+            with pytest.raises(EstimationFailure) as info:
+                prob_estimate(CountsTensor(4, tensor))
+            assert info.value.reason == stacked.reasons[b]
+            assert vars(stacked.diagnostics[b]) == vars(kary.KaryDiagnostics())
+            continue
+        alone = prob_estimate(CountsTensor(4, tensor))
+        columns = [stacked.cells.tolist().index(cell) for cell in alone.cells.tolist()]
+        assert stacked.v[b].tobytes() == alone.v.tobytes()
+        assert stacked.p_matrices[b].tobytes() == alone.p_matrices.tobytes()
+        assert stacked.dv[b][columns].tobytes() == alone.dv.tobytes()
+        jac, jac_one = numerical_jacobian(stacked), numerical_jacobian(alone)
+        assert np.array_equal(jac.usable[b], jac_one.usable)
+        assert np.array_equal(jac.pair_usable[b], jac_one.pair_usable)
+        assert np.array_equal(jac.pair_perturbed[b], jac_one.pair_perturbed)
+    # a failed item of the stack has NaN deviations, and the others none
+    deviations = kary_deviations(stacked)
+    failed = np.array([reason is not None for _, reason in items])
+    assert np.isnan(deviations[failed]).all() and np.isfinite(deviations[~failed]).all()
+
+
+def test_dropped_slice_is_left_out_of_the_jacobian():
+    # Slice 2 of these noiseless k = 4 counts has a repeated eigenvalue and
+    # is dropped, and moving the selectivity keeps it repeated. So the
+    # Jacobian along the counts' change matches the central difference of
+    # V along that move at O(step^2), only if the dropped slice's own
+    # derivative, whose eigengap is 0, stays out of the average.
+    mats = WORKER_MATRIX_FIXTURES["arity4"]
+    sel, step = np.full(4, 0.25), np.array([1.0, -1.0, 0.5, -0.5]) * 1e-4
+
+    def counts(selectivity):
+        return expected_counts(mats, selectivity, densities=(0.9, 0.8, 0.7))
+
+    est, plus, minus = (prob_estimate(counts(s)) for s in (sel, sel + step, sel - step))
+    for e in (est, plus, minus):
+        assert e.diagnostics.slice_failures == ((2, SLICE_DEGENERATE),)
+    change = counts(sel + step).counts - counts(sel - step).counts
+    along = numerical_jacobian(est).derivs @ change[tuple(est.cells.T)]
+    central = plus.v - minus.v
+    assert np.abs(along - central).max() < 1e-6 * np.abs(central).max()
 
 
 def test_runtime_insensitive_to_task_count():

@@ -375,8 +375,10 @@ def test_kary_coverage_experiment_named_and_shaped():
 
 
 def test_kary_eigensolver_failure_counts_as_a_failed_replication(monkeypatch):
-    # each arity-3 replication's slice eigensystems take one np.linalg.eig
-    # call; the third call does not converge, and that replication alone is
+    # the five arity-3 replications are recovered as one stack, whose 15
+    # slice eigensystems take one np.linalg.eig call; it does not converge,
+    # so the slices are solved one call each, and the seventh (replication
+    # 2's first slice) does not converge either: that replication alone is
     # lost
     cfg = SimConfig(n=500, m=3, fixture="arity3", density=1.0,
                     replications=5, seed=5, confidence_grid=(0.5,))
@@ -385,15 +387,15 @@ def test_kary_eigensolver_failure_counts_as_a_failed_replication(monkeypatch):
     calls = []
 
     def flaky_eig(a):
-        calls.append(1)
-        if len(calls) == 3:
+        calls.append(len(a))
+        if len(a) > 1 or len(calls) == 8:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", flaky_eig)
     (_, _, _, flaky_failures, flaky_evaluations), = run_coverage_experiment(cfg).rows
     assert failures == 0 and evaluations == 5 * 27
-    assert len(calls) == 5
+    assert calls == [15] + [1] * 15
     assert flaky_failures == 1 and flaky_evaluations == 4 * 27
 
 
@@ -404,15 +406,15 @@ def test_kary_replication_reads_the_estimate_and_its_deviations(fixture, n):
     # raises. These small worlds fail on 5 to 10 of their 20 replications.
     from crowdgauge.errors import EstimationFailure
     from crowdgauge.kary import build_counts, kary_deviations, prob_estimate
-    from crowdgauge.simulate import _kary_rep
+    from crowdgauge.simulate import _kary_chunk
 
     cfg = SimConfig(n=n, m=3, fixture=fixture, density=0.8 if n > 20 else 0.6,
                     replications=20, seed=3, confidence_grid=(0.9,))
     failed = 0
-    for rep in range(cfg.replications):
+    outcomes = _kary_chunk(cfg, range(cfg.replications))
+    for rep, outcome in enumerate(outcomes):
         world = gen_kary_responses(fixture, n, cfg.density, rng=substream(cfg.seed, rep))
         counts = build_counts(world.dataset, world.dataset.workers)
-        outcome = _kary_rep(cfg, rep)
         try:
             estimate = prob_estimate(counts)
             deviations = kary_deviations(estimate)
@@ -432,15 +434,14 @@ def test_kary_mean_size_measures_intervals_clipped_to_unit_range():
     # Response-probability intervals are intersected with [0, 1] before
     # their half-width is averaged, so the statistic is bounded by 1/2
     # however wild a replication's linearization gets.
-    from crowdgauge.simulate import _kary_rep
+    from crowdgauge.simulate import _kary_chunk
 
     cfg = SimConfig(n=300, m=3, fixture="arity3", density=0.7,
                     replications=6, seed=9, confidence_grid=(0.5, 0.99))
     result = run_coverage_experiment(cfg)
     z = {c: abs(normal_quantile((1 - c) / 2)) for c in cfg.confidence_grid}
     expected = {c: [] for c in cfg.confidence_grid}
-    for rep in range(cfg.replications):
-        outcome = _kary_rep(cfg, rep)
+    for outcome in _kary_chunk(cfg, range(cfg.replications)):
         if outcome is None:
             continue
         _, mid, dev = outcome
