@@ -10,10 +10,12 @@ removal). Exit codes: 0 success (possibly with per-worker failure records),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,9 +53,11 @@ from .simulate import (
     DENSITY_GRID,
     SimConfig,
     compare_weighting,
+    format9_many,
     result_to_csv,
     result_to_json,
     round9,
+    round9_many,
     run_coverage_experiment,
     run_size_experiment,
 )
@@ -196,7 +200,7 @@ def cmd_evaluate(args) -> int:
             record["estimate"] = round9(report.estimate)
             record["lower"] = round9(report.lower)
             record["upper"] = round9(report.upper)
-            record["weights"] = [round9(w) for w in report.weights]
+            record["weights"] = round9_many(report.weights)
             if report.clamped:
                 record["clamped"] = True
             if report.weight_fallback:
@@ -237,31 +241,74 @@ def _auto_triples(ds: ResponseDataset, threshold: int) -> list[tuple[str, str, s
     return triples
 
 
-def _kary_record(triple: Sequence[str], report: KaryReport) -> dict[str, object]:
-    """The output record of one triple's report."""
-    record: dict[str, object] = {"workers": list(triple), "failed": report.failed}
-    if report.failed:
-        record["reason"] = report.reason
-        return record
-    record["selectivity"] = [round9(s) for s in report.selectivity]
-    k = report.arity
-    record["matrices"] = [
-        {"worker": triple[w],
-         "rows": [[{"estimate": round9(report.midpoints[w, r, c]),
-                    "lower": round9(report.lower[w, r, c]),
-                    "upper": round9(report.upper[w, r, c])}
-                   for c in range(k)]
-                  for r in range(k)]}
-        for w in range(3)]
-    diag = report.diagnostics
-    record["diagnostics"] = {
-        "slice_failures": [list(f) for f in diag.slice_failures],
-        "max_imag": round9(diag.max_imag),
-        "rows_permuted": diag.rows_permuted,
-        "rows_sign_fixed": diag.rows_sign_fixed,
-        "clamped": diag.clamped,
+# A record sits two levels into the payload: payload, "triples", record.
+_RECORD_INDENT = "\n    "
+_HOLE = "@"  # a placeholder value; no key of a record contains it
+
+
+def _reindent(text: str) -> str:
+    """json.dumps(..., indent=2) text of a record, at the record's depth."""
+    return text.replace("\n", _RECORD_INDENT)
+
+
+@functools.cache
+def _record_template(k: int) -> tuple[str, str]:
+    """The text of a successful arity-k record with a %s for each value,
+    in the order json writes them, and the line break that indents the
+    lines of a slice_failures value.
+
+    json.dumps lays out a skeleton record whose values are placeholders,
+    so the filled template is the text json.dumps gives the record.
+    """
+    cell = {"estimate": _HOLE, "lower": _HOLE, "upper": _HOLE}
+    skeleton = {
+        "workers": [_HOLE] * 3, "failed": False, "selectivity": [_HOLE] * k,
+        "matrices": [{"worker": _HOLE, "rows": [[cell] * k] * k}] * 3,
+        "diagnostics": {"slice_failures": _HOLE, "max_imag": _HOLE, "rows_permuted": _HOLE,
+                        "rows_sign_fixed": _HOLE, "clamped": _HOLE},
     }
-    return record
+    text = _reindent(json.dumps(skeleton, indent=2))
+    line = next(line for line in text.split("\n") if '"slice_failures"' in line)
+    indent = "\n" + " " * (len(line) - len(line.lstrip()))
+    return text.replace("%", "%%").replace(f'"{_HOLE}"', "%s"), indent
+
+
+def _json_numbers(values) -> list[str]:
+    """The text json.dumps writes for round9 of each of the flattened values.
+
+    A "%.9g" text with a point and no exponent has at most 9 significant
+    digits and lies in [1e-4, 1e9), so it is already the repr, which json
+    writes, of the float it reads as. Any other text (an exponent, a whole
+    number, -0, nan or inf) is read back and spelled by json.
+    """
+    return [text if "." in text and "e" not in text else json.dumps(float(text))
+            for text in format9_many(values)]
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _kary_record_text(triple: Sequence[str], report: KaryReport) -> str:
+    """json.dumps(record, indent=2) of one triple's report, at the record's
+    depth in the payload; numbers are written at 9 significant digits."""
+    if report.failed:
+        record = {"workers": list(triple), "failed": True, "reason": report.reason}
+        return _reindent(json.dumps(record, indent=2))
+    k, diag = report.arity, report.diagnostics
+    template, indent = _record_template(k)
+    cells = np.stack((report.midpoints, report.lower, report.upper), axis=-1).ravel()
+    numbers = _json_numbers(np.concatenate((report.selectivity, cells, [diag.max_imag])))
+    ids = [encode_basestring_ascii(w) for w in triple]
+    per_worker = 3 * k * k
+    values = [*ids, *numbers[:k]]
+    for w in range(3):
+        values.append(ids[w])
+        values += numbers[k + w * per_worker:k + (w + 1) * per_worker]
+    slices = json.dumps([list(f) for f in diag.slice_failures], indent=2)
+    values += [slices.replace("\n", indent), numbers[-1], _flag(diag.rows_permuted),
+               _flag(diag.rows_sign_fixed), _flag(diag.clamped)]
+    return template % tuple(values)
 
 
 def cmd_evaluate_kary(args) -> int:
@@ -296,9 +343,8 @@ def cmd_evaluate_kary(args) -> int:
             counts = CountsTensor(ds.arity, np.stack([build_counts(ds, t).counts for t in chunk]))
             reports = kary_confidence_intervals(counts, confidence)
             failed += sum(report.failed for report in reports)
-            # The chunk's records as a list, less its brackets, one level deeper.
-            text = json.dumps([_kary_record(*item) for item in zip(chunk, reports)], indent=2)
-            yield ("\n  " if start == 0 else ",\n  ") + text[2:-2].replace("\n", "\n  ")
+            yield ("" if start == 0 else ",") + ",".join(
+                _RECORD_INDENT + _kary_record_text(*item) for item in zip(chunk, reports))
         yield "\n  ]\n}\n"
 
     _atomic_write(Path(args.output), pieces())

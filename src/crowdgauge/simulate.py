@@ -499,6 +499,18 @@ def round9(x: float) -> float:
     return float(format(float(x), ".9g"))
 
 
+def round9_many(values) -> list[float]:
+    """[round9(x) for x in values] over the flattened values, from one
+    "%.9g" formatting pass."""
+    return list(map(float, format9_many(values)))
+
+
+def format9_many(values) -> list[str]:
+    """The "%.9g" text of each of the flattened values, which round9 reads."""
+    flat = np.ravel(values).astype(float, copy=False).tolist()
+    return ("%.9g " * len(flat) % tuple(flat)).split()
+
+
 def result_to_csv(result: ExperimentResult) -> str:
     """Render a result as CSV with `# key=value` metadata comment lines."""
     lines = [f"# experiment={result.experiment}"]

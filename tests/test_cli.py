@@ -23,7 +23,7 @@ from crowdgauge.errors import (
     LabelDomainError, ResponseParseError)
 from crowdgauge.simulate import (
     DENSITY_GRID, WORKER_MATRIX_FIXTURES, gen_binary_responses, gen_binary_workers,
-    gen_kary_responses, substream)
+    gen_kary_responses, round9, substream)
 
 
 def run_cli(*argv) -> int:
@@ -563,29 +563,99 @@ def test_auto_triples_match_the_loop_over_every_triple():
     assert cli._auto_triples(ds, threshold) == expected
 
 
-def test_evaluate_kary_streams_the_json_of_its_records(tmp_path):
-    # The records are written a stack at a time, and the file is the text
-    # json.dumps(payload, indent=2) gives: for one triple, for one failed
-    # triple, and for 35 triples in two stacks. w7 answers 1 on every task,
-    # so the 15 triples that seat w7 fail.
-    ds = kary_crowd(7, 900, 0.8, seed=3, k=3)
+@pytest.mark.parametrize("k, m, unstable", [(2, 12, 0), (3, 7, 0), (4, 7, 1)])
+def test_evaluate_kary_streams_the_json_of_its_records(tmp_path, k, m, unstable):
+    # The records are written a stack at a time, from a template per arity,
+    # and the file is the text json.dumps(payload, indent=2) gives: for one
+    # triple, for one failed triple, and for every triple in two stacks or
+    # more. The last worker answers 1 on every task, so the triples that
+    # seat it fail. `unstable` more fail at k = 4 (w2, w4, w5: no usable
+    # conditional slices), the fragile recovery of ROADMAP item 2.
+    ds = kary_crowd(m, 900, 0.8, seed=3, k=k)
     matrix = ds.matrix.copy()
-    matrix[6][matrix[6] > 0] = 1
+    matrix[-1][matrix[-1] > 0] = 1
     src = tmp_path / "kary.csv"
-    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=3)))
-    assert kary.stack_size(3) < 35
-    for flag, value, triples, failed in (("--workers", "w3,w1,w5", 1, 0),
-                                         ("--workers", "w1,w7,w3", 1, 1),
-                                         ("--auto-triples", "1", 35, 15)):
+    src.write_text(write_responses_csv(ResponseDataset.from_matrix(matrix, arity=k)))
+    triples, last = m * (m - 1) * (m - 2) // 6, f"w{m}"
+    assert kary.stack_size(k) < triples
+    for flag, value, count, failed in (("--workers", "w3,w1,w5", 1, 0),
+                                       ("--workers", f"w1,{last},w3", 1, 1),
+                                       ("--auto-triples", "1", triples,
+                                        triples * 3 // m + unstable)):
         out = tmp_path / "o.json"
         assert run_cli("evaluate-kary", "--input", src, "--output", out, flag, value) == 0
         text = out.read_text()
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2) + "\n"
         records = payload["triples"]
-        assert len(records) == triples
-        assert [r["failed"] for r in records] == ["w7" in r["workers"] for r in records]
+        assert len(records) == count
+        assert all(r["failed"] for r in records if last in r["workers"])
         assert sum(r["failed"] for r in records) == failed
+
+
+def reference_kary_record(triple, report):
+    """The record of one triple's report as a dict, one round9 per value."""
+    record = {"workers": list(triple), "failed": report.failed}
+    if report.failed:
+        record["reason"] = report.reason
+        return record
+    record["selectivity"] = [round9(s) for s in report.selectivity]
+    k = report.arity
+    record["matrices"] = [
+        {"worker": triple[w],
+         "rows": [[{"estimate": round9(report.midpoints[w, r, c]),
+                    "lower": round9(report.lower[w, r, c]),
+                    "upper": round9(report.upper[w, r, c])}
+                   for c in range(k)] for r in range(k)]}
+        for w in range(3)]
+    diag = report.diagnostics
+    record["diagnostics"] = {
+        "slice_failures": [list(f) for f in diag.slice_failures],
+        "max_imag": round9(diag.max_imag),
+        "rows_permuted": diag.rows_permuted,
+        "rows_sign_fixed": diag.rows_sign_fixed,
+        "clamped": diag.clamped,
+    }
+    return record
+
+
+def test_json_numbers_are_the_json_of_round9():
+    # Magnitudes across the whole float range, subnormals included, and
+    # values that "%.9g" rounds across its switch to an exponent.
+    rng = np.random.default_rng(0)
+    values = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-330, 308, 20000)
+    edges = [0.0, -0.0, 5e-324, 9.99999999e-5, 0.0000999999999, 0.0001, 999999999.4,
+             999999999.5, 1e9, 123456789.0, 0.5, 2.0, 1e16, 1.7976931348623157e308,
+             np.nan, np.inf, -np.inf]
+    values = np.concatenate((values, edges, np.negative(edges)))
+    expected = [json.dumps(round9(x)) for x in values]
+    assert cli._json_numbers(values) == expected
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_kary_record_text_is_the_json_of_its_record(k):
+    # Each record's text is json.dumps of the record, re-indented to its
+    # depth in the payload: with numbers json spells in other ways than
+    # repr, and ids that json escapes or that hold the template's "%".
+    rng = np.random.default_rng(k)
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-5, 1e9, 3e15, 0.1234567885, 123456789.0,
+               1234567891234.5, 5e-324]
+    values = rng.normal(scale=10.0, size=1 + 3 * 3 * k * k) ** 3
+    values[rng.choice(values.size, len(special), replace=False)] = special
+    midpoints, lower, upper = values[1:].reshape(3, 3, k, k)
+    selectivity = np.array([np.nan, -0.0, 1e9, 3e15])[:k]
+    diag = kary.KaryDiagnostics(((1, "complex eigensystem"), (k, "singular slice")),
+                                values[0], True, False, True)
+    report = kary.KaryReport(k, 0.9, None, midpoints, None, lower, upper, selectivity, diag)
+    failed = kary.KaryReport(k, 0.9, REASON_EIGEN_NONCONVERGENCE, None, None, None, None,
+                             None, kary.KaryDiagnostics())
+    plain = kary.KaryReport(k, 0.9, None, midpoints[::-1], None, lower, upper,
+                            selectivity[::-1], kary.KaryDiagnostics())
+    cases = [(("a\"b", "c\\d", "%s%"), report), (("w%", "é", "x"), failed),
+             (("%d", "é", "%s"), plain)]
+    for triple, item in cases:
+        expected = json.dumps(reference_kary_record(triple, item), indent=2)
+        assert cli._kary_record_text(triple, item) == expected.replace("\n", "\n    ")
 
 
 def test_evaluate_kary_memory_stays_bounded_as_triples_grow(tmp_path):

@@ -22,6 +22,8 @@ from crowdgauge.simulate import (
     ramp_densities,
     result_to_csv,
     result_to_json,
+    round9,
+    round9_many,
     run_coverage_experiment,
     run_size_experiment,
     substream,
@@ -574,6 +576,16 @@ def _tiny_result() -> ExperimentResult:
          (0.9, float("nan"), 0.09, 1.0, 0.0)),
         (("n", "100"), ("seed", "0")),
     )
+
+
+def test_round9_many_matches_round9_value_by_value():
+    values = [-0.0, 5e-324, 1e-5, 0.0001234, 0.1234567885, 123456789.0, 1e9,
+              9.99999999e15, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    got = round9_many(np.array(values).reshape(1, -1))
+    assert all(type(x) is float for x in got)
+    # repr tells -0.0 from 0.0 and compares NaN equal to itself.
+    assert list(map(repr, got)) == [repr(round9(x)) for x in values]
+    assert round9_many([]) == []
 
 
 def test_result_to_csv_format():
